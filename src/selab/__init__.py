@@ -15,7 +15,6 @@ from .bifurcation import (
     LambdaStarEstimate,
     NonexistenceReport,
     SweepResult,
-    diagnostic_schedule,
     estimate_lambda_star,
     lambda0_bound,
     lambda_sweep,
@@ -128,7 +127,6 @@ __all__ = [
     "compute_p",
     "default_schedule",
     "default_shift",
-    "diagnostic_schedule",
     "estimate_lambda_star",
     "first_eigenpair",
     "gradient_components",

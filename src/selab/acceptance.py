@@ -33,7 +33,12 @@ from .model import (
     SingularTerm,
     problem_from_config,
 )
-from .solver import monotone_iterate, newton_solve, solve_with_continuation
+from .solver import (
+    fixed_point,
+    newton_solve,
+    nonlinear_part,
+    solve_with_continuation,
+)
 from .spectral import first_eigenpair
 
 DEFAULT_SEED = 20260823
@@ -251,18 +256,10 @@ def _picard_newton(spec, sweeps=400):
     """Deterministic small-instance solve of the fixed-eps problem:
     damped Picard to enter the Newton basin, then a polish."""
     grid = spec.grid
-    A = grid.neg_laplacian()
-    from scipy.sparse.linalg import splu
-
-    lu = splu(A.tocsc())
-    k = spec.k_nodal()
-    u = np.full(grid.n_total, 0.1)
-    for _ in range(sweeps):
-        mag = gradient_magnitude(grid, Field(grid, u)).values
-        rhs = spec.lam * spec.f_at(u) - k * spec.g_at(u + spec.eps) - mag**spec.conv_a
-        u = np.maximum(0.5 * u + 0.5 * lu.solve(rhs), 1e-12)
-    rep = newton_solve(spec, Field(grid, u))
-    return rep
+    u, _, _ = fixed_point(grid.lu(), lambda v: nonlinear_part(spec, v),
+                          np.full(grid.n_total, 0.1), relax=0.5, floor=1e-12,
+                          max_iter=sweeps)
+    return newton_solve(spec, Field(grid, u))
 
 
 def comparison_suite(seed=None, n_instances=50):
@@ -299,10 +296,7 @@ def comparison_suite(seed=None, n_instances=50):
                 out.append((None, spec, "solve failed"))
                 continue
             u = rep.solution.values
-            A = grid.neg_laplacian()
-            from scipy.sparse.linalg import splu
-
-            lu = splu(A.tocsc())
+            lu = grid.lu()
             bump = abs(kval) * g(np.full(grid.n_total, eps))
             w = u.copy()
             for _ in range(400):

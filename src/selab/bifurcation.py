@@ -22,9 +22,14 @@ import numpy as np
 
 from .constructions import build_supersolution
 from .errors import ModelError, RegimeError
-from .grid import Field, build_grid, gradient_magnitude
-from .mass import halving_rate, mass_integral, reference_mass
-from .solver import default_schedule, solve_with_continuation
+from .grid import Field, build_grid
+from .mass import halving_rate, mass_integral, mass_trend, reference_mass
+from .solver import (
+    default_schedule,
+    fixed_point,
+    nonlinear_part,
+    solve_with_continuation,
+)
 from .spectral import first_eigenpair
 
 log = logging.getLogger(__name__)
@@ -296,13 +301,6 @@ class NonexistenceReport:
     collapsed: list
 
 
-def diagnostic_schedule(steps=20, eps0=0.1):
-    """Default eps ladder for the mass diagnostic; deeper than the
-    continuation default because the eps-rate is only clean once eps
-    falls well below u at the first interior node."""
-    return [eps0 * 2.0**-k for k in range(steps)]
-
-
 def nonexistence_diagnostic(spec_template, eps_schedule=None, sweeps=800,
                             tol=1e-11):
     """Track I(eps) = integral of g(u_eps + eps) down an eps schedule.
@@ -318,19 +316,26 @@ def nonexistence_diagnostic(spec_template, eps_schedule=None, sweeps=800,
     I(eps) is the support-restricted piecewise-linear mass (see
     mass_integral), compared against the reference integral of
     g(c2 dist + eps).  Verdict "mass-divergent" when the fitted
-    per-halving factor shows sustained growth, "mass-bounded" when the
-    tail is Cauchy, "no-trend" for schedules that do not decrease.
+    per-halving factor shows sustained growth or the mass overflows
+    (then fitted_factor is None; see mass_trend), "mass-bounded" when
+    the tail is Cauchy, "no-trend" for schedules that do not decrease.
+    A spec with a source term raises ModelError.  The default
+    schedule has 20 halvings from 0.1, deeper than the continuation
+    default because the eps-rate is only clean once eps falls well below
+    u at the first interior node.
     """
     spec = spec_template
     if spec.singular is None or spec.regime() != "positive":
         raise RegimeError("mass diagnostic lives in the positive-K regime")
+    if spec.source is not None:
+        # the super-solution envelope it starts from has no source term
+        raise ModelError("mass diagnostic takes no source term")
     if eps_schedule is None:
-        eps_schedule = diagnostic_schedule()
+        eps_schedule = default_schedule(20)
     eps_schedule = [float(e) for e in eps_schedule]
     g = spec.singular
     grid = spec.grid
     lu = grid.lu()
-    K = spec.k_nodal()
     sup = build_supersolution(spec)
     envelope = sup.field.values
     c2 = sup.metadata["c2"]
@@ -341,17 +346,10 @@ def nonexistence_diagnostic(spec_template, eps_schedule=None, sweeps=800,
     collapsed = []
     prev = None
     for eps in eps_schedule:
-        u = envelope.copy() if prev is None else prev.copy()
-        for _ in range(sweeps):
-            rhs = spec.lam * spec.f_at(u) - K * spec.g_at(np.maximum(u, 0.0) + eps)
-            if spec.conv_a and spec.conv_a > 0:
-                mag = gradient_magnitude(grid, Field(grid, u)).values
-                rhs = rhs - mag**spec.conv_a
-            u_new = np.maximum(lu.solve(rhs), 0.0)
-            if float(np.max(np.abs(u_new - u))) < tol:
-                u = u_new
-                break
-            u = u_new
+        stage = spec.with_eps(eps)
+        u, _, _ = fixed_point(lu, lambda v: nonlinear_part(stage, v),
+                              envelope if prev is None else prev,
+                              floor=0.0, tol=tol, max_iter=sweeps)
         if float(u.max()) > 0.0:
             sources.append("descent")
             prev = u
@@ -371,13 +369,9 @@ def nonexistence_diagnostic(spec_template, eps_schedule=None, sweeps=800,
             fitted_factor=None, reference_factor=None, verdict="no-trend",
             c2=c2, sources=sources, collapsed=collapsed,
         )
-    factors = [m2 / m1 for m1, m2 in zip(masses, masses[1:])]
-    fitted = halving_rate(eps_schedule, masses)
+    factors, fitted, divergent = mass_trend(eps_schedule, masses)
     rfitted = halving_rate(eps_schedule, refs)
-    if fitted >= 1.1 and all(f > 1.02 for f in factors[-3:]):
-        verdict = "mass-divergent"
-    else:
-        verdict = "mass-bounded"
+    verdict = "mass-divergent" if divergent else "mass-bounded"
     return NonexistenceReport(
         eps=eps_schedule, mass=masses, mass_reference=refs, factors=factors,
         fitted_factor=fitted, reference_factor=rfitted, verdict=verdict,

@@ -324,9 +324,13 @@ def _add_config(p):
     )
 
 
+def _add_out(p):
+    p.add_argument("--out", default=None, help="output file or directory")
+
+
 def _add_common(p, tol=1e-10):
     p.add_argument("--tol", type=float, default=tol, help="solver tolerance")
-    p.add_argument("--out", default=None, help="output file or directory")
+    _add_out(p)
 
 
 def build_parser():
@@ -375,12 +379,12 @@ def build_parser():
     p = sub.add_parser("eigen",
                        help="principal eigenpair of the grid Laplacian")
     _add_config(p)
-    _add_common(p)
+    _add_out(p)
     p.set_defaults(fn=_cmd_eigen)
 
     p = sub.add_parser("hode", help="tabulate the boundary profile h")
     _add_config(p)
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--alpha", type=float, default=None,
                    help="power-family exponent (overrides the config g)")
     p.add_argument("--T", type=float, default=1.0,
@@ -389,7 +393,7 @@ def build_parser():
 
     p = sub.add_parser("construct", help="build a certified field")
     _add_config(p)
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--kind", required=True, choices=sorted(_CONSTRUCTORS))
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="override the config lambda")

@@ -46,7 +46,7 @@ from .errors import (
 from .grid import Field, boundary_distance, gradient_magnitude
 from .hprofile import build_h_profile
 from .model import compute_p
-from .solver import residual
+from .solver import fixed_point, residual
 from .spectral import default_collar_width, first_eigenpair, hopf_collar
 
 
@@ -122,16 +122,13 @@ def build_subsolution_convection(spec, tol=1e-11, max_iter=5000):
             "forcing floor min{lambda f(x,1), -K g(1)} is not positive; "
             "convection sub-solution needs the negative-K regime"
         )
-    lu = grid.lu()
-    v = np.zeros(grid.n_total)
-    for it in range(1, max_iter + 1):
-        mag = gradient_magnitude(grid, Field(grid, v)).values
-        v_next = lu.solve(p.values - mag**spec.conv_a)
-        inc = float(np.max(np.abs(v_next - v)))
-        v = v_next
-        if inc < tol:
-            break
-    else:
+
+    def nonlinear(v):
+        return gradient_magnitude(grid, Field(grid, v)).values**spec.conv_a - p.values
+
+    v, it, inc = fixed_point(grid.lu(), nonlinear, np.zeros(grid.n_total),
+                             tol=tol, max_iter=max_iter)
+    if not inc < tol:  # also catches a NaN increment
         raise ConvergenceError("convection sub-solution Picard stagnated",
                                residual=inc, iterations=max_iter)
     if float(v.min()) <= 0.0:

@@ -32,6 +32,7 @@ class Grid:
     kind : "interval" or "rectangle"
     extents : tuple of axis lengths
     shape : tuple of interior node counts per axis
+    n_total : total number of interior nodes
     spacing : tuple of h per axis
     axes : tuple of 1d interior coordinate arrays per axis
 
@@ -64,6 +65,7 @@ class Grid:
         self.extents = extents
         self.shape = shape
         self.spacing = tuple(e / (n + 1) for e, n in zip(extents, shape))
+        self.n_total = int(np.prod(shape))
         self.axes = tuple(
             h * np.arange(1, n + 1) for h, n in zip(self.spacing, shape)
         )
@@ -76,14 +78,6 @@ class Grid:
     @property
     def dim(self):
         return len(self.shape)
-
-    @property
-    def n_total(self):
-        return int(np.prod(self.shape))
-
-    @property
-    def interior_indices(self):
-        return np.arange(self.n_total)
 
     def coords(self):
         """Interior node coordinates, shape (n_total, dim), row-major
@@ -111,11 +105,6 @@ class Grid:
 
     def field(self, values):
         return Field(self, np.asarray(values, dtype=float))
-
-    def field_from_function(self, fn):
-        """Evaluate fn on interior nodes: fn(x) in 1d, fn(x, y) in 2d."""
-        cols = [self.coords()[:, i] for i in range(self.dim)]
-        return self.field(np.broadcast_to(fn(*cols), (self.n_total,)).astype(float))
 
     def zeros(self):
         return self.field(np.zeros(self.n_total))

@@ -34,7 +34,7 @@ from .model import classify_singularity
 
 @dataclass
 class HProfile:
-    """Monotone table (t_i, h_i, h'_i) on [0, T] plus tabulated G.
+    """Monotone table (t_i, h_i, h'_i) on [0, T].
 
     For the power family the exact closed forms back the evaluators and
     the table is a sampling of them; otherwise monotone (PCHIP)
@@ -45,16 +45,12 @@ class HProfile:
     h: np.ndarray
     dh: np.ndarray
     T: float
-    G_y: np.ndarray
-    G_val: np.ndarray
     coeff: float | None = None      # closed-form C, power family only
     exponent: float | None = None   # closed-form 2/(alpha+1)
-    alpha: float | None = None      # power-family alpha, for exact G
 
     def __post_init__(self):
         self._h_interp = None
         self._dh_interp = None
-        self._G_interp = None
 
     @property
     def closed_form(self):
@@ -77,14 +73,6 @@ class HProfile:
         if self._dh_interp is None:
             self._dh_interp = PchipInterpolator(self.t, self.dh)
         return self._dh_interp(np.clip(t, 0.0, self.T))
-
-    def G_at(self, y):
-        y = np.asarray(y, dtype=float)
-        if self.alpha is not None:
-            return y ** (1.0 - self.alpha) / (1.0 - self.alpha)
-        if self._G_interp is None:
-            self._G_interp = PchipInterpolator(self.G_y, self.G_val)
-        return self._G_interp(np.clip(y, self.G_y[0], self.G_y[-1]))
 
 
 def _t_grid(T, n_uniform=160, n_geometric=48):
@@ -121,10 +109,8 @@ def build_h_profile(g, T=1.0, tol=1e-10):
         with np.errstate(divide="ignore"):
             dh = coeff * expo * t ** (expo - 1.0)
         dh[0] = 0.0
-        y = np.concatenate([[0.0], np.geomspace(max(h[1], 1e-300), h[-1], 400)])
-        G = y ** (1.0 - alpha) / (1.0 - alpha)
-        return HProfile(t=t, h=h, dh=dh, T=float(T), G_y=y, G_val=G,
-                        coeff=float(coeff), exponent=float(expo), alpha=float(alpha))
+        return HProfile(t=t, h=h, dh=dh, T=float(T), coeff=float(coeff),
+                        exponent=float(expo))
 
     # tabulated g: cumulative quadrature for G and t(h), then invert.
     # Both integrands are integrable power-like singularities at 0, so a
@@ -151,7 +137,7 @@ def build_h_profile(g, T=1.0, tol=1e-10):
     h = inv(np.clip(t, 0.0, ty[-1]))
     dh = np.sqrt(2.0 * np.interp(h, y, G))
     dh[0] = 0.0
-    return HProfile(t=t, h=h, dh=dh, T=float(T), G_y=y, G_val=G)
+    return HProfile(t=t, h=h, dh=dh, T=float(T))
 
 
 @dataclass

@@ -84,11 +84,26 @@ def _line_mass(g, c, eps, length):
 
 def halving_rate(eps_values, masses, tail=6):
     """Fitted per-halving growth factor 2^(-slope) of log I vs log eps
-    over the last `tail` points; None if fewer than two points."""
-    if len(masses) < 2:
-        return None
+    over the last `tail` points; None if fewer than two points or if one
+    of them is not finite (an overflowed mass has no rate)."""
     k = min(tail, len(masses))
+    if k < 2 or not np.all(np.isfinite(masses[-k:])):
+        return None
     le = np.log(np.asarray(eps_values[-k:], dtype=float))
     lm = np.log(np.maximum(np.asarray(masses[-k:], dtype=float), 1e-300))
     slope = np.polyfit(le, lm, 1)[0]
     return float(2.0 ** (-slope))
+
+
+def mass_trend(eps_values, masses):
+    """(factors, fitted, divergent) for masses taken down a decreasing eps
+    ladder: the per-halving factors, the fitted factor (halving_rate), and
+    whether the tail diverges - a mass overflowed (no rate is fitted then),
+    or the fitted factor is at least 1.1 and the last three factors exceed
+    1.02."""
+    factors = [b / a for a, b in zip(masses, masses[1:])]
+    fitted = halving_rate(eps_values, masses)
+    divergent = not np.all(np.isfinite(masses)) or (
+        fitted is not None and fitted >= 1.1
+        and all(f > 1.02 for f in factors[-3:]))
+    return factors, fitted, divergent

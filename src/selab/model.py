@@ -91,15 +91,6 @@ class SingularTerm:
         d = np.where((s < self.table_s[0]) | (s > self.table_s[-1]), 0.0, d)
         return d
 
-    def primitive(self, y):
-        """G(y) = integral_0^y g, defined only in the integrable regime."""
-        if classify_singularity(self) != "integrable":
-            raise ModelError("primitive of g is undefined: g is not integrable at 0")
-        y = np.asarray(y, dtype=float)
-        if self.family == "power":
-            return y ** (1.0 - self.alpha) / (1.0 - self.alpha)
-        return np.vectorize(lambda t: quad(self, 0.0, t, limit=200)[0])(y)
-
 
 def classify_singularity(g):
     """Classify integral_0^1 g as "integrable" or "non-integrable".

@@ -2,7 +2,11 @@
 
     -Lap(u) + K(x) g(u + eps) + |grad u|^a = lambda f(x, u) + source
 
-on a Dirichlet grid.  Three layers:
+on a Dirichlet grid, written A u + N(u) = 0 with A the -Laplacian.
+`nonlinear_part` is the one place N(u) is assembled, and `fixed_point`
+the one relaxed, clipped sweep u <- max((1-relax) u - relax A^-1 N(u),
+floor) behind the Picard rescue, the mass diagnostic, the comparison
+suite and the convection sub-solution.  Three layers:
 
 * `newton_solve` - damped Newton with the analytic Jacobian
   A + diag(K g'(u+eps)) + C(u) - diag(lambda f_s(x,u)), where C is the
@@ -37,8 +41,8 @@ from .errors import (
     SelabError,
     SingularEvaluationError,
 )
-from .grid import Field, gradient_components
-from .mass import halving_rate, mass_integral
+from .grid import Field
+from .mass import mass_integral, mass_trend
 from .spectral import first_eigenpair
 
 log = logging.getLogger(__name__)
@@ -70,8 +74,22 @@ def _gradient_data(spec, u):
     return comps, mag
 
 
+def nonlinear_part(spec, u):
+    """N(u) = K g(u+eps) + |grad u|^a - lambda f(x,u) - source as an array:
+    every term of the equation but the -Laplacian."""
+    n = -spec.lam * spec.f_at(u)
+    if spec.singular is not None:
+        n = n + spec.k_nodal() * spec.g_at(u + spec.eps)
+    if _convection_on(spec):
+        _, mag = _gradient_data(spec, u)
+        n = n + mag**spec.conv_a
+    if spec.source is not None:
+        n = n - spec.source.values
+    return n
+
+
 def residual(spec, field):
-    """Pointwise residual of the regularized equation as a Field.
+    """Pointwise residual A u + N(u) of the regularized equation as a Field.
 
     Requires u + eps > 0 wherever g is evaluated; otherwise raises
     SingularEvaluationError (for eps = 0 this is interior positivity).
@@ -81,16 +99,30 @@ def residual(spec, field):
         raise SingularEvaluationError(
             f"g would be evaluated at min(u)+eps = {float(u.min()) + spec.eps:.3e} <= 0"
         )
-    r = spec.grid.neg_laplacian() @ u
-    if spec.singular is not None:
-        r = r + spec.k_nodal() * spec.g_at(u + spec.eps)
-    if _convection_on(spec):
-        _, mag = _gradient_data(spec, u)
-        r = r + mag**spec.conv_a
-    r = r - spec.lam * spec.f_at(u)
-    if spec.source is not None:
-        r = r - spec.source.values
-    return Field(spec.grid, r)
+    return Field(spec.grid, spec.grid.neg_laplacian() @ u + nonlinear_part(spec, u))
+
+
+def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol=0.0, max_iter):
+    """Relaxed, clipped sweep for A u + N(u) = 0:
+
+        u <- max((1-relax) u - relax A^-1 N(u), floor)
+
+    `lu` factors A and `nonlinear` maps an array u to N(u).
+    Stops once the sup-norm increment falls below `tol` (tol=0 runs all
+    `max_iter` sweeps).  Returns (u, sweeps, last_increment); the caller
+    decides whether last_increment >= tol after max_iter is a failure.
+    """
+    inc = np.inf
+    sweep = 0
+    for sweep in range(1, max_iter + 1):
+        u_new = (1.0 - relax) * u - relax * lu.solve(nonlinear(u))
+        if floor is not None:
+            u_new = np.maximum(u_new, floor)
+        inc = float(np.max(np.abs(u_new - u)))
+        u = u_new
+        if inc < tol:
+            break
+    return u, sweep, inc
 
 
 def _jacobian(spec, u):
@@ -218,21 +250,13 @@ def monotone_iterate(spec, sub, super_, shift=None, tol=1e-10, max_iter=50000,
     D = default_shift(spec, sub_v, sup_v) if shift is None else float(shift)
     A = grid.neg_laplacian()
     M = splu((A + D * sp.identity(grid.n_total, format="csr")).tocsc())
-    K = spec.k_nodal() if spec.singular is not None else None
-    src = spec.source.values if spec.source is not None else 0.0
     u = (sup_v if from_super else sub_v).copy()
     slack = 1e-10 * max(1.0, float(np.max(np.abs(sup_v))))
     monotone = True
     inside = True
     it = 0
     for it in range(1, max_iter + 1):
-        rhs = D * u + spec.lam * spec.f_at(u) + src
-        if K is not None:
-            rhs = rhs - K * spec.g_at(u + spec.eps)
-        if _convection_on(spec):
-            _, mag = _gradient_data(spec, u)
-            rhs = rhs - mag**spec.conv_a
-        u_next = M.solve(rhs)
+        u_next = M.solve(D * u - nonlinear_part(spec, u))
         if from_super:
             monotone &= bool(np.all(u_next <= u + slack))
         else:
@@ -278,24 +302,10 @@ def default_schedule(steps=12, eps0=0.1):
 def _picard_rescue(spec, u0, sweeps=300, relax=0.5):
     """Relaxed Poisson sweeps with a positivity floor; used to coax a
     warm start into Newton's basin after a failed stage."""
-    grid = spec.grid
-    lu = grid.lu()
     floor = 0.01 * spec.eps if spec.eps > 0 else 1e-12
-    K = spec.k_nodal() if spec.singular is not None else None
-    src = spec.source.values if spec.source is not None else 0.0
-    u = np.maximum(np.asarray(u0, dtype=float), floor)
-    for _ in range(sweeps):
-        rhs = spec.lam * spec.f_at(u) + src
-        if K is not None:
-            rhs = rhs - K * spec.g_at(u + spec.eps)
-        if _convection_on(spec):
-            _, mag = _gradient_data(spec, u)
-            rhs = rhs - mag**spec.conv_a
-        u_new = np.maximum((1 - relax) * u + relax * lu.solve(rhs), floor)
-        if float(np.max(np.abs(u_new - u))) < 1e-12:
-            u = u_new
-            break
-        u = u_new
+    u, _, _ = fixed_point(spec.grid.lu(), lambda v: nonlinear_part(spec, v),
+                          np.maximum(np.asarray(u0, dtype=float), floor),
+                          relax=relax, floor=floor, tol=1e-12, max_iter=sweeps)
     return u
 
 
@@ -329,10 +339,11 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     "stagnation" (a stage refused to converge without losing positivity),
     "path-divergence" (stages converged but the eps-tail is not Cauchy),
     "mass-divergence" (stages converged but the integral of g(u+eps)
-    grows at a sustained per-halving rate; in the positive-K regime a
-    true limit solution must keep this mass bounded, so divergence
-    indicates the eps-family has no positive limit even though every
-    regularized stage solves).  Nonexistence is indicated, never proved.
+    grows at a sustained per-halving rate or overflows; in the
+    positive-K regime a true limit solution must keep this mass bounded,
+    so divergence indicates the eps-family has no positive limit even
+    though every regularized stage solves).  Nonexistence is indicated,
+    never proved.
     """
     if schedule is None:
         schedule = default_schedule()
@@ -434,12 +445,10 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     positive = min_interior > eps_final
     mass_fitted = None
     mass_factors = []
+    mass_divergent = False
     if positive_regime and all_stages and len(stage_stats) >= 2:
-        stage_masses = [s["mass"] for s in stage_stats]
-        mass_factors = [b / a for a, b in zip(stage_masses, stage_masses[1:])]
-        mass_fitted = halving_rate(eps_done, stage_masses)
-    mass_divergent = (mass_fitted is not None and mass_fitted >= 1.1
-                      and all(f > 1.02 for f in mass_factors[-3:]))
+        mass_factors, mass_fitted, mass_divergent = mass_trend(
+            eps_done, [s["mass"] for s in stage_stats])
     if all_stages and cauchy and positive and not mass_divergent:
         verdict, mode = "converged", None
     else:

@@ -8,14 +8,13 @@ from dataclasses import replace
 from selab.bifurcation import (
     THREADS_ENV,
     _thread_budget,
-    diagnostic_schedule,
     estimate_lambda_star,
     lambda0_bound,
     lambda_sweep,
     nonexistence_diagnostic,
 )
 from selab.errors import ModelError, RegimeError
-from selab.grid import build_grid
+from selab.grid import Field, build_grid
 from selab.model import (
     Potential,
     ProblemSpec,
@@ -23,6 +22,7 @@ from selab.model import (
     SingularTerm,
     make_problem,
 )
+from selab.solver import default_schedule
 from selab.spectral import first_eigenpair
 
 
@@ -230,12 +230,25 @@ def test_thread_budget(monkeypatch):
 # ----------------------------------------------------------- mass diagnostic
 
 
-def test_diagnostic_schedule_halves():
-    sched = diagnostic_schedule()
+def test_diagnostic_schedule_halves(theorem2_spec):
+    # the default ladder: 20 stages from 0.1, halving each time
+    sched = nonexistence_diagnostic(coarsen(theorem2_spec, 31)).eps
     assert len(sched) == 20
     assert sched[0] == 0.1
     assert all(b == 0.5 * a for a, b in zip(sched, sched[1:]))
-    assert diagnostic_schedule(5, 0.4) == [0.4 * 2.0**-k for k in range(5)]
+
+
+def test_diagnostic_mass_overflow_is_divergent():
+    # exp(1/s) - 1 overflows once s < 1/709: the masses reach inf, no
+    # rate can be fitted, and the verdict must still be divergence
+    grid = build_grid("interval", (1.0,), 15)
+    spec = make_problem(grid, Potential(1.0), SingularTerm("shifted-exp"),
+                        ReactionTerm("power", p=0.5))
+    rep = nonexistence_diagnostic(spec, eps_schedule=default_schedule(8))
+    assert not np.isfinite(rep.mass[-1])
+    assert rep.verdict == "mass-divergent"
+    assert rep.fitted_factor is None
+    assert rep.reference_factor is None
 
 
 def test_diagnostic_divergent_rate(theorem2_spec):
@@ -273,3 +286,10 @@ def test_diagnostic_flags_non_decreasing_schedule(theorem2_spec):
 def test_diagnostic_negative_regime_rejected(theorem1_spec):
     with pytest.raises(RegimeError):
         nonexistence_diagnostic(theorem1_spec)
+
+
+def test_diagnostic_source_rejected(theorem2_spec):
+    grid = theorem2_spec.grid
+    spec = replace(theorem2_spec, source=Field(grid, np.ones(grid.n_total)))
+    with pytest.raises(ModelError):
+        nonexistence_diagnostic(spec)

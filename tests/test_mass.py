@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from selab.grid import Field, build_grid
-from selab.mass import halving_rate, mass_integral, reference_mass
+from selab.mass import halving_rate, mass_integral, mass_trend, reference_mass
 from selab.model import SingularTerm
 
 
@@ -93,6 +93,18 @@ def test_integrable_mass_saturates():
     masses = [mass_integral(g, Field(grid, u), e) for e in eps_values]
     rate = halving_rate(eps_values, masses)
     assert rate == pytest.approx(1.0, abs=0.02)
+
+
+def test_mass_trend_flags_growth_and_overflow():
+    eps_values = 0.1 * 0.5 ** np.arange(8)
+    factors, fitted, divergent = mass_trend(eps_values, list(1.5 ** np.arange(8)))
+    assert factors == pytest.approx([1.5] * 7)
+    assert fitted == pytest.approx(1.5) and divergent
+    _, fitted, divergent = mass_trend(eps_values, [2.0] * 8)
+    assert fitted == pytest.approx(1.0) and not divergent
+    # an overflowed mass has no rate but still diverges
+    _, fitted, divergent = mass_trend(eps_values, [1.0] * 7 + [np.inf])
+    assert fitted is None and divergent
 
 
 def test_reference_mass_1d_quadrature():

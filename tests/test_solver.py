@@ -10,6 +10,7 @@ from selab.model import Potential, ProblemSpec, ReactionTerm, SingularTerm
 from selab.solver import (
     default_schedule,
     default_shift,
+    fixed_point,
     monotone_iterate,
     newton_solve,
     residual,
@@ -65,6 +66,53 @@ def test_residual_sign_of_each_term():
     # central node gradient is 0, the Laplacian row sums to 0 there
     assert r[center] == pytest.approx(-expect, rel=1e-12) or \
         r[center] == pytest.approx(expect, rel=1e-12)
+
+
+# ---- fixed-point sweep ----
+
+
+@pytest.fixture
+def poisson():
+    grid = build_grid("interval", (1.0,), 15)
+    c = np.sin(2.0 * np.pi * grid.axes[0]) + 0.5
+    return grid, c, grid.lu().solve(c)
+
+
+def test_fixed_point_constant_nonlinearity_lands_in_one_sweep(poisson):
+    # N(u) = -c: the first sweep solves A u = c, the second moves nothing
+    grid, c, exact = poisson
+    u, sweeps, inc = fixed_point(grid.lu(), lambda v: -c, np.zeros(15),
+                                 tol=1e-12, max_iter=10)
+    assert sweeps == 2 and inc == 0.0
+    assert np.array_equal(u, exact)
+
+
+def test_fixed_point_relax_halves_the_increment(poisson):
+    grid, c, exact = poisson
+    incs = [fixed_point(grid.lu(), lambda v: -c, np.zeros(15), relax=0.5,
+                        max_iter=k)[2] for k in range(1, 6)]
+    assert incs[0] == pytest.approx(0.5 * np.max(np.abs(exact)), rel=1e-12)
+    for a, b in zip(incs, incs[1:]):
+        assert b == pytest.approx(0.5 * a, rel=1e-9)
+
+
+def test_fixed_point_floor_clips(poisson):
+    grid, c, exact = poisson
+    c = c - 0.5  # A^-1 c now changes sign
+    exact = grid.lu().solve(c)
+    assert exact.min() < 0.0 < exact.max()
+    u, _, _ = fixed_point(grid.lu(), lambda v: -c, np.zeros(15), floor=0.0,
+                          max_iter=1)
+    assert np.array_equal(u, np.maximum(exact, 0.0))
+
+
+def test_fixed_point_reports_exhaustion(poisson):
+    grid, c, _ = poisson
+    tol = 1e-6
+    _, sweeps, inc = fixed_point(grid.lu(), lambda v: -c, np.zeros(15),
+                                 relax=0.5, tol=tol, max_iter=3)
+    assert sweeps == 3
+    assert inc >= tol
 
 
 # ---- Newton ----
@@ -239,6 +287,18 @@ def test_continuation_reports_mass_divergence(theorem2_spec):
     assert not rep.converged
     assert rep.diagnostics["mode"] == "mass-divergence"
     assert rep.diagnostics["mass_fitted"] > 1.1
+
+
+def test_continuation_reports_mass_overflow_as_divergence():
+    # exp(1/s) - 1 is not integrable, so no solution exists; every stage
+    # still solves on a coarse grid while the stage masses overflow to inf
+    grid = build_grid("interval", (1.0,), 31)
+    spec = ProblemSpec(grid, Potential(1.0), SingularTerm("shifted-exp"),
+                       ReactionTerm("power", p=0.5), 1.0, 100.0)
+    rep = solve_with_continuation(spec)
+    assert not np.isfinite(rep.diagnostics["stages"][-1]["mass"])
+    assert rep.diagnostics["mode"] == "mass-divergence"
+    assert rep.diagnostics["mass_fitted"] is None
 
 
 def test_continuation_caller_initial(theorem1_spec):
