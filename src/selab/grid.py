@@ -9,6 +9,12 @@ The discrete -Laplacian is the standard second-order 3-point (1d) or
 fields.  Gradients are central differences per axis, again feeding the
 Dirichlet 0 into stencils adjacent to the boundary.  Quadrature is the
 h-weighted node sum, i.e. composite trapezoid given the zero boundary.
+
+Every difference matrix D_k reaches only neighbours the -Laplacian A
+already couples, so a Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k
+has exactly the sparsity of A.  `Grid.jacobian` assembles it on that
+fixed pattern: a tridiagonal band for `solve_banded` on intervals, a
+refilled copy of A's CSC data for `splu` on rectangles.
 """
 
 from __future__ import annotations
@@ -17,6 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.linalg import solve_banded
 from scipy.sparse.linalg import splu
 
 from .errors import GridError, ShapeError
@@ -39,7 +46,12 @@ class Grid:
     Derived sparse operators (the -Laplacian matrix, its LU factorization,
     central-difference matrices) are built once on first use and cached;
     they are pure functions of the grid, so the cache does not break
-    value-immutability.
+    value-immutability.  So is the Jacobian pattern behind `jacobian`:
+    on an interval A's (3, n) band template, on a rectangle A in CSC
+    form with the positions of its diagonal and of every D_k entry in
+    its `data`.  The caches hold arrays and matrices only, never a Field
+    or anything else that points back at the grid, so a dropped grid is
+    freed by reference counting alone.
     """
 
     def __init__(self, kind, extents, shape):
@@ -73,6 +85,7 @@ class Grid:
         self._matrix = None
         self._lu = None
         self._diff = None
+        self._pattern = None
         self._eigenpair = None
 
     @property
@@ -159,8 +172,100 @@ class Grid:
             self._diff = tuple(mats)
         return self._diff
 
+    def apply_neg_laplacian(self, u):
+        """A u as an array.  On an interval the 3-point stencil is applied
+        by slicing, which sums the same products in the same order as the
+        sparse product."""
+        if self.dim == 2:
+            return self.neg_laplacian() @ u
+        inv = 1.0 / self.spacing[0] ** 2
+        pad = np.concatenate(([0.0], u, [0.0]))
+        return -inv * pad[:-2] + 2.0 * inv * pad[1:-1] - inv * pad[2:]
+
+    def central_differences(self, u):
+        """Central-difference derivative of u per axis, as a list of arrays
+        (by slicing on an interval, like `apply_neg_laplacian`)."""
+        if self.dim == 2:
+            return [D @ u for D in self.diff_matrices()]
+        c = 1.0 / (2 * self.spacing[0])
+        pad = np.concatenate(([0.0], u, [0.0]))
+        return [c * pad[2:] - c * pad[:-2]]
+
+    def jacobian(self, diag, weights):
+        """The Newton Jacobian A + diag(diag) + sum_k diag(weights[k]) D_k,
+        filled into A's cached sparsity pattern; `weights` is empty when
+        there is no convection term."""
+        if self._pattern is None:
+            self._pattern = self._jacobian_pattern()
+        if self.dim == 1:
+            template, upper, lower = self._pattern
+            band = template.copy()
+            band[1] += diag
+            for w in weights:
+                band[0, 1:] += w[:-1] * upper
+                band[2, :-1] += w[1:] * lower
+            return Jacobian(band)
+        csc, diag_pos, entries = self._pattern
+        data = csc.data.copy()
+        data[diag_pos] += diag
+        for w, (pos, rows, coef) in zip(weights, entries):
+            data[pos] += w[rows] * coef
+        return Jacobian(sp.csc_matrix((data, csc.indices, csc.indptr),
+                                      shape=csc.shape))
+
+    def _jacobian_pattern(self):
+        A = self.neg_laplacian()
+        diffs = self.diff_matrices()
+        if self.dim == 1:
+            # LAPACK band storage: entry (i, j) sits at band[1 + i - j, j]
+            band = np.zeros((3, self.n_total))
+            band[0, 1:] = A.diagonal(1)
+            band[1] = A.diagonal()
+            band[2, :-1] = A.diagonal(-1)
+            D, = diffs
+            return band, D.diagonal(1), D.diagonal(-1)
+        csc = A.tocsc()
+        csc.sort_indices()
+        n = self.n_total
+        # column-major keys of the stored entries, ascending in data order
+        keys = (np.repeat(np.arange(n, dtype=np.int64), np.diff(csc.indptr)) * n
+                + csc.indices)
+
+        def positions(rows, cols):
+            return np.searchsorted(keys, cols.astype(np.int64) * n + rows)
+
+        nodes = np.arange(n)
+        entries = []
+        for D in diffs:
+            coo = D.tocoo()
+            entries.append((positions(coo.row, coo.col), coo.row, coo.data))
+        return csc, positions(nodes, nodes), tuple(entries)
+
     def __repr__(self):
         return f"Grid(kind={self.kind!r}, extents={self.extents}, shape={self.shape})"
+
+
+class Jacobian:
+    """A Newton Jacobian built by `Grid.jacobian`: a (3, n) array in LAPACK
+    band storage on an interval, a CSC matrix on a rectangle."""
+
+    def __init__(self, matrix):
+        self.matrix = matrix
+
+    def solve(self, rhs):
+        """J^-1 rhs.  A singular J raises RuntimeError (splu) on a
+        rectangle; on an interval it raises numpy.linalg.LinAlgError
+        (solve_banded), and a non-finite J or rhs raises ValueError, of
+        which LinAlgError is a subclass."""
+        if sp.issparse(self.matrix):
+            return splu(self.matrix).solve(rhs)
+        return solve_banded((1, 1), self.matrix, rhs)
+
+    def toarray(self):
+        if sp.issparse(self.matrix):
+            return self.matrix.toarray()
+        band = self.matrix
+        return np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
 
 
 @dataclass
@@ -211,13 +316,13 @@ def _check_field(grid, field):
 def apply_laplacian(grid, field):
     """Return -Laplacian of the field (second-order stencil, Dirichlet 0)."""
     _check_field(grid, field)
-    return Field(grid, grid.neg_laplacian() @ field.values)
+    return Field(grid, grid.apply_neg_laplacian(field.values))
 
 
 def gradient_components(grid, field):
     """Central-difference derivative per axis; list of plain arrays."""
     _check_field(grid, field)
-    return [D @ field.values for D in grid.diff_matrices()]
+    return grid.central_differences(field.values)
 
 
 def gradient_magnitude(grid, field):

@@ -20,6 +20,7 @@ out of scope and rejected.
 
 from __future__ import annotations
 
+import weakref
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
@@ -128,6 +129,18 @@ def classify_singularity(g):
     return "indeterminate"
 
 
+def _nodal_values(grid, value):
+    """A constant or a callable of the space columns at the interior nodes
+    of `grid`, as a read-only array (callers cache it per grid)."""
+    if callable(value):
+        cols = [grid.coords()[:, i] for i in range(grid.dim)]
+        out = np.broadcast_to(value(*cols), (grid.n_total,)).astype(float)
+    else:
+        out = np.full(grid.n_total, float(value))
+    out.flags.writeable = False
+    return out
+
+
 @dataclass(frozen=True)
 class ReactionTerm:
     """Sublinear reaction f(x, s).
@@ -142,6 +155,9 @@ class ReactionTerm:
     q: object = 1.0          # constant or callable of the space columns
     fn: object = None
     dfn: object = None
+    _weights: weakref.WeakKeyDictionary = dataclass_field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
+        compare=False)
 
     def __post_init__(self):
         if self.family == "power":
@@ -154,13 +170,14 @@ class ReactionTerm:
             raise ModelError(f"unknown reaction family {self.family!r}")
 
     def weight(self, grid):
-        if callable(self.q):
-            cols = [grid.coords()[:, i] for i in range(grid.dim)]
-            w = np.broadcast_to(self.q(*cols), (grid.n_total,)).astype(float)
-        else:
-            w = np.full(grid.n_total, float(self.q))
-        if np.any(w <= 0):
-            raise ModelError("reaction weight q must be positive")
+        """Nodal q on `grid` (read-only), built and checked positive once
+        per grid."""
+        w = self._weights.get(grid)
+        if w is None:
+            w = _nodal_values(grid, self.q)
+            if np.any(w <= 0):
+                raise ModelError("reaction weight q must be positive")
+            self._weights[grid] = w
         return w
 
     def value(self, grid, s):
@@ -210,12 +227,17 @@ class Potential:
     """
 
     value: object  # constant or callable
+    _nodal: weakref.WeakKeyDictionary = dataclass_field(
+        default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
+        compare=False)
 
     def nodal(self, grid):
-        if callable(self.value):
-            cols = [grid.coords()[:, i] for i in range(grid.dim)]
-            return np.broadcast_to(self.value(*cols), (grid.n_total,)).astype(float)
-        return np.full(grid.n_total, float(self.value))
+        """K at the interior nodes of `grid` (read-only), built once per
+        grid."""
+        k = self._nodal.get(grid)
+        if k is None:
+            k = self._nodal[grid] = _nodal_values(grid, self.value)
+        return k
 
     def _boundary_values(self, grid):
         if not callable(self.value):

@@ -9,9 +9,13 @@ floor) behind the Picard rescue, the mass diagnostic, the comparison
 suite and the convection sub-solution.  Three layers:
 
 * `newton_solve` - damped Newton with the analytic Jacobian
-  A + diag(K g'(u+eps)) + C(u) - diag(lambda f_s(x,u)), where C is the
-  linearized convection term; backtracking line search on the residual
-  sup-norm, steps clipped so u stays >= 0.01 eps while eps > 0.
+  A + diag(K g'(u+eps) - lambda f_s(x,u)) + sum_k diag(w_k) D_k, where the
+  last sum linearizes |grad u|^a through the central differences D_k.
+  Its sparsity is that of A, so `Grid.jacobian` refills the grid's cached
+  pattern on every iteration: a tridiagonal band solved by `solve_banded`
+  on intervals, A's CSC data factored by `splu` on rectangles.
+  Backtracking line search on the residual sup-norm, steps clipped so
+  u stays >= 0.01 eps while eps > 0.
 * `monotone_iterate` - the globalizer: with a shift D dominating the
   one-sided Lipschitz constant of s -> -K g(s+eps) + lambda f(x,s), each
   sweep solves (A + D I) u_{k+1} = D u_k - K g(u_k+eps) - |grad u_k|^a
@@ -69,7 +73,7 @@ def _convection_on(spec):
 
 
 def _gradient_data(spec, u):
-    comps = [D @ u for D in spec.grid.diff_matrices()]
+    comps = spec.grid.central_differences(u)
     mag = np.abs(comps[0]) if len(comps) == 1 else np.sqrt(sum(c**2 for c in comps))
     return comps, mag
 
@@ -88,18 +92,23 @@ def nonlinear_part(spec, u):
     return n
 
 
+def _residual(spec, u):
+    """(A u, A u + N(u)) for an array u; see `residual`."""
+    if spec.singular is not None and float(u.min()) + spec.eps <= 0.0:
+        raise SingularEvaluationError(
+            f"g would be evaluated at min(u)+eps = {float(u.min()) + spec.eps:.3e} <= 0"
+        )
+    Au = spec.grid.apply_neg_laplacian(u)
+    return Au, Au + nonlinear_part(spec, u)
+
+
 def residual(spec, field):
     """Pointwise residual A u + N(u) of the regularized equation as a Field.
 
     Requires u + eps > 0 wherever g is evaluated; otherwise raises
     SingularEvaluationError (for eps = 0 this is interior positivity).
     """
-    u = np.asarray(field.values, dtype=float)
-    if spec.singular is not None and float(u.min()) + spec.eps <= 0.0:
-        raise SingularEvaluationError(
-            f"g would be evaluated at min(u)+eps = {float(u.min()) + spec.eps:.3e} <= 0"
-        )
-    return Field(spec.grid, spec.grid.neg_laplacian() @ u + nonlinear_part(spec, u))
+    return Field(spec.grid, _residual(spec, np.asarray(field.values, dtype=float))[1])
 
 
 def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol=0.0, max_iter):
@@ -125,22 +134,22 @@ def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol=0.0, max_iter):
     return u, sweep, inc
 
 
-def _jacobian(spec, u):
-    grid = spec.grid
-    J = grid.neg_laplacian().copy()
-    diag = np.zeros(grid.n_total)
+def _linearization(spec, u):
+    """(d, [w_k]) with N'(u) = diag(d) + sum_k diag(w_k) D_k: d from
+    K g(u+eps) - lambda f(x,u), w_k = a |grad u|^(a-2) (D_k u) from
+    |grad u|^a (0 where the gradient vanishes; no w_k without
+    convection)."""
+    diag = -spec.lam * spec.df_at(u)
     if spec.singular is not None:
-        diag += spec.k_nodal() * spec.dg_at(u + spec.eps)
-    diag -= spec.lam * spec.df_at(u)
-    J = J + sp.diags(diag)
+        diag = spec.k_nodal() * spec.dg_at(u + spec.eps) + diag
+    weights = []
     if _convection_on(spec):
         comps, mag = _gradient_data(spec, u)
         a = spec.conv_a
         safe = np.maximum(mag, _GRAD_FLOOR)
-        for comp, D in zip(comps, grid.diff_matrices()):
-            w = np.where(mag > _GRAD_FLOOR, a * safe ** (a - 2.0) * comp, 0.0)
-            J = J + sp.diags(w) @ D
-    return J.tocsc()
+        weights = [np.where(mag > _GRAD_FLOOR, a * safe ** (a - 2.0) * comp, 0.0)
+                   for comp in comps]
+    return diag, weights
 
 
 def newton_solve(spec, initial, tol=1e-10, max_iter=60):
@@ -156,14 +165,13 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
     """
     u = np.asarray(initial.values if isinstance(initial, Field) else initial,
                    dtype=float).copy()
-    A = spec.grid.neg_laplacian()
     floor = 0.01 * spec.eps if spec.eps > 0 else 0.0
     if spec.eps > 0:
         u = np.maximum(u, floor)
-    r = residual(spec, Field(spec.grid, u)).values
+    Au, r = _residual(spec, u)
     rnorm = float(np.max(np.abs(r)))
     for it in range(1, max_iter + 1):
-        scale = max(1.0, float(np.max(np.abs(A @ u))))
+        scale = max(1.0, float(np.max(np.abs(Au))))
         if rnorm < tol * scale:
             sol = Field(spec.grid, u)
             return SolveReport(
@@ -171,10 +179,9 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
                 residual_inf=rnorm, eps_path=[spec.eps],
                 min_interior=float(u.min()), diagnostics={"method": "newton"},
             )
-        J = _jacobian(spec, u)
         try:
-            step = splu(J).solve(-r)
-        except RuntimeError as exc:
+            step = spec.grid.jacobian(*_linearization(spec, u)).solve(-r)
+        except (RuntimeError, ValueError) as exc:  # see Jacobian.solve
             raise ConvergenceError(
                 f"Jacobian factorization failed: {exc}",
                 residual=rnorm, iterations=it,
@@ -187,7 +194,7 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
             elif spec.singular is not None and cand.min() <= 0.0:
                 t *= 0.5
                 continue
-            r_new = residual(spec, Field(spec.grid, cand)).values
+            Au_new, r_new = _residual(spec, cand)
             n_new = float(np.max(np.abs(r_new)))
             if n_new < (1.0 - 1e-4 * t) * rnorm:
                 break
@@ -196,7 +203,7 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
             raise ConvergenceError(
                 "Newton line search stagnated", residual=rnorm, iterations=it
             )
-        u, r, rnorm = cand, r_new, n_new
+        u, Au, r, rnorm = cand, Au_new, r_new, n_new
     raise ConvergenceError(
         "Newton did not converge", residual=rnorm, iterations=max_iter
     )

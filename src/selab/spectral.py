@@ -43,7 +43,8 @@ def first_eigenpair(grid, tol=1e-13, max_iter=2000):
     """
     cached = getattr(grid, "_eigenpair", None)
     if cached is not None and cached[0] <= tol:
-        return cached[1]
+        _, rho, v, res, it = cached
+        return EigenPair(lambda1=rho, phi1=Field(grid, v), residual=res, iterations=it)
     A = grid.neg_laplacian()
     lu = grid.lu()
     v = np.ones(grid.n_total)
@@ -74,9 +75,11 @@ def first_eigenpair(grid, tol=1e-13, max_iter=2000):
     v = v / v.max()
     rho = float((v @ (A @ v)) / (v @ v))
     res = float(np.max(np.abs(A @ v - rho * v)))
-    pair = EigenPair(lambda1=rho, phi1=Field(grid, v), residual=res, iterations=it)
-    grid._eigenpair = (tol, pair)
-    return pair
+    # the grid caches plain values, not the pair: phi1's Field points back
+    # at the grid, and that cycle would keep a dropped grid alive
+    v.flags.writeable = False
+    grid._eigenpair = (tol, rho, v, res, it)
+    return EigenPair(lambda1=rho, phi1=Field(grid, v), residual=res, iterations=it)
 
 
 @dataclass

@@ -54,6 +54,56 @@ def test_mass_random_profiles(alpha, eps, amp):
     assert got == pytest.approx(want, rel=1e-5)
 
 
+def cellwise_power_mass(grid, values, eps, alpha, support_only):
+    # the per-cell closed form, one cell at a time
+    h = grid.spacing[0]
+    us = np.concatenate([[0.0], np.maximum(values, 0.0), [0.0]])
+    total = 0.0
+    for ua, ub in zip(us[:-1], us[1:]):
+        if support_only and ua <= 0.0 and ub <= 0.0:
+            continue
+        sa, sb = ua + eps, ub + eps
+        if abs(sb - sa) <= 1e-14 * max(sa, sb):
+            total += h * (0.5 * (sa + sb)) ** -alpha
+            continue
+        m = (sb - sa) / h
+        if alpha == 1.0:
+            total += np.log(sb / sa) / m
+        else:
+            total += (sb ** (1 - alpha) - sa ** (1 - alpha)) / (m * (1 - alpha))
+    return total
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7])
+@pytest.mark.parametrize("support_only", [True, False])
+def test_vectorized_mass_matches_the_cell_formula(alpha, support_only):
+    # a zero plateau (dead cells) and a flat nonzero run (midpoint cells)
+    grid = build_grid("interval", (1.0,), 41)
+    u = np.sin(np.pi * grid.axes[0])
+    u[12:20] = 0.0
+    u[25:29] = 0.5
+    g = SingularTerm("power", alpha=alpha)
+    got = mass_integral(g, Field(grid, u), 1e-3, support_only=support_only)
+    want = cellwise_power_mass(grid, u, 1e-3, alpha, support_only)
+    assert got == pytest.approx(want, rel=1e-12)
+
+
+def test_shifted_exp_mass_near_the_float_limit():
+    # g(eps) = exp(640) sits near the float limit: the boundary-cell mass
+    # is finite and matches the peak estimate g(eps) eps^2 / slope, and
+    # one more halving overflows g itself and reports an infinite mass.
+    # The steep wall makes the peak 1e-8 of a cell wide.
+    grid = build_grid("interval", (1.0,), 31)
+    u = 80.0 * np.sin(np.pi * grid.axes[0])
+    g = SingularTerm("shifted-exp")
+    eps = 1.0 / 640.0
+    got = mass_integral(g, Field(grid, u), eps)
+    slope = u[0] / grid.spacing[0]
+    peak = np.exp(1.0 / eps) * eps**2 / slope
+    assert 2.0 * peak < got < 2.0 * peak * (1.0 + 4.0 * eps)
+    assert mass_integral(g, Field(grid, u), eps / 2.0) == np.inf
+
+
 def test_support_only_skips_dead_cells():
     grid = build_grid("interval", (1.0,), 31)
     u = np.zeros(31)

@@ -110,6 +110,31 @@ def test_reaction_weight_positive():
         f.weight(g)
 
 
+def test_nodal_k_and_q_are_built_once_per_grid():
+    calls = []
+
+    def q(x):
+        calls.append("q")
+        return 1.0 + x
+
+    def k(x):
+        calls.append("k")
+        return 2.0 + x
+
+    f = ReactionTerm("power", p=0.5, q=q)
+    pot = Potential(k)
+    g1 = build_grid("interval", (1.0,), 9)
+    g2 = build_grid("interval", (1.0,), 11)
+    for _ in range(3):
+        assert f.weight(g1) is f.weight(g1)
+        assert pot.nodal(g1) is pot.nodal(g1)
+    assert sorted(calls) == ["k", "q"]
+    assert f.weight(g2).shape == (11,) and pot.nodal(g2).shape == (11,)
+    assert sorted(calls) == ["k", "k", "q", "q"]
+    with pytest.raises(ValueError):
+        f.weight(g1)[0] = 0.0
+
+
 def test_reaction_value_and_derivative():
     g = build_grid("interval", (1.0,), 9)
     f = f_power(0.5)

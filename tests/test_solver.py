@@ -1,3 +1,4 @@
+import itertools
 from dataclasses import replace
 
 import numpy as np
@@ -7,12 +8,15 @@ from selab.constructions import build_subsolution_convection, build_supersolutio
 from selab.errors import ConvergenceError, ModelError, OrderingError
 from selab.grid import Field, build_grid, gradient_magnitude
 from selab.model import Potential, ProblemSpec, ReactionTerm, SingularTerm
+import selab.solver
 from selab.solver import (
+    _linearization,
     default_schedule,
     default_shift,
     fixed_point,
     monotone_iterate,
     newton_solve,
+    nonlinear_part,
     residual,
     solve_with_continuation,
 )
@@ -157,6 +161,90 @@ def test_newton_keeps_positivity_with_singular_term():
     spec, u = manufactured(33, lambda x: x * (1.0 - x), eps=1e-3)
     rep = newton_solve(spec, Field(spec.grid, 0.5 * u))
     assert rep.min_interior > 0
+
+
+# ---- linearization on the grid's fixed pattern ----
+
+GRIDS = {
+    "interval": ("interval", (1.0,), 9),
+    "rectangle": ("rectangle", (1.0, 1.3), (7, 6)),
+}
+
+
+def linearized(kind, a, kval, rng):
+    grid = build_grid(*GRIDS[kind])
+    spec = ProblemSpec(grid, Potential(kval), SingularTerm("power", alpha=0.5),
+                       ReactionTerm("power", p=0.5), a, 2.0, 1e-2, None)
+    u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
+    d, w = _linearization(spec, u)
+    dense = grid.neg_laplacian().toarray() + np.diag(d)
+    for wk, D in zip(w, grid.diff_matrices()):
+        dense += wk[:, None] * D.toarray()
+    return spec, u, grid.jacobian(d, w), dense
+
+
+linearization_cases = pytest.mark.parametrize(
+    "kind,a,kval", list(itertools.product(GRIDS, [0.5, 1.0, 2.0], [-1.0, 1.0])))
+
+
+@linearization_cases
+def test_jacobian_is_the_derivative_of_the_residual(kind, a, kval, rng):
+    spec, u, J, dense = linearized(kind, a, kval, rng)
+    np.testing.assert_allclose(J.toarray(), dense, rtol=1e-15,
+                               atol=1e-15 * np.abs(dense).max())
+    v = rng.standard_normal(spec.grid.n_total)
+    delta = 1e-6
+    diff = (residual(spec, Field(spec.grid, u + delta * v)).values
+            - residual(spec, Field(spec.grid, u - delta * v)).values) / (2 * delta)
+    Jv = J.toarray() @ v
+    np.testing.assert_allclose(Jv, diff, rtol=0, atol=1e-6 * np.abs(Jv).max())
+
+
+@linearization_cases
+def test_newton_step_is_the_dense_solve(kind, a, kval, rng):
+    spec, u, J, dense = linearized(kind, a, kval, rng)
+    rhs = -residual(spec, Field(spec.grid, u)).values
+    want = np.linalg.solve(dense, rhs)
+    np.testing.assert_allclose(J.solve(rhs), want, rtol=0,
+                               atol=1e-10 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", list(GRIDS))
+def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
+    # cancel the first row of J exactly (h = 1/8 keeps the arithmetic
+    # exact): its diagonal through d, its neighbours through the weights
+    grid = build_grid(kind, *{"interval": ((1.0,), 7),
+                              "rectangle": ((1.0, 2.0), (7, 15))}[kind])
+    spec = ProblemSpec(grid, Potential(1.0), SingularTerm("power", alpha=0.5),
+                       ReactionTerm("power", p=0.5), 1.0, 2.0, 1e-2, None)
+    A = grid.neg_laplacian().tocsr()
+    d = np.zeros(grid.n_total)
+    d[0] = -A[0, 0]
+    weights = []
+    for D in grid.diff_matrices():
+        w = np.zeros(grid.n_total)
+        (j,) = D[0].indices
+        w[0] = -A[0, j] / D[0, j]
+        weights.append(w)
+    J = grid.jacobian(d, weights)
+    assert not np.any(J.toarray()[0])
+    monkeypatch.setattr(selab.solver, "_linearization", lambda spec, u: (d, weights))
+    u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
+    with pytest.raises(ConvergenceError, match="Jacobian"):
+        newton_solve(spec, Field(grid, u))
+
+
+@pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
+@pytest.mark.parametrize("kval", [-1.0, 1.0])
+def test_interval_stencils_match_the_sparse_matrices(a, kval, rng):
+    spec, u, _, _ = linearized("interval", a, kval, rng)
+    grid = spec.grid
+    want = grid.neg_laplacian() @ u + nonlinear_part(spec, u)
+    np.testing.assert_allclose(residual(spec, Field(grid, u)).values, want,
+                               rtol=1e-15, atol=1e-15 * np.abs(want).max())
+    (D,) = grid.diff_matrices()
+    np.testing.assert_allclose(grid.central_differences(u)[0], D @ u,
+                               rtol=1e-15, atol=1e-15 * np.abs(D @ u).max())
 
 
 # ---- monotone iteration ----

@@ -1,3 +1,6 @@
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -88,3 +91,19 @@ def test_collar_2d():
     col = hopf_collar(grid, pair, default_collar_width(grid))
     assert col.core.size > 0 and col.collar.size > 0
     assert col.delta > 0
+
+
+def test_dropped_grid_is_freed_without_the_cycle_collector():
+    # the eigenpair cache must not hold a Field pointing back at its grid
+    gc.disable()
+    try:
+        grid = build_grid("interval", (1.0,), 15)
+        first_eigenpair(grid)
+        cached = first_eigenpair(grid)
+        assert cached.phi1.grid is grid
+        del cached
+        ref = weakref.ref(grid)
+        del grid
+        assert ref() is None
+    finally:
+        gc.enable()
