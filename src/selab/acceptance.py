@@ -71,27 +71,38 @@ def _fmt(x):
 
 def check_eigenpair():
     """Principal eigenvalue against the closed forms of the discrete
-    and continuum operators, in 1D and 2D."""
+    and continuum operators, in 1D and 2D; on each grid the pair's
+    residual against the assembled operator must also stay below
+    1e-12 ||A||_inf = 1e-12 sum_k 4/h_k^2."""
     msgs = []
     ok = True
+    rel_res = []
 
-    ep = first_eigenpair(build_grid("interval", (1.0,), 1023))
+    def pair_on(kind, extents, n):
+        grid = build_grid(kind, extents, n)
+        ep = first_eigenpair(grid)
+        rel_res.append(ep.residual / sum(4.0 / h**2 for h in grid.spacing))
+        return ep
+
+    ep = pair_on("interval", (1.0,), 1023)
     err = abs(ep.lambda1 - np.pi**2)
     ok &= err < 1e-4
     msgs.append(f"1D n=1023 |lambda1-pi^2|={_fmt(err)} (<1e-4)")
 
     # n=3, h=1/4: exact discrete value 2/h^2 (1-cos(pi h)) = 32-16 sqrt(2)
-    ep3 = first_eigenpair(build_grid("interval", (1.0,), 3))
+    ep3 = pair_on("interval", (1.0,), 3)
     exact3 = 32.0 - 16.0 * np.sqrt(2.0)
     err3 = abs(ep3.lambda1 - exact3)
     ok &= err3 < 1e-10
     msgs.append(f"1D n=3 |lambda1-{exact3:.4f}|={_fmt(err3)} (<1e-10)")
 
-    ep2 = first_eigenpair(build_grid("rectangle", (1.0, 1.0), 255))
+    ep2 = pair_on("rectangle", (1.0, 1.0), 255)
     err2 = abs(ep2.lambda1 - 2.0 * np.pi**2)
     ok &= err2 < 1e-2
     msgs.append(f"2D n=255 |lambda1-2pi^2|={_fmt(err2)} (<1e-2)")
 
+    ok &= max(rel_res) <= 1e-12
+    msgs.append(f"max residual/||A||_inf={_fmt(max(rel_res))} (<=1e-12)")
     return ok, "; ".join(msgs)
 
 

@@ -98,8 +98,7 @@ def lambda_sweep(spec_template, lambdas, schedule=None, tol=1e-10,
         return {
             "max_u": float(report.solution.values.max()),
             "min_u": float(report.solution.values.min()),
-            "mass_integral": mass_integral(singular, report.solution, eps_final)
-            if singular is not None else 0.0,
+            "mass_integral": mass_integral(singular, report.solution, eps_final),
         }
 
     verdicts = []
@@ -198,7 +197,7 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
 
     lambda0 = None
     try:
-        if spec_template.regime() == "positive" and spec_template.singular is not None:
+        if spec_template.regime() == "positive":
             lambda0 = lambda0_bound(spec_template)
     except RegimeError:
         lambda0 = None
@@ -248,7 +247,7 @@ def lambda0_bound(spec_template, eigenpair=None):
     no such c exists, i.e. f - K g >= 0 already near 0.
     """
     spec = spec_template
-    if spec.singular is None or spec.regime() != "positive":
+    if spec.regime() != "positive":
         raise RegimeError("lambda_0 bound lives in the positive-K regime")
     if eigenpair is None:
         eigenpair = first_eigenpair(spec.grid)
@@ -325,7 +324,7 @@ def nonexistence_diagnostic(spec_template, eps_schedule=None, sweeps=800,
     u at the first interior node.
     """
     spec = spec_template
-    if spec.singular is None or spec.regime() != "positive":
+    if spec.regime() != "positive":
         raise RegimeError("mass diagnostic lives in the positive-K regime")
     if spec.source is not None:
         # the super-solution envelope it starts from has no source term

@@ -69,10 +69,8 @@ def psi_from_spec(spec):
     k = spec.k_nodal()
 
     def psi(grid, s):
-        out = spec.lam * spec.f_at(s)
-        if spec.singular is not None:
-            out = out - k * spec.g_at(np.maximum(s, 1e-300) + spec.eps)
-        return out
+        return (spec.lam * spec.f_at(s)
+                - k * spec.g_at(np.maximum(s, 1e-300) + spec.eps))
 
     return psi
 

@@ -161,6 +161,12 @@ def build_subsolution_eigen(spec, eigenpair=None, collar=None, profile=None,
     positive-K regime, KellerOssermanError through the profile for
     non-integrable g, and CertificateError carrying lambda_threshold when
     spec.lam sits below the smallest certified lambda.
+
+    The collar inequality of the continuum proof (the singular term
+    dominating the gradient term near the boundary) is not checked: the
+    certificate is already the nodal residual of the full equation,
+    counted in certificate_violations, so the collar inequality from the
+    continuum proof adds nothing on the grid.
     """
     grid = spec.grid
     if spec.regime() != "positive":
@@ -202,12 +208,6 @@ def build_subsolution_eigen(spec, eigenpair=None, collar=None, profile=None,
     lam_cond2 = float(np.max(core_val)) / den2
     lam_threshold = max(lam_cond1, lam_cond2)
 
-    # collar margin: the singular term must dominate the gradient term
-    collar_margin = (-k_star * spec.g_at(h_phi[collar.collar])
-                     + M**spec.conv_a * dh_phi[collar.collar]**spec.conv_a
-                     * gmag[collar.collar]**spec.conv_a)
-    collar_margin_ok = bool(np.all(collar_margin < 0.0))
-
     if spec.lam < lam_threshold:
         raise CertificateError(
             f"lambda = {spec.lam:g} below certification threshold "
@@ -225,7 +225,6 @@ def build_subsolution_eigen(spec, eigenpair=None, collar=None, profile=None,
             "lambda_threshold": lam_threshold,
             "lambda_cond_collar": lam_cond1,
             "lambda_cond_core": lam_cond2,
-            "collar_margin_ok": collar_margin_ok,
             "collar_width": collar.width,
             "residual_max": float(np.max(cert)),
             "certificate_violations": int(np.sum(cert > tol)),

@@ -86,7 +86,6 @@ class Grid:
         self._lu = None
         self._diff = None
         self._pattern = None
-        self._eigenpair = None
 
     @property
     def dim(self):
@@ -115,12 +114,6 @@ class Grid:
         rows = [(x, 0.0) for x in xs] + [(x, self.extents[1]) for x in xs]
         rows += [(0.0, y) for y in ys[1:-1]] + [(self.extents[0], y) for y in ys[1:-1]]
         return np.array(rows)
-
-    def field(self, values):
-        return Field(self, np.asarray(values, dtype=float))
-
-    def zeros(self):
-        return self.field(np.zeros(self.n_total))
 
     # ---- Discrete operators ----
 

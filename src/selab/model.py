@@ -41,13 +41,16 @@ class SingularTerm:
     family "shifted-exp":  g(s) = exp(1/s) - 1
     family "table":        monotone interpolation of (s_i, g_i) samples,
                            extended by the first/last value outside the
-                           sampled range.
+                           sampled range.  The PCHIP interpolant and
+                           its derivative are built once, on construction.
     """
 
     family: str
     alpha: float | None = None
     table_s: np.ndarray | None = None
     table_g: np.ndarray | None = None
+    _pchip: tuple | None = dataclass_field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.family not in _SINGULAR_FAMILIES:
@@ -66,6 +69,8 @@ class SingularTerm:
                 raise ModelError("table values must be nonnegative nonincreasing")
             object.__setattr__(self, "table_s", s)
             object.__setattr__(self, "table_g", g)
+            interp = PchipInterpolator(s, g, extrapolate=False)
+            object.__setattr__(self, "_pchip", (interp, interp.derivative()))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -74,9 +79,7 @@ class SingularTerm:
         if self.family == "shifted-exp":
             with np.errstate(over="ignore"):
                 return np.exp(1.0 / s) - 1.0
-        interp = PchipInterpolator(self.table_s, self.table_g, extrapolate=False)
-        out = interp(np.clip(s, self.table_s[0], self.table_s[-1]))
-        return out
+        return self._pchip[0](np.clip(s, self.table_s[0], self.table_s[-1]))
 
     def deriv(self, s):
         s = np.asarray(s, dtype=float)
@@ -85,9 +88,8 @@ class SingularTerm:
         if self.family == "shifted-exp":
             with np.errstate(over="ignore"):
                 return -np.exp(1.0 / s) / s**2
-        interp = PchipInterpolator(self.table_s, self.table_g, extrapolate=False)
         inside = np.clip(s, self.table_s[0], self.table_s[-1])
-        d = interp.derivative()(inside)
+        d = self._pchip[1](inside)
         # flat extension outside the table
         d = np.where((s < self.table_s[0]) | (s > self.table_s[-1]), 0.0, d)
         return d
@@ -204,16 +206,9 @@ class ReactionTerm:
 
     @property
     def f0_positive(self):
-        """Whether f(x, 0) > 0 (recorded, not enforced)."""
-        if self.family == "power":
-            return self.p == 0.0
-        for ncols in (1, 2):
-            try:
-                probe = self.fn(*([np.array([0.5])] * ncols), np.array([0.0]))
-                return bool(np.all(np.asarray(probe) > 0))
-            except TypeError:
-                continue
-        return False
+        """Whether a power reaction has f(x, 0) > 0, i.e. p = 0 (recorded,
+        not enforced)."""
+        return self.p == 0.0
 
 
 @dataclass(frozen=True)
@@ -260,11 +255,13 @@ class Potential:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Assembled problem instance on a grid.
+    """Assembled problem instance on a grid: every spec has a singular
+    term and a convection exponent a in (0, 2].
 
-    conv_a is the convection exponent a in (0, 2]; the value 0 (and a
-    missing singular term) are degenerate switches that only the test
-    harness constructs, bypassing make_problem.
+    Construction validates the terms and the parameters, so direct
+    construction, `make_problem` and `dataclasses.replace` agree: a
+    singular or reaction term that is not a catalog term, a not in
+    (0, 2], lambda <= 0 or eps < 0 raises ModelError.
     """
 
     grid: Grid
@@ -275,6 +272,21 @@ class ProblemSpec:
     lam: float
     eps: float = 0.0
     source: Field | None = None
+
+    def __post_init__(self):
+        if not isinstance(self.singular, SingularTerm):
+            raise ModelError("singular term must be a SingularTerm")
+        if not isinstance(self.reaction, ReactionTerm):
+            raise ModelError("reaction term must be a ReactionTerm")
+        for name in ("conv_a", "lam", "eps"):
+            object.__setattr__(self, name, float(getattr(self, name)))
+        if not 0.0 < self.conv_a <= 2.0:
+            raise ModelError(
+                f"convection exponent a must lie in (0, 2], got {self.conv_a}")
+        if not self.lam > 0:
+            raise ModelError(f"lambda must be positive, got {self.lam}")
+        if self.eps < 0:
+            raise ModelError(f"epsilon must be nonnegative, got {self.eps}")
 
     def k_nodal(self):
         return self.potential.nodal(self.grid)
@@ -295,13 +307,9 @@ class ProblemSpec:
         return self.reaction.deriv(self.grid, u)
 
     def g_at(self, s):
-        if self.singular is None:
-            return np.zeros_like(np.asarray(s, dtype=float))
         return self.singular(s)
 
     def dg_at(self, s):
-        if self.singular is None:
-            return np.zeros_like(np.asarray(s, dtype=float))
         return self.singular.deriv(s)
 
     def with_lambda(self, lam):
@@ -313,30 +321,17 @@ class ProblemSpec:
 
 def make_problem(grid, potential, singular, reaction, conv_a=1.0, lam=1.0,
                  eps=0.0, source=None):
-    """Validate and assemble a ProblemSpec.
+    """Assemble a ProblemSpec and check its potential's sign regime.
 
-    Raises ModelError for parameters out of range (a not in (0, 2],
-    lambda <= 0, eps < 0) and RegimeError for sign-indefinite potentials.
-    Plain numbers and callables are promoted to Potential; singular and
-    reaction must already be catalog terms.
+    Plain numbers and callables are promoted to Potential; ProblemSpec
+    validates the rest (ModelError), and a sign-indefinite potential
+    raises RegimeError.
     """
     if not isinstance(potential, Potential):
         potential = Potential(potential)
-    if not isinstance(singular, SingularTerm):
-        raise ModelError("singular term must be a SingularTerm")
-    if not isinstance(reaction, ReactionTerm):
-        raise ModelError("reaction term must be a ReactionTerm")
-    conv_a = float(conv_a)
-    if not 0.0 < conv_a <= 2.0:
-        raise ModelError(f"convection exponent a must lie in (0, 2], got {conv_a}")
-    lam = float(lam)
-    if not lam > 0:
-        raise ModelError(f"lambda must be positive, got {lam}")
-    eps = float(eps)
-    if eps < 0:
-        raise ModelError(f"epsilon must be nonnegative, got {eps}")
-    potential.regime(grid)  # rejects sign-changing K early
-    return ProblemSpec(grid, potential, singular, reaction, conv_a, lam, eps, source)
+    spec = ProblemSpec(grid, potential, singular, reaction, conv_a, lam, eps, source)
+    spec.regime()  # rejects sign-changing K early
+    return spec
 
 
 def compute_p(spec):
@@ -397,9 +392,9 @@ def hypothesis_probe(f, g, sample_spec, s_range=(1e-6, 1e6), n_samples=61):
     mid = n_samples // 2
     blows_up = bool(np.all(ratios[0] >= 10.0 * ratios[mid]))
     vanishes = bool(np.all(ratios[-1] <= 0.1 * ratios[mid]))
-    gs = g(s) if g is not None else np.zeros_like(s)
-    g_noninc = g is not None and bool(np.all(gs[1:] <= gs[:-1] * slack))
-    g_blows = g is not None and bool(gs[0] >= 10.0 * max(gs[mid], 1e-300))
+    gs = g(s)
+    g_noninc = bool(np.all(gs[1:] <= gs[:-1] * slack))
+    g_blows = bool(gs[0] >= 10.0 * max(gs[mid], 1e-300))
     return ProbeReport(
         f_monotone=f_monotone,
         f_ratio_nonincreasing=ratio_noninc,

@@ -68,10 +68,6 @@ class SolveReport:
     diagnostics: dict = dataclass_field(default_factory=dict)
 
 
-def _convection_on(spec):
-    return spec.conv_a is not None and spec.conv_a > 0.0
-
-
 def _gradient_data(spec, u):
     comps = spec.grid.central_differences(u)
     mag = np.abs(comps[0]) if len(comps) == 1 else np.sqrt(sum(c**2 for c in comps))
@@ -81,12 +77,9 @@ def _gradient_data(spec, u):
 def nonlinear_part(spec, u):
     """N(u) = K g(u+eps) + |grad u|^a - lambda f(x,u) - source as an array:
     every term of the equation but the -Laplacian."""
-    n = -spec.lam * spec.f_at(u)
-    if spec.singular is not None:
-        n = n + spec.k_nodal() * spec.g_at(u + spec.eps)
-    if _convection_on(spec):
-        _, mag = _gradient_data(spec, u)
-        n = n + mag**spec.conv_a
+    _, mag = _gradient_data(spec, u)
+    n = (-spec.lam * spec.f_at(u) + spec.k_nodal() * spec.g_at(u + spec.eps)
+         + mag**spec.conv_a)
     if spec.source is not None:
         n = n - spec.source.values
     return n
@@ -94,7 +87,7 @@ def nonlinear_part(spec, u):
 
 def _residual(spec, u):
     """(A u, A u + N(u)) for an array u; see `residual`."""
-    if spec.singular is not None and float(u.min()) + spec.eps <= 0.0:
+    if float(u.min()) + spec.eps <= 0.0:
         raise SingularEvaluationError(
             f"g would be evaluated at min(u)+eps = {float(u.min()) + spec.eps:.3e} <= 0"
         )
@@ -137,19 +130,13 @@ def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol=0.0, max_iter):
 def _linearization(spec, u):
     """(d, [w_k]) with N'(u) = diag(d) + sum_k diag(w_k) D_k: d from
     K g(u+eps) - lambda f(x,u), w_k = a |grad u|^(a-2) (D_k u) from
-    |grad u|^a (0 where the gradient vanishes; no w_k without
-    convection)."""
-    diag = -spec.lam * spec.df_at(u)
-    if spec.singular is not None:
-        diag = spec.k_nodal() * spec.dg_at(u + spec.eps) + diag
-    weights = []
-    if _convection_on(spec):
-        comps, mag = _gradient_data(spec, u)
-        a = spec.conv_a
-        safe = np.maximum(mag, _GRAD_FLOOR)
-        weights = [np.where(mag > _GRAD_FLOOR, a * safe ** (a - 2.0) * comp, 0.0)
-                   for comp in comps]
-    return diag, weights
+    |grad u|^a (0 where the gradient vanishes)."""
+    diag = spec.k_nodal() * spec.dg_at(u + spec.eps) - spec.lam * spec.df_at(u)
+    comps, mag = _gradient_data(spec, u)
+    a = spec.conv_a
+    safe = np.maximum(mag, _GRAD_FLOOR)
+    return diag, [np.where(mag > _GRAD_FLOOR, a * safe ** (a - 2.0) * comp, 0.0)
+                  for comp in comps]
 
 
 def newton_solve(spec, initial, tol=1e-10, max_iter=60):
@@ -191,7 +178,7 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
             cand = u + t * step
             if spec.eps > 0:
                 cand = np.maximum(cand, floor)
-            elif spec.singular is not None and cand.min() <= 0.0:
+            elif cand.min() <= 0.0:
                 t *= 0.5
                 continue
             Au_new, r_new = _residual(spec, cand)
@@ -228,10 +215,8 @@ def default_shift(spec, sub, super_, samples=96):
     worst = 0.0
     for s in s_vals:
         sv = np.full(spec.grid.n_total, s)
-        cand = 0.0
-        if spec.singular is not None:
-            cand = float(np.max(K * spec.dg_at(sv + spec.eps)))
-        cand -= spec.lam * float(np.min(spec.df_at(sv)))
+        cand = (float(np.max(K * spec.dg_at(sv + spec.eps)))
+                - spec.lam * float(np.min(spec.df_at(sv))))
         worst = max(worst, cand)
     return 1.5 * worst
 
@@ -276,18 +261,17 @@ def monotone_iterate(spec, sub, super_, shift=None, tol=1e-10, max_iter=50000,
             # the increment understates the error by a factor ~ D/lambda_1;
             # keep sweeping until the equation residual agrees or the
             # increment reaches the noise floor of the iterate scale
-            if spec.singular is not None and float(u.min()) + spec.eps <= 0:
+            if float(u.min()) + spec.eps <= 0:
                 break
             res_now = float(np.max(np.abs(residual(spec, Field(grid, u)).values)))
             if res_now < res_tol or inc < 1e-15 * max(1.0, float(np.max(np.abs(u)))):
                 break
     sol = Field(grid, u)
-    res = float(np.max(np.abs(residual(spec, sol).values))) \
-        if (spec.singular is None or float(u.min()) + spec.eps > 0) else np.inf
+    positive = float(u.min()) + spec.eps > 0
+    res = float(np.max(np.abs(residual(spec, sol).values))) if positive else np.inf
     return SolveReport(
         solution=sol,
-        converged=bool(res < res_tol and (spec.singular is None or
-                                          float(u.min()) + spec.eps > 0)),
+        converged=bool(res < res_tol and positive),
         iterations=it,
         residual_inf=res,
         eps_path=[spec.eps],
@@ -380,7 +364,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     last_residual = np.inf
     solution = Field(spec.grid, u)
     try:
-        positive_regime = spec.singular is not None and spec.regime() == "positive"
+        positive_regime = spec.regime() == "positive"
     except Exception:
         positive_regime = False
     eps_monotone = True if positive_regime else None
@@ -415,13 +399,15 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
                                       max_iter=max_iter)
                 break
             except ConvergenceError as exc:
-                last_exc = exc
+                # the message, not the exception: its traceback holds this
+                # frame, and keeping it would make a reference cycle
+                last_error = str(exc)
         if report is None:
             floor_frac = float(np.mean(picard_u <= 0.011 * eps)) \
                 if (eps > 0 and picard_u is not None) else 0.0
             failure_mode = "collapse" if floor_frac > 0 else "stagnation"
             log.info("continuation stage eps=%.3e failed (%s): %s",
-                     eps, failure_mode, last_exc)
+                     eps, failure_mode, last_error)
             break
         total_iters += report.iterations
         last_residual = report.residual_inf

@@ -1,13 +1,13 @@
 """First Dirichlet eigenpair of the discrete -Laplacian and the boundary
 collar on which its gradient stays bounded away from 0.
 
-Inverse power iteration with the grid's cached LU factorization: each
-step solves A v_{k+1} = v_k, so the Rayleigh quotient converges to the
-smallest eigenvalue geometrically in (lambda_1/lambda_2)^2.  On a 1d grid
-with n interior nodes the exact discrete value is (2/h^2)(1 - cos(pi h)),
-which the iteration reproduces to rounding; on the unit interval it
-approaches pi^2 = 9.8696... from below at rate O(h^2), and the unit
-square value approaches 2 pi^2.
+The pair has a closed form on selab's grids.  The 3-point stencil with
+n interior nodes and spacing h = L/(n+1) has the sine modes sin(k pi x/L)
+as exact eigenvectors, with eigenvalues (4/h^2) sin^2(k pi h / 2L); the
+5-point stencil on a rectangle is the Kronecker sum of two such stencils,
+so its principal pair is the sum of the per-axis values and the tensor
+product of the per-axis sines.  On the unit interval lambda_1 approaches
+pi^2 = 9.8696... from below at rate O(h^2), and on the unit square 2 pi^2.
 
 The collar of width d collects interior nodes within distance d of the
 boundary; delta = min |grad phi_1| over the collar is the Hopf-type
@@ -20,13 +20,15 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import CollarError, ConvergenceError
+from .errors import CollarError
 from .grid import Field, boundary_distance, gradient_magnitude
 
 
 @dataclass
 class EigenPair:
-    """Principal eigenvalue and positive, sup-normalized eigenfunction."""
+    """Principal eigenvalue and positive, sup-normalized eigenfunction;
+    `residual` is max |A phi_1 - lambda_1 phi_1| against the assembled A,
+    and `iterations` is 0 (the pair is computed, not iterated)."""
 
     lambda1: float
     phi1: Field
@@ -34,52 +36,20 @@ class EigenPair:
     iterations: int
 
 
-def first_eigenpair(grid, tol=1e-13, max_iter=2000):
-    """Smallest eigenvalue of the discrete -Laplacian and its eigenfunction.
-
-    Stops when the Rayleigh quotient stalls to relative `tol`; the
-    eigenfunction is fixed positive and normalized to sup-norm 1.
-    Raises ConvergenceError if the quotient has not settled in time.
-    """
-    cached = getattr(grid, "_eigenpair", None)
-    if cached is not None and cached[0] <= tol:
-        _, rho, v, res, it = cached
-        return EigenPair(lambda1=rho, phi1=Field(grid, v), residual=res, iterations=it)
-    A = grid.neg_laplacian()
-    lu = grid.lu()
-    v = np.ones(grid.n_total)
-    v /= np.linalg.norm(v)
-    rho_prev = np.inf
-    for it in range(1, max_iter + 1):
-        w = lu.solve(v)
-        w /= np.linalg.norm(w)
-        rho = float(w @ (A @ w))
-        step = min(np.max(np.abs(w - v)), np.max(np.abs(w + v)))
-        if abs(rho - rho_prev) <= tol * max(1.0, abs(rho)) and step <= 100 * tol:
-            v = w
-            break
-        rho_prev = rho
-        v = w
-    else:
-        raise ConvergenceError(
-            "inverse power iteration did not settle",
-            residual=abs(rho - rho_prev),
-            iterations=max_iter,
-        )
-    if v.sum() < 0:
-        v = -v
-    if v.min() < 0:
-        # a settled principal eigenvector is one-signed; anything else
-        # means the iteration stopped on a spurious stall
-        raise ConvergenceError("principal eigenvector is not one-signed")
-    v = v / v.max()
-    rho = float((v @ (A @ v)) / (v @ v))
-    res = float(np.max(np.abs(A @ v - rho * v)))
-    # the grid caches plain values, not the pair: phi1's Field points back
-    # at the grid, and that cycle would keep a dropped grid alive
-    v.flags.writeable = False
-    grid._eigenpair = (tol, rho, v, res, it)
-    return EigenPair(lambda1=rho, phi1=Field(grid, v), residual=res, iterations=it)
+def first_eigenpair(grid):
+    """Smallest eigenvalue of the discrete -Laplacian and its eigenfunction
+    lambda_1 = sum_k (4/h_k^2) sin^2(pi h_k / 2 L_k),
+    phi_1 = prod_k sin(pi x_k / L_k) in row-major order, scaled to
+    sup-norm 1."""
+    lam = sum(4.0 / h**2 * np.sin(np.pi * h / (2.0 * L)) ** 2
+              for h, L in zip(grid.spacing, grid.extents))
+    phi = np.sin(np.pi * grid.axes[0] / grid.extents[0])
+    for x, L in zip(grid.axes[1:], grid.extents[1:]):
+        phi = np.multiply.outer(phi, np.sin(np.pi * x / L)).ravel()
+    phi /= phi.max()
+    res = float(np.max(np.abs(grid.neg_laplacian() @ phi - lam * phi)))
+    return EigenPair(lambda1=float(lam), phi1=Field(grid, phi), residual=res,
+                     iterations=0)
 
 
 @dataclass

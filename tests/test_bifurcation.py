@@ -85,9 +85,9 @@ def test_lambda0_negative_regime_rejected(theorem1_spec):
 
 
 def test_lambda0_without_singular_rejected(theorem3_spec):
-    bare = replace(theorem3_spec, singular=None)
-    with pytest.raises(RegimeError):
-        lambda0_bound(bare)
+    # a spec without g cannot be built, so it never reaches lambda0_bound
+    with pytest.raises(ModelError, match="SingularTerm"):
+        replace(theorem3_spec, singular=None)
 
 
 def test_lambda0_requires_margin_near_zero():

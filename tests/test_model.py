@@ -1,13 +1,18 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
+from scipy.interpolate import PchipInterpolator
 
+import selab.model
 from selab.errors import ConfigError, ModelError, RegimeError
 from selab.grid import build_grid
 from selab.model import (
     Potential,
+    ProblemSpec,
     ReactionTerm,
     SingularTerm,
     classify_singularity,
@@ -61,6 +66,26 @@ def test_table_g_validation():
     with pytest.raises(ModelError):
         SingularTerm("table", table_s=np.array([-0.1, 0.2]),
                      table_g=np.array([2.0, 1.0]))  # nonpositive abscissa
+
+
+def test_table_g_builds_its_pchip_once(monkeypatch):
+    s = np.geomspace(1e-3, 2.0, 40)
+    g = SingularTerm("table", table_s=s, table_g=s**-0.5)
+    x = np.concatenate([np.geomspace(1e-3, 2.0, 97), [1e-4, 3.0]])
+    inside = np.clip(x, s[0], s[-1])
+    fresh = PchipInterpolator(s, s**-0.5, extrapolate=False)
+    expect = fresh(inside)
+    expect_d = np.where((x < s[0]) | (x > s[-1]), 0.0,
+                        fresh.derivative()(inside))
+    np.testing.assert_array_equal(g(x), expect)
+    np.testing.assert_array_equal(g.deriv(x), expect_d)
+
+    def rebuilt(*args, **kwargs):
+        raise AssertionError("table g rebuilt its PCHIP on a call")
+
+    monkeypatch.setattr(selab.model, "PchipInterpolator", rebuilt)
+    np.testing.assert_array_equal(g(x), expect)
+    np.testing.assert_array_equal(g.deriv(x), expect_d)
 
 
 @pytest.mark.parametrize(
@@ -194,6 +219,19 @@ def test_make_problem_validates():
         make_problem(g, pot, None, f)
     spec = make_problem(g, pot, gs, f, conv_a=1.0, lam=2.0, eps=1e-3)
     assert spec.lam == 2.0 and spec.eps == 1e-3
+
+
+@pytest.mark.parametrize(
+    "change", [{"singular": None}, {"conv_a": 0.0}, {"conv_a": 2.5}])
+def test_spec_construction_and_replace_validate(theorem3_spec, change):
+    spec = theorem3_spec
+    fields = dict(grid=spec.grid, potential=spec.potential,
+                  singular=spec.singular, reaction=spec.reaction,
+                  conv_a=spec.conv_a, lam=spec.lam, eps=spec.eps)
+    with pytest.raises(ModelError):
+        ProblemSpec(**{**fields, **change})
+    with pytest.raises(ModelError):
+        replace(spec, **change)
 
 
 def test_compute_p_canonical():

@@ -1,4 +1,6 @@
+import gc
 import itertools
+import weakref
 from dataclasses import replace
 
 import numpy as np
@@ -409,3 +411,19 @@ def test_continuation_stage_stats_carry_mass(theorem3_spec):
 def test_continuation_empty_schedule_rejected(theorem1_spec):
     with pytest.raises((ValueError, IndexError)):
         solve_with_continuation(theorem1_spec, schedule=[])
+
+
+def test_failed_stage_leaves_no_reference_cycle(theorem3_spec):
+    # a failed Newton attempt must not keep its exception (whose traceback
+    # holds the continuation frame) and with it the grid's LU and matrices
+    gc.disable()
+    try:
+        spec = replace(theorem3_spec, grid=build_grid("interval", (1.0,), 31),
+                       lam=5.0)
+        rep = solve_with_continuation(spec)
+        assert rep.diagnostics["mode"] == "collapse"
+        ref = weakref.ref(spec.grid)
+        del rep, spec
+        assert ref() is None
+    finally:
+        gc.enable()

@@ -24,6 +24,21 @@ def test_lambda1_matches_dst_closed_form(n):
     assert abs(pair.lambda1 - discrete_lambda1_interval(n)) < 1e-10
 
 
+@pytest.mark.parametrize("kind,extents,n", [
+    ("interval", (1.0,), 3),
+    ("interval", (1.0,), 8),
+    ("rectangle", (1.0, 2.0), (5, 6)),
+])
+def test_closed_form_pair_matches_dense_eigh(kind, extents, n):
+    grid = build_grid(kind, extents, n)
+    pair = first_eigenpair(grid)
+    vals, vecs = np.linalg.eigh(grid.neg_laplacian().toarray())
+    phi = vecs[:, 0] / vecs[np.argmax(np.abs(vecs[:, 0])), 0]
+    assert abs(pair.lambda1 - vals[0]) <= 1e-12 * vals[0]
+    np.testing.assert_allclose(pair.phi1.values, phi, rtol=0, atol=1e-12)
+    assert pair.iterations == 0
+
+
 def test_lambda1_continuum_limit():
     pair = first_eigenpair(build_grid("interval", (1.0,), 1023))
     assert abs(pair.lambda1 - np.pi**2) < 1e-4
