@@ -6,8 +6,8 @@ h solves the autonomous layer equation
 
 integrated in closed form through the energy h' = sqrt(2 G(h)) with
 G(y) = integral_0^y g.  For g(s) = s^(-alpha) the profile is exactly
-C t^(2/(1+alpha)); for integrable tabulated g it is built by quadrature
-and inversion.  Two structural facts are checked on every profile:
+C t^(2/(1+alpha)); for integrable tabulated g, G is a difference of the
+table's PCHIP antiderivative, and t(h) is integrated and inverted.  Two structural facts are checked on every profile:
 
   * the growth bound t h'(t) <= 2 h(t) (equality at the pure power),
   * no profile exists at all when g is non-integrable at 0, which is

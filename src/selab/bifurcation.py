@@ -238,7 +238,7 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
                               lambda0_below_hi=below_hi)
 
 
-def lambda0_bound(spec_template, eigenpair=None):
+def lambda0_bound(spec_template):
     """Explicit nonexistence bound lambda_0 = min{1, lambda_1 / (2 m)}.
 
     c is the largest level with f(x, s) - K(x) g(s) < 0 on (0, c) (found
@@ -249,8 +249,6 @@ def lambda0_bound(spec_template, eigenpair=None):
     spec = spec_template
     if spec.regime() != "positive":
         raise RegimeError("lambda_0 bound lives in the positive-K regime")
-    if eigenpair is None:
-        eigenpair = first_eigenpair(spec.grid)
     K = spec.k_nodal()
 
     def margin(s):
@@ -281,7 +279,7 @@ def lambda0_bound(spec_template, eigenpair=None):
         c = lo_b
     cv = np.full(spec.grid.n_total, c)
     m = float(np.max(spec.f_at(cv))) / c
-    return min(1.0, eigenpair.lambda1 / (2.0 * m))
+    return min(1.0, first_eigenpair(spec.grid).lambda1 / (2.0 * m))
 
 
 @dataclass
@@ -357,7 +355,7 @@ def nonexistence_diagnostic(spec_template, eps_schedule=None, sweeps=800,
             u = envelope
             prev = None
         field = Field(grid, u)
-        masses.append(mass_integral(g, field, eps, support_only=True))
+        masses.append(mass_integral(g, field, eps))
         refs.append(reference_mass(grid, g, c2, eps))
         collapsed.append(bool(np.any(u <= 0)))
 

@@ -193,6 +193,10 @@ def _cmd_lambda_star(args):
             "iters": est.iters,
             "lambda0": est.lambda0,
             "grid_n": est.grid_n,
+            "sentinel": est.sentinel,
+            "history": est.history,
+            "refined_consistent": est.refined_consistent,
+            "lambda0_below_hi": est.lambda0_below_hi,
         },
         json_path,
     )
@@ -255,6 +259,7 @@ def _cmd_construct(args):
             "c1": meta.get("c1"),
             "c2": meta.get("c2"),
             "residual_max": meta.get("residual_max"),
+            "certificate_violations": meta.get("certificate_violations"),
         },
         json_path,
     )

@@ -75,12 +75,13 @@ def psi_from_spec(spec):
     return psi
 
 
-def check_ordering(grid, psi, v, w, tol=1e-8, s_probe=None):
+def check_ordering(grid, psi, v, w, tol=1e-8):
     """Grade the pair (v, w) for -Lap(u) = psi(grid, u); see module doc.
 
     psi(grid, s_values) returns nodal values.  `tol` is used both for the
     hypothesis residuals and the conclusion margin.  The strict-decrease
-    probe samples psi(x, s)/s on a log grid (override with `s_probe`).
+    probe samples psi(x, s)/s on a log grid spanning the pair's positive
+    values.
     """
     vv = np.asarray(v.values if isinstance(v, Field) else v, dtype=float)
     wv = np.asarray(w.values if isinstance(w, Field) else w, dtype=float)
@@ -96,7 +97,7 @@ def check_ordering(grid, psi, v, w, tol=1e-8, s_probe=None):
     lo = max(min(float(vv[vv > 0].min()) if np.any(vv > 0) else 1e-3,
                  float(wv[wv > 0].min()) if np.any(wv > 0) else 1e-3), 1e-9)
     hi = max(float(wv.max()), float(vv.max()), 2 * lo)
-    s = np.geomspace(lo, hi, 41) if s_probe is None else np.asarray(s_probe)
+    s = np.geomspace(lo, hi, 41)
     ratios = np.array([psi(grid, np.full(grid.n_total, si)) / si for si in s])
     strict = bool(np.all(ratios[1:] < ratios[:-1] * (1.0 - 1e-12) + 1e-300))
 

@@ -152,12 +152,10 @@ def build_subsolution_convection(spec, tol=1e-11, max_iter=5000):
     )
 
 
-def build_subsolution_eigen(spec, eigenpair=None, collar=None, profile=None,
-                            tol=1e-9):
+def build_subsolution_eigen(spec, tol=1e-9):
     """Assemble M h(phi_1) and certify it at spec.lam.
 
-    eigenpair / collar / profile are computed when not supplied (collar
-    width defaults to four spacings).  Raises RegimeError outside the
+    The collar is four grid spacings wide.  Raises RegimeError outside the
     positive-K regime, KellerOssermanError through the profile for
     non-integrable g, and CertificateError carrying lambda_threshold when
     spec.lam sits below the smallest certified lambda.
@@ -171,16 +169,13 @@ def build_subsolution_eigen(spec, eigenpair=None, collar=None, profile=None,
     grid = spec.grid
     if spec.regime() != "positive":
         raise RegimeError("eigenfunction sub-solution needs K > 0 on the closure")
-    if eigenpair is None:
-        eigenpair = first_eigenpair(grid)
-    if collar is None:
-        collar = hopf_collar(grid, eigenpair, default_collar_width(grid))
+    eigenpair = first_eigenpair(grid)
+    collar = hopf_collar(grid, eigenpair, default_collar_width(grid))
     k_star = spec.k_max()
     M = max(1.0, 2.0 * k_star / collar.delta**2)
     phi = eigenpair.phi1.values
     phi_max = float(phi.max())
-    if profile is None:
-        profile = build_h_profile(spec.singular, T=phi_max)
+    profile = build_h_profile(spec.singular, T=phi_max)
     h_phi = profile.h_at(phi)
     dh_phi = profile.dh_at(phi)
     u = M * h_phi

@@ -82,11 +82,12 @@ def _t_grid(T, n_uniform=160, n_geometric=48):
     return np.concatenate([[0.0], geo, uni[1:]])
 
 
-def build_h_profile(g, T=1.0, tol=1e-10):
+def build_h_profile(g, T=1.0):
     """Construct the profile on [0, T].
 
-    Power-family g uses the closed form; tabulated g goes through
-    quadrature of t(h) = integral dy/sqrt(2 G(y)) and monotone inversion.
+    Power-family g uses the closed form; tabulated g takes G from its
+    primitive, then quadrature of t(h) = integral dy/sqrt(2 G(y)) and
+    monotone inversion.
     Raises KellerOssermanError for non-integrable g and ModelError for
     T <= 0 (or an indeterminate table classification).
     """
@@ -112,14 +113,14 @@ def build_h_profile(g, T=1.0, tol=1e-10):
         return HProfile(t=t, h=h, dh=dh, T=float(T), coeff=float(coeff),
                         exponent=float(expo))
 
-    # tabulated g: cumulative quadrature for G and t(h), then invert.
-    # Both integrands are integrable power-like singularities at 0, so a
-    # geometric grid with an analytic local-power first cell suffices.
+    # tabulated g: G from the primitive of g, then cumulative quadrature
+    # of t(h) and monotone inversion.  1/sqrt(2 G) is an integrable
+    # power-like singularity at 0, so a geometric grid with an analytic
+    # local-power first cell suffices.
     hi = 1.0
     for _ in range(60):
         y = np.concatenate([[0.0], np.geomspace(1e-12 * hi, hi, 3000)])
-        gy = g(np.maximum(y, y[1]))
-        G = cumulative_trapezoid(gy, y, initial=0.0)
+        G = g.primitive(y) - g.primitive(0.0)
         with np.errstate(divide="ignore"):
             w = 1.0 / np.sqrt(2.0 * G[1:])
         # local power G ~ G_1 (y/y_1)^m on the first cell, m < 2

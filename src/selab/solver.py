@@ -196,8 +196,8 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
     )
 
 
-def default_shift(spec, sub, super_, samples=96):
-    """Sampled one-sided Lipschitz bound (times 1.5) of
+def default_shift(spec, sub, super_):
+    """Sampled one-sided Lipschitz bound (96 log-spaced levels, times 1.5) of
     s -> -K g(s+eps) + lambda f(x, s) over [min sub, max super].
 
     The monotone sweep needs D >= sup_s d/ds [K g(s+eps) - lambda f(x,s)];
@@ -210,7 +210,7 @@ def default_shift(spec, sub, super_, samples=96):
     if hi <= lo:
         hi = lo + 1.0
     lo_eff = max(lo, 1e-12) if spec.eps == 0.0 else lo
-    s_vals = np.geomspace(max(lo_eff, 1e-12), max(hi, 1e-9), samples)
+    s_vals = np.geomspace(max(lo_eff, 1e-12), max(hi, 1e-9), 96)
     K = spec.k_nodal()
     worst = 0.0
     for s in s_vals:
@@ -221,7 +221,7 @@ def default_shift(spec, sub, super_, samples=96):
     return 1.5 * worst
 
 
-def monotone_iterate(spec, sub, super_, shift=None, tol=1e-10, max_iter=50000,
+def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
                      res_tol=1e-8, from_super=False):
     """Shifted fixed-point sweep between an ordered sub/super pair.
 
@@ -239,7 +239,7 @@ def monotone_iterate(spec, sub, super_, shift=None, tol=1e-10, max_iter=50000,
     gap = float(np.max(sub_v - sup_v))
     if gap > 1e-12 * max(1.0, float(np.max(np.abs(sup_v)))):
         raise OrderingError(f"sub exceeds super by {gap:.3e}")
-    D = default_shift(spec, sub_v, sup_v) if shift is None else float(shift)
+    D = default_shift(spec, sub_v, sup_v)
     A = grid.neg_laplacian()
     M = splu((A + D * sp.identity(grid.n_total, format="csr")).tocsc())
     u = (sup_v if from_super else sub_v).copy()

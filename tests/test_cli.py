@@ -122,10 +122,16 @@ def test_lambda_star_json_contract(tmp_path):
                  "--out", str(out)])
     assert code == 0
     est = read_json(out / "lambda_star.json")
-    assert set(est) == {"lo", "hi", "iters", "lambda0", "grid_n"}
+    assert set(est) == {"lo", "hi", "iters", "lambda0", "grid_n", "sentinel",
+                        "history", "refined_consistent", "lambda0_below_hi"}
     assert est["lambda0"] == 1.0
     assert est["grid_n"] == 64
     assert 0.1 < est["lo"] < est["hi"] < 100.0
+    assert est["sentinel"] is None
+    assert [est["lo"], "nonexistence-indicated"] in est["history"]
+    assert [est["hi"], "converged"] in est["history"]
+    assert est["refined_consistent"] is True
+    assert est["lambda0_below_hi"] is True
 
 
 # ------------------------------------------------------------ eigen / hode
@@ -169,9 +175,10 @@ def test_construct_json_keys(tmp_path):
     assert code == 0
     meta = read_json(out / "sub_eigen.json")
     assert set(meta) == {"kind", "M", "delta", "lambda_threshold",
-                         "c1", "c2", "residual_max"}
+                         "c1", "c2", "residual_max", "certificate_violations"}
     assert meta["M"] is not None and meta["delta"] is not None
     assert meta["lambda_threshold"] is not None
+    assert meta["certificate_violations"] == 0
     assert (out / "sub_eigen.csv").exists()
 
     code = main(["construct", "--config", T3, "--kind", "super",

@@ -107,7 +107,7 @@ def test_boundary_traces_always_comparable():
     assert rep.boundary_ok
 
 
-def test_probe_range_override():
+def test_probe_range_spans_the_pair():
     grid = build_grid("interval", (1.0,), 15)
 
     def psi(g, s):
@@ -115,7 +115,7 @@ def test_probe_range_override():
 
     v = Field(grid, np.full(15, 0.5))
     w = Field(grid, np.full(15, 1.0))
-    rep = check_ordering(grid, psi, v, w, s_probe=np.array([0.5, 0.7, 1.0]))
+    rep = check_ordering(grid, psi, v, w)
     assert rep.details["s_probe_range"] == (0.5, 1.0)
 
 

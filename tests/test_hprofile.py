@@ -79,6 +79,17 @@ def test_growth_bound_ratio_is_one_over_alpha_plus_one(alpha):
     assert rep.max_ratio == pytest.approx(1.0 / (alpha + 1.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("alpha", [0.35, 0.7])
+def test_table_branch_tracks_the_closed_form(alpha):
+    # G comes from the table's primitive; an s^-0.7 table classifies as
+    # integrable and builds the profile of the power it samples
+    s = np.geomspace(1e-8, 10.0, 400)
+    prof = build_h_profile(SingularTerm("table", table_s=s, table_g=s**-alpha))
+    t = np.geomspace(1e-3, 1.0, 40)
+    exact = power_profile_constant(alpha) * t ** (2.0 / (1.0 + alpha))
+    assert np.max(np.abs(prof.h_at(t) / exact - 1.0)) <= 3e-2
+
+
 def test_growth_bound_on_table_branch():
     s = np.geomspace(1e-12, 4.0, 600)
     g = SingularTerm("table", table_s=s, table_g=s**-0.5)

@@ -54,13 +54,13 @@ def test_mass_random_profiles(alpha, eps, amp):
     assert got == pytest.approx(want, rel=1e-5)
 
 
-def cellwise_power_mass(grid, values, eps, alpha, support_only):
-    # the per-cell closed form, one cell at a time
+def cellwise_power_mass(grid, values, eps, alpha):
+    # the per-cell closed form, one cell at a time, dead cells skipped
     h = grid.spacing[0]
     us = np.concatenate([[0.0], np.maximum(values, 0.0), [0.0]])
     total = 0.0
     for ua, ub in zip(us[:-1], us[1:]):
-        if support_only and ua <= 0.0 and ub <= 0.0:
+        if ua <= 0.0 and ub <= 0.0:
             continue
         sa, sb = ua + eps, ub + eps
         if abs(sb - sa) <= 1e-14 * max(sa, sb):
@@ -75,16 +75,18 @@ def cellwise_power_mass(grid, values, eps, alpha, support_only):
 
 
 @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.7])
-@pytest.mark.parametrize("support_only", [True, False])
-def test_vectorized_mass_matches_the_cell_formula(alpha, support_only):
-    # a zero plateau (dead cells) and a flat nonzero run (midpoint cells)
+@pytest.mark.parametrize("plateau", [True, False])
+def test_vectorized_mass_matches_the_cell_formula(alpha, plateau):
+    # a flat nonzero run (midpoint cells), with or without a zero
+    # plateau (dead cells)
     grid = build_grid("interval", (1.0,), 41)
     u = np.sin(np.pi * grid.axes[0])
-    u[12:20] = 0.0
+    if plateau:
+        u[12:20] = 0.0
     u[25:29] = 0.5
     g = SingularTerm("power", alpha=alpha)
-    got = mass_integral(g, Field(grid, u), 1e-3, support_only=support_only)
-    want = cellwise_power_mass(grid, u, 1e-3, alpha, support_only)
+    got = mass_integral(g, Field(grid, u), 1e-3)
+    want = cellwise_power_mass(grid, u, 1e-3, alpha)
     assert got == pytest.approx(want, rel=1e-12)
 
 
@@ -110,14 +112,15 @@ def test_support_only_skips_dead_cells():
     u[14:17] = 1.0
     g = SingularTerm("power", alpha=1.5)
     eps = 1e-6
-    live = mass_integral(g, Field(grid, u), eps, support_only=True)
-    # with three unit nodes the support is four cells; the off-support
-    # cells would each contribute h * eps^-1.5 and dwarf everything
-    assert live < 1e5
-    full = mass_integral(g, Field(grid, u), eps, support_only=False)
+    live = mass_integral(g, Field(grid, u), eps)
+    # with three unit nodes the support is four cells, two ramps from 0
+    # to 1 and two flat cells at 1; each of the 28 off-support cells
+    # would contribute h * eps^-1.5 = 3e7 and dwarf everything
     h = grid.spacing[0]
-    dead = 28 * h * eps**-1.5
-    assert full == pytest.approx(live + dead, rel=1e-6)
+    ramp = h * ((1.0 + eps) ** -0.5 - eps**-0.5) / -0.5
+    assert live < 1e5
+    assert live == pytest.approx(2.0 * ramp + 2.0 * h * (1.0 + eps) ** -1.5,
+                                 rel=1e-12)
 
 
 def test_mass_diverges_like_the_boundary_exponent():
@@ -189,10 +192,28 @@ def test_halving_rate_recovers_synthetic_slope():
 
 
 def test_mass_2d_is_a_nodal_sum():
+    # the nodal sum over the support: the node where u = 0 is skipped
     grid = build_grid("rectangle", (1.0, 1.0), 15)
     vals = np.linspace(0.0, 1.0, grid.n_total)
     g = SingularTerm("power", alpha=0.5)
     eps = 1e-2
-    got = mass_integral(g, Field(grid, vals), eps, support_only=False)
-    want = float(np.prod(grid.spacing) * np.sum((vals + eps) ** -0.5))
+    got = mass_integral(g, Field(grid, vals), eps)
+    want = float(np.prod(grid.spacing) * np.sum((vals[1:] + eps) ** -0.5))
     assert got == pytest.approx(want, rel=1e-12)
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.5])
+@pytest.mark.parametrize("eps", [1e-2, 1e-4])
+def test_table_mass_matches_the_sampled_power(alpha, eps):
+    # the table's cell masses are differences of its PCHIP antiderivative
+    # and track the closed-form power masses of the function it samples
+    grid = build_grid("interval", (1.0,), 31)
+    u = np.sin(np.pi * grid.axes[0])
+    s = np.geomspace(1e-8, 10.0, 400)
+    table = SingularTerm("table", table_s=s, table_g=s**-alpha)
+    power = SingularTerm("power", alpha=alpha)
+    got = mass_integral(table, Field(grid, u), eps)
+    assert got == pytest.approx(mass_integral(power, Field(grid, u), eps),
+                                rel=1e-6)
+    assert reference_mass(grid, table, 2.0, eps) == pytest.approx(
+        reference_mass(grid, power, 2.0, eps), rel=1e-6)

@@ -101,12 +101,49 @@ def test_classify_shifted_exp():
     assert classify_singularity(SingularTerm("shifted-exp")) == "non-integrable"
 
 
-@pytest.mark.parametrize("alpha,expected",
-                         [(0.5, "integrable"), (1.5, "non-integrable")])
+@pytest.mark.parametrize(
+    "alpha,expected",
+    [(a, "integrable") for a in (0.35, 0.45, 0.5, 0.6, 0.7, 0.75, 0.9)]
+    + [(a, "non-integrable") for a in (1.0, 1.2, 1.5)])
 def test_classify_table_tracks_the_sampled_power(alpha, expected):
     s = np.geomspace(1e-8, 2.0, 400)
     g = SingularTerm("table", table_s=s, table_g=s**-alpha)
     assert classify_singularity(g) == expected
+
+
+def _table_power():
+    s = np.geomspace(1e-8, 10.0, 400)
+    return SingularTerm("table", table_s=s, table_g=s**-0.5)
+
+
+@pytest.mark.parametrize("g,a,b,rel", [
+    pytest.param(g_power(0.5), 1e-3, 0.7, 1e-12, id="power-0.5"),
+    pytest.param(g_power(1.0), 1e-3, 0.7, 1e-12, id="power-1"),
+    pytest.param(g_power(1.5), 0.2, 3.0, 1e-12, id="power-1.5"),
+    pytest.param(SingularTerm("shifted-exp"), 0.05, 0.3, 1e-12, id="exp-steep"),
+    pytest.param(SingularTerm("shifted-exp"), 0.5, 4.0, 1e-12, id="exp-tail"),
+    pytest.param(_table_power(), 1e-6, 1e-3, 1e-10, id="table-near-0"),
+    pytest.param(_table_power(), 0.01, 2.0, 1e-10, id="table-mid"),
+    # outside the table g is held at g(s_0) and g(s_max)
+    pytest.param(_table_power(), 1e-10, 1e-7, 1e-10, id="table-below"),
+    pytest.param(_table_power(), 5.0, 20.0, 1e-10, id="table-above"),
+])
+def test_primitive_differences_are_integrals_of_g(g, a, b, rel):
+    # split at the table's knots, where PCHIP's second derivative jumps
+    knots = [] if g.family != "table" else list(
+        g.table_s[(g.table_s > a) & (g.table_s < b)])
+    edges = [a] + knots + [b]
+    want = sum(quad(lambda s: g(np.array([s]))[0], lo, hi, epsabs=0.0,
+                    epsrel=1e-13, limit=200)[0]
+               for lo, hi in zip(edges[:-1], edges[1:]))
+    got = g.primitive(b) - g.primitive(a)
+    assert got == pytest.approx(want, rel=rel)
+
+
+def test_shifted_exp_primitive_is_minus_inf_where_g_overflows():
+    g = SingularTerm("shifted-exp")
+    p = g.primitive(np.array([1.0 / 800.0, 1.0 / 640.0]))
+    assert p[0] == -np.inf and np.isfinite(p[1])
 
 
 def test_classify_agrees_with_quadrature():

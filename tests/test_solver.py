@@ -408,6 +408,18 @@ def test_continuation_stage_stats_carry_mass(theorem3_spec):
     assert rep.diagnostics["mass_fitted"] is not None
 
 
+def test_continuation_with_a_table_g_converges(theorem3_spec):
+    # the stage masses of tabulated g are differences of its primitive:
+    # no quadrature per cell, so no IntegrationWarning under the filter
+    s = np.geomspace(1e-8, 10.0, 400)
+    table = SingularTerm("table", table_s=s, table_g=s**-0.5)
+    rep = solve_with_continuation(replace(theorem3_spec, singular=table,
+                                          lam=50.0))
+    assert rep.converged
+    assert all(np.isfinite(st["mass"]) for st in rep.diagnostics["stages"])
+    assert rep.diagnostics["mass_fitted"] < 1.1
+
+
 def test_continuation_empty_schedule_rejected(theorem1_spec):
     with pytest.raises((ValueError, IndexError)):
         solve_with_continuation(theorem1_spec, schedule=[])
