@@ -16,15 +16,12 @@ ray (lambda*, infinity).  Three artifacts pin the ray down:
     comparison lemma, which is the discrete form of the existence proof.
 """
 
-import numpy as np
-
 from selab import (
     build_subsolution_eigen,
     build_supersolution,
     bundled_problem,
     check_ordering,
     estimate_lambda_star,
-    lambda0_bound,
     psi_from_spec,
 )
 from selab.errors import CertificateError

@@ -13,8 +13,8 @@ h-weighted node sum, i.e. composite trapezoid given the zero boundary.
 Every difference matrix D_k reaches only neighbours the -Laplacian A
 already couples, so a Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k
 has exactly the sparsity of A.  `Grid.jacobian` assembles it on that
-fixed pattern: a tridiagonal band for `solve_banded` on intervals, a
-refilled copy of A's CSC data for `splu` on rectangles.
+fixed pattern: a tridiagonal band solved by LAPACK `dgtsv` on intervals,
+a refilled copy of A's CSC data for `splu` on rectangles.
 """
 
 from __future__ import annotations
@@ -23,7 +23,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg import solve_banded
+from scipy.linalg.lapack import dgtsv
 from scipy.sparse.linalg import splu
 
 from .errors import GridError, ShapeError
@@ -247,12 +247,23 @@ class Jacobian:
 
     def solve(self, rhs):
         """J^-1 rhs.  A singular J raises RuntimeError (splu) on a
-        rectangle; on an interval it raises numpy.linalg.LinAlgError
-        (solve_banded), and a non-finite J or rhs raises ValueError, of
-        which LinAlgError is a subclass."""
-        if sp.issparse(self.matrix):
-            return splu(self.matrix).solve(rhs)
-        return solve_banded((1, 1), self.matrix, rhs)
+        rectangle.  On an interval the band's three diagonals go straight
+        to LAPACK `dgtsv` (the routine `solve_banded` dispatches to for a
+        (1, 1) band, without its wrapper's 20-30 us per call): a zero
+        pivot (info > 0) raises numpy.linalg.LinAlgError, and a non-finite
+        J or rhs raises ValueError, of which LinAlgError is a subclass;
+        `dgtsv` does not check finiteness itself, so it is checked here.
+        (Its info < 0 flags a malformed argument, which the band's fixed
+        shape rules out.)"""
+        band = self.matrix
+        if sp.issparse(band):
+            return splu(band).solve(rhs)
+        if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
+            raise ValueError("Jacobian band or right-hand side is not finite")
+        _, _, _, x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs)
+        if info > 0:
+            raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
+        return x
 
     def toarray(self):
         if sp.issparse(self.matrix):

@@ -12,10 +12,11 @@ suite and the convection sub-solution.  Three layers:
   A + diag(K g'(u+eps) - lambda f_s(x,u)) + sum_k diag(w_k) D_k, where the
   last sum linearizes |grad u|^a through the central differences D_k.
   Its sparsity is that of A, so `Grid.jacobian` refills the grid's cached
-  pattern on every iteration: a tridiagonal band solved by `solve_banded`
+  pattern on every iteration: a tridiagonal band solved by LAPACK `dgtsv`
   on intervals, A's CSC data factored by `splu` on rectangles.
   Backtracking line search on the residual sup-norm, steps clipped so
-  u stays >= 0.01 eps while eps > 0.
+  u stays >= 0.01 eps while eps > 0, and at most 8 trial steps per
+  iteration before a stagnating solve gives up (see `newton_solve`).
 * `monotone_iterate` - the globalizer: with a shift D dominating the
   one-sided Lipschitz constant of s -> -K g(s+eps) + lambda f(x,s), each
   sweep solves (A + D I) u_{k+1} = D u_k - K g(u_k+eps) - |grad u_k|^a
@@ -40,7 +41,6 @@ from scipy.sparse.linalg import splu
 
 from .errors import (
     ConvergenceError,
-    DegenerateSolutionError,
     OrderingError,
     SelabError,
     SingularEvaluationError,
@@ -52,6 +52,9 @@ from .spectral import first_eigenpair
 log = logging.getLogger(__name__)
 
 _GRAD_FLOOR = 1e-14
+# line-search trial steps per Newton iteration, t = 1, 1/2, ..., 2^-7;
+# the reason for 8 is in `newton_solve`
+_TRIAL_STEPS = 8
 
 
 @dataclass
@@ -142,9 +145,17 @@ def _linearization(spec, u):
 def newton_solve(spec, initial, tol=1e-10, max_iter=60):
     """Damped Newton from `initial`; returns a SolveReport.
 
-    Backtracks (up to 30 halvings) until the residual sup-norm drops and
-    positivity of u + eps survives; while eps > 0 iterates are clipped at
-    the floor 0.01 eps.  `tol` is relative to the stiffness scale
+    Backtracks through at most 8 steps t = 1, 1/2, ..., 2^-7 until the
+    residual sup-norm drops below (1 - 1e-4 t) times its current value
+    and positivity of u + eps survives; while eps > 0 iterates are
+    clipped at the floor 0.01 eps.  The budget is measured: no solve that
+    succeeds in the test suite, `selab verify`, the benchmark workloads
+    or a fine-grid ladder (interval n up to 8191) accepts a step below
+    t = 1/4, so 2^-7 leaves a factor 32 of room.  The steps tried are a
+    prefix of an unbounded halving, so a solve that succeeds within the
+    budget is unchanged by it; a stage with no solution, about half of
+    every lambda* bracket, gives up after 8 residual evaluations per
+    iteration instead of 31.  `tol` is relative to the stiffness scale
     max(1, |A u|_inf): assembling the residual of a field of amplitude U
     already carries rounding noise of order U/h^2 times machine epsilon,
     so an absolute target below that is unreachable.  Raises
@@ -174,7 +185,7 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
                 residual=rnorm, iterations=it,
             ) from exc
         t = 1.0
-        for _ in range(31):
+        for _ in range(_TRIAL_STEPS):
             cand = u + t * step
             if spec.eps > 0:
                 cand = np.maximum(cand, floor)

@@ -17,7 +17,6 @@ from selab.errors import ModelError, RegimeError
 from selab.grid import Field, build_grid
 from selab.model import (
     Potential,
-    ProblemSpec,
     ReactionTerm,
     SingularTerm,
     make_problem,
@@ -206,6 +205,20 @@ def test_sweep_parallel_matches_warm(theorem3_spec, coarse_sweep):
                         warm_start=False, threads=2)
     assert cold.mode == "parallel-2"
     assert cold.verdicts == warm.verdicts
+
+
+@pytest.mark.parametrize("warm,iterations", [
+    (True, [0] * 7 + [32, 18, 18, 15, 15]),
+    (False, [0] * 7 + [32, 18, 14, 11, 11]),
+])
+def test_sweep_verdicts_and_iterations_are_pinned(theorem3_spec, warm,
+                                                  iterations):
+    # recorded with a 31-halving line search: the 8-step budget must give
+    # up only where that one failed, and take the same steps elsewhere
+    result = lambda_sweep(coarsen(theorem3_spec, 48), np.geomspace(0.5, 64, 12),
+                          warm_start=warm)
+    assert "".join(v[0] for v in result.verdicts) == "nnnnnnnccccc"
+    assert [r.iterations for r in result.reports] == iterations
 
 
 def test_thread_budget(monkeypatch):

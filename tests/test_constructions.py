@@ -16,7 +16,7 @@ from selab.constructions import (
     build_supersolution,
 )
 from selab.errors import CertificateError, RegimeError
-from selab.grid import Field, build_grid, boundary_distance
+from selab.grid import build_grid, boundary_distance
 from selab.model import compute_p
 from selab.solver import residual
 from selab.spectral import first_eigenpair

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from selab.constructions import build_subsolution_convection, build_supersolution
-from selab.errors import ConvergenceError, ModelError, OrderingError
+from selab.errors import ConvergenceError, OrderingError
 from selab.grid import Field, build_grid, gradient_magnitude
 from selab.model import Potential, ProblemSpec, ReactionTerm, SingularTerm
 import selab.solver
@@ -234,6 +234,39 @@ def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
     u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
     with pytest.raises(ConvergenceError, match="Jacobian"):
         newton_solve(spec, Field(grid, u))
+
+
+def test_newton_reports_a_non_finite_interval_jacobian(monkeypatch, rng):
+    # LAPACK dgtsv does not check finiteness; Jacobian.solve must
+    grid = build_grid("interval", (1.0,), 9)
+    spec = ProblemSpec(grid, Potential(1.0), SingularTerm("power", alpha=0.5),
+                       ReactionTerm("power", p=0.5), 1.0, 2.0, 1e-2, None)
+    d = np.zeros(grid.n_total)
+    d[4] = np.nan
+    monkeypatch.setattr(selab.solver, "_linearization",
+                        lambda spec, u: (d, [np.zeros(grid.n_total)]))
+    u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
+    with pytest.raises(ConvergenceError, match="Jacobian"):
+        newton_solve(spec, Field(grid, u))
+
+
+def test_stagnating_newton_gives_up_within_the_line_search_budget(
+        theorem3_spec, monkeypatch):
+    # theorem3 has no solution at lambda = 5 (lambda* is about 10.4), so
+    # this stage stagnates; each iteration may try at most 8 steps
+    spec = replace(with_n(theorem3_spec, 48), lam=5.0).with_eps(0.1)
+    u0, _ = selab.solver._initial_iterate(spec)
+    calls = []
+    evaluate = selab.solver._residual
+
+    def counted(spec, u):
+        calls.append(1)
+        return evaluate(spec, u)
+
+    monkeypatch.setattr(selab.solver, "_residual", counted)
+    with pytest.raises(ConvergenceError, match="stagnated") as info:
+        newton_solve(spec, Field(spec.grid, u0))
+    assert len(calls) <= 1 + 8 * info.value.iterations
 
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
