@@ -15,6 +15,14 @@ already couples, so a Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k
 has exactly the sparsity of A.  `Grid.jacobian` assembles it on that
 fixed pattern: a tridiagonal band solved by LAPACK `dgtsv` on intervals,
 a refilled copy of A's CSC data for `splu` on rectangles.
+
+Every rectangle matrix is factored on one fill-reducing ordering per
+grid, computed once: SuperLU's multiple minimum degree on A^T + A, which
+`Grid.lu` runs and whose column permutation becomes the grid's node
+order.  The Jacobian pattern is stored symmetrically permuted into that
+order, so each Newton step factors it with no reordering at all.  On the
+five-point pattern its factors hold about 0.56 times the entries of
+those on COLAMD, `splu`'s default, which would rerun on every call.
 """
 
 from __future__ import annotations
@@ -48,8 +56,10 @@ class Grid:
     they are pure functions of the grid, so the cache does not break
     value-immutability.  So is the Jacobian pattern behind `jacobian`:
     on an interval A's (3, n) band template, on a rectangle A in CSC
-    form with the positions of its diagonal and of every D_k entry in
-    its `data`.  The caches hold arrays and matrices only, never a Field
+    form, symmetrically permuted into the node order of `lu`, with the
+    positions of its diagonal and of every D_k entry in its `data`; so
+    every rectangle matrix is factored on one minimum-degree ordering,
+    computed once.  The caches hold arrays and matrices only, never a Field
     or anything else that points back at the grid, so a dropped grid is
     freed by reference counting alone.
     """
@@ -140,9 +150,13 @@ class Grid:
         return self._matrix
 
     def lu(self):
-        """LU factorization of the -Laplacian, computed once and reused."""
+        """LU factorization of the -Laplacian, computed once and reused.
+        On a rectangle its column permutation is SuperLU's multiple
+        minimum degree ordering of A^T + A; `order = argsort(perm_c)` is
+        the node order every Newton Jacobian of the grid is factored in."""
         if self._lu is None:
-            self._lu = splu(self.neg_laplacian().tocsc())
+            self._lu = splu(self.neg_laplacian().tocsc(), permc_spec=(
+                "COLAMD" if self.dim == 1 else "MMD_AT_PLUS_A"))
         return self._lu
 
     def diff_matrices(self):
@@ -186,8 +200,9 @@ class Grid:
 
     def jacobian(self, diag, weights):
         """The Newton Jacobian A + diag(diag) + sum_k diag(weights[k]) D_k,
-        filled into A's cached sparsity pattern; `weights` is empty when
-        there is no convection term."""
+        filled into A's cached sparsity pattern (on a rectangle, permuted
+        into the node order of `lu`); `weights` is empty when there is no
+        convection term."""
         if self._pattern is None:
             self._pattern = self._jacobian_pattern()
         if self.dim == 1:
@@ -198,13 +213,13 @@ class Grid:
                 band[0, 1:] += w[:-1] * upper
                 band[2, :-1] += w[1:] * lower
             return Jacobian(band)
-        csc, diag_pos, entries = self._pattern
+        csc, order, diag_pos, entries = self._pattern
         data = csc.data.copy()
-        data[diag_pos] += diag
+        data[diag_pos] += diag[order]
         for w, (pos, rows, coef) in zip(weights, entries):
             data[pos] += w[rows] * coef
         return Jacobian(sp.csc_matrix((data, csc.indices, csc.indptr),
-                                      shape=csc.shape))
+                                      shape=csc.shape), order)
 
     def _jacobian_pattern(self):
         A = self.neg_laplacian()
@@ -217,7 +232,10 @@ class Grid:
             band[2, :-1] = A.diagonal(-1)
             D, = diffs
             return band, D.diagonal(1), D.diagonal(-1)
-        csc = A.tocsc()
+        # node order[i] sits at row and column i of the stored matrix
+        rank = self.lu().perm_c
+        order = np.argsort(rank)
+        csc = A[order][:, order].tocsc()
         csc.sort_indices()
         n = self.n_total
         # column-major keys of the stored entries, ascending in data order
@@ -231,8 +249,9 @@ class Grid:
         entries = []
         for D in diffs:
             coo = D.tocoo()
-            entries.append((positions(coo.row, coo.col), coo.row, coo.data))
-        return csc, positions(nodes, nodes), tuple(entries)
+            entries.append((positions(rank[coo.row], rank[coo.col]), coo.row,
+                            coo.data))
+        return csc, order, positions(nodes, nodes), tuple(entries)
 
     def __repr__(self):
         return f"Grid(kind={self.kind!r}, extents={self.extents}, shape={self.shape})"
@@ -240,34 +259,45 @@ class Grid:
 
 class Jacobian:
     """A Newton Jacobian built by `Grid.jacobian`: a (3, n) array in LAPACK
-    band storage on an interval, a CSC matrix on a rectangle."""
+    band storage on an interval; on a rectangle a CSC matrix whose row and
+    column i belong to node `order[i]`, the grid's one minimum-degree
+    ordering (`order` is None on an interval)."""
 
-    def __init__(self, matrix):
+    def __init__(self, matrix, order=None):
         self.matrix = matrix
+        self.order = order
 
     def solve(self, rhs):
-        """J^-1 rhs.  A singular J raises RuntimeError (splu) on a
-        rectangle.  On an interval the band's three diagonals go straight
-        to LAPACK `dgtsv` (the routine `solve_banded` dispatches to for a
-        (1, 1) band, without its wrapper's 20-30 us per call): a zero
-        pivot (info > 0) raises numpy.linalg.LinAlgError, and a non-finite
-        J or rhs raises ValueError, of which LinAlgError is a subclass;
-        `dgtsv` does not check finiteness itself, so it is checked here.
-        (Its info < 0 flags a malformed argument, which the band's fixed
-        shape rules out.)"""
-        band = self.matrix
-        if sp.issparse(band):
-            return splu(band).solve(rhs)
-        if not (np.isfinite(band).all() and np.isfinite(rhs).all()):
-            raise ValueError("Jacobian band or right-hand side is not finite")
-        _, _, _, x, info = dgtsv(band[2, :-1], band[1], band[0, 1:], rhs)
+        """J^-1 rhs in node order.  A non-finite J or rhs raises ValueError
+        on either grid kind, checked before any factorization.  On a
+        rectangle the stored matrix is already in fill-reducing order, so
+        `splu` factors it as it stands (NATURAL) and the result is
+        scattered back to node order; a singular J raises RuntimeError.
+        On an interval the band's three diagonals go straight to LAPACK
+        `dgtsv` (the routine `solve_banded` dispatches to for a (1, 1)
+        band, without its wrapper's 20-30 us per call): a zero pivot
+        (info > 0) raises numpy.linalg.LinAlgError, a subclass of
+        ValueError.  (Its info < 0 flags a malformed argument, which the
+        band's fixed shape rules out.)"""
+        J, order = self.matrix, self.order
+        values = J if order is None else J.data
+        if not (np.isfinite(values).all() and np.isfinite(rhs).all()):
+            raise ValueError("Jacobian or right-hand side is not finite")
+        if order is not None:
+            x = np.empty_like(rhs)
+            x[order] = splu(J, permc_spec="NATURAL").solve(rhs[order])
+            return x
+        _, _, _, x, info = dgtsv(J[2, :-1], J[1], J[0, 1:], rhs)
         if info > 0:
             raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
         return x
 
     def toarray(self):
-        if sp.issparse(self.matrix):
-            return self.matrix.toarray()
+        """J as a dense array in node order."""
+        if self.order is not None:
+            dense = np.empty(self.matrix.shape)
+            dense[np.ix_(self.order, self.order)] = self.matrix.toarray()
+            return dense
         band = self.matrix
         return np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
 

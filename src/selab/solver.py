@@ -13,7 +13,9 @@ suite and the convection sub-solution.  Three layers:
   last sum linearizes |grad u|^a through the central differences D_k.
   Its sparsity is that of A, so `Grid.jacobian` refills the grid's cached
   pattern on every iteration: a tridiagonal band solved by LAPACK `dgtsv`
-  on intervals, A's CSC data factored by `splu` on rectangles.
+  on intervals; on rectangles A's CSC data, stored in the grid's one
+  minimum-degree ordering (computed once, by `Grid.lu`), which `splu`
+  factors without reordering.
   Backtracking line search on the residual sup-norm, steps clipped so
   u stays >= 0.01 eps while eps > 0, and at most 8 trial steps per
   iteration before a stagnating solve gives up (see `newton_solve`).

@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
+from scipy.sparse.linalg import splu
 
 from selab.constructions import build_subsolution_convection, build_supersolution
 from selab.errors import ConvergenceError, OrderingError
@@ -236,18 +238,47 @@ def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
         newton_solve(spec, Field(grid, u))
 
 
-def test_newton_reports_a_non_finite_interval_jacobian(monkeypatch, rng):
-    # LAPACK dgtsv does not check finiteness; Jacobian.solve must
-    grid = build_grid("interval", (1.0,), 9)
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_newton_reports_a_non_finite_jacobian(kind, monkeypatch, rng):
+    # LAPACK dgtsv does not check finiteness, and SuperLU calls a NaN
+    # pivot "exactly singular"; Jacobian.solve checks before it factors
+    n, node = {"interval": (9, 4), "rectangle": (7, 3)}[kind]
+    grid = build_grid(kind, (1.0,), n)
     spec = ProblemSpec(grid, Potential(1.0), SingularTerm("power", alpha=0.5),
                        ReactionTerm("power", p=0.5), 1.0, 2.0, 1e-2, None)
     d = np.zeros(grid.n_total)
-    d[4] = np.nan
-    monkeypatch.setattr(selab.solver, "_linearization",
-                        lambda spec, u: (d, [np.zeros(grid.n_total)]))
+    d[node] = np.nan
+    weights = [np.zeros(grid.n_total)] * grid.dim
+    monkeypatch.setattr(selab.solver, "_linearization", lambda spec, u: (d, weights))
     u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
-    with pytest.raises(ConvergenceError, match="Jacobian"):
+    with pytest.raises(ConvergenceError, match="Jacobian.*not finite"):
         newton_solve(spec, Field(grid, u))
+
+
+def test_rectangle_factors_use_minimum_degree_fill(theorem3_spec, monkeypatch):
+    # one minimum-degree ordering per grid: the factors of A and of a
+    # Newton Jacobian hold far fewer entries than COLAMD's of the same
+    # matrix (0.57 times at 63^2)
+    grid = build_grid("rectangle", (1.0,), 63)
+    spec = replace(theorem3_spec, grid=grid, source=None, lam=80.0).with_eps(1e-2)
+    x, y = grid.coords().T
+    d, w = _linearization(spec, 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.01)
+    factors = []
+
+    def captured(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(selab.grid, "splu", captured)
+    grid.lu()
+    grid.jacobian(d, w).solve(np.ones(grid.n_total))
+    A = grid.neg_laplacian()
+    J = A + sp.diags(d) + sum(sp.diags(wk) @ D for wk, D in zip(w, grid.diff_matrices()))
+    assert len(factors) == 2
+    for factor, matrix in zip(factors, (A, J)):
+        colamd = splu(matrix.tocsc())
+        assert (factor.L.nnz + factor.U.nnz
+                <= 0.65 * (colamd.L.nnz + colamd.U.nnz))
 
 
 def test_stagnating_newton_gives_up_within_the_line_search_budget(
@@ -394,6 +425,24 @@ def test_continuation_is_deterministic(theorem1_spec):
     b = solve_with_continuation(theorem1_spec)
     np.testing.assert_array_equal(a.solution.values, b.solution.values)
     assert a.residual_inf == b.residual_inf
+
+
+@pytest.mark.parametrize("config,n,lam,verdict,mode,stages", [
+    ("theorem1", 39, 1.0, "converged", None, [4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2]),
+    ("theorem3", 39, 80.0, "converged", None, [0, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1]),
+    ("theorem2", 47, 1.0, "nonexistence-indicated", "collapse", []),
+], ids=["theorem1-39", "theorem3-39", "theorem2-47"])
+def test_rectangle_continuation_is_pinned(config, n, lam, verdict, mode, stages,
+                                          request):
+    # a change of fill-reducing ordering moves rounding only: the verdict,
+    # its mode and every stage's Newton iterations stay put
+    spec = request.getfixturevalue(f"{config}_spec")
+    spec = replace(spec, grid=build_grid("rectangle", (1.0,), n), source=None,
+                   lam=lam)
+    rep = solve_with_continuation(spec)
+    assert (rep.diagnostics["verdict"], rep.diagnostics["mode"]) == (verdict, mode)
+    assert [s["iterations"] for s in rep.diagnostics["stages"]] == stages
+    assert rep.iterations == sum(stages)
 
 
 def test_continuation_reports_collapse(theorem2_spec):
