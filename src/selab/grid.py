@@ -13,8 +13,10 @@ h-weighted node sum, i.e. composite trapezoid given the zero boundary.
 Every difference matrix D_k reaches only neighbours the -Laplacian A
 already couples, so a Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k
 has exactly the sparsity of A.  `Grid.jacobian` assembles it on that
-fixed pattern: a tridiagonal band solved by LAPACK `dgtsv` on intervals,
-a refilled copy of A's CSC data for `splu` on rectangles.
+fixed pattern: a tridiagonal band factored by LAPACK `dgttrf` on
+intervals, a refilled copy of A's CSC data for `splu` on rectangles.  The
+monotone sweep's A + diag(D) is the same matrix with no convection
+weights, so it takes the same path and is factored once per call.
 
 Every rectangle matrix is factored on one fill-reducing ordering per
 grid, computed once: SuperLU's multiple minimum degree on A^T + A, which
@@ -31,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.linalg.lapack import dgtsv
+from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
 from .errors import GridError, ShapeError
@@ -199,10 +201,10 @@ class Grid:
         return [c * pad[2:] - c * pad[:-2]]
 
     def jacobian(self, diag, weights):
-        """The Newton Jacobian A + diag(diag) + sum_k diag(weights[k]) D_k,
-        filled into A's cached sparsity pattern (on a rectangle, permuted
-        into the node order of `lu`); `weights` is empty when there is no
-        convection term."""
+        """The Jacobian A + diag(diag) + sum_k diag(weights[k]) D_k, filled
+        into A's cached sparsity pattern (on a rectangle, permuted into the
+        node order of `lu`); `weights` is empty for the monotone sweep's
+        shifted A + diag(D)."""
         if self._pattern is None:
             self._pattern = self._jacobian_pattern()
         if self.dim == 1:
@@ -258,39 +260,41 @@ class Grid:
 
 
 class Jacobian:
-    """A Newton Jacobian built by `Grid.jacobian`: a (3, n) array in LAPACK
-    band storage on an interval; on a rectangle a CSC matrix whose row and
-    column i belong to node `order[i]`, the grid's one minimum-degree
-    ordering (`order` is None on an interval)."""
+    """A matrix A + diag(d) + sum_k diag(w_k) D_k built by `Grid.jacobian`:
+    a (3, n) array in LAPACK band storage on an interval; on a rectangle a
+    CSC matrix whose row and column i belong to node `order[i]`, the
+    grid's one minimum-degree ordering (`order` is None on an interval).
+    Newton factors each one for a single solve; the monotone sweep
+    factors A + diag(D) once and solves on it every sweep."""
 
     def __init__(self, matrix, order=None):
         self.matrix = matrix
         self.order = order
 
-    def solve(self, rhs):
-        """J^-1 rhs in node order.  A non-finite J or rhs raises ValueError
-        on either grid kind, checked before any factorization.  On a
-        rectangle the stored matrix is already in fill-reducing order, so
-        `splu` factors it as it stands (NATURAL) and the result is
-        scattered back to node order; a singular J raises RuntimeError.
-        On an interval the band's three diagonals go straight to LAPACK
-        `dgtsv` (the routine `solve_banded` dispatches to for a (1, 1)
-        band, without its wrapper's 20-30 us per call): a zero pivot
-        (info > 0) raises numpy.linalg.LinAlgError, a subclass of
-        ValueError.  (Its info < 0 flags a malformed argument, which the
-        band's fixed shape rules out.)"""
+    def factor(self):
+        """Factor J once, for any number of `Factor.solve` calls.  A
+        non-finite J raises ValueError on either grid kind, checked before
+        any factorization.  On a rectangle the stored matrix is already in
+        fill-reducing order, so `splu` factors it as it stands (NATURAL);
+        a singular J raises RuntimeError.  On an interval the band's three
+        diagonals go straight to LAPACK `dgttrf` (Gaussian elimination with
+        partial pivoting, without `solve_banded`'s 20-30 us of wrapper per
+        call): a zero pivot (info > 0) raises numpy.linalg.LinAlgError, a
+        subclass of ValueError.  (Its info < 0 flags a malformed argument,
+        which the band's fixed shape rules out.)"""
         J, order = self.matrix, self.order
-        values = J if order is None else J.data
-        if not (np.isfinite(values).all() and np.isfinite(rhs).all()):
-            raise ValueError("Jacobian or right-hand side is not finite")
+        if not np.isfinite(J if order is None else J.data).all():
+            raise ValueError("Jacobian is not finite")
         if order is not None:
-            x = np.empty_like(rhs)
-            x[order] = splu(J, permc_spec="NATURAL").solve(rhs[order])
-            return x
-        _, _, _, x, info = dgtsv(J[2, :-1], J[1], J[0, 1:], rhs)
+            return Factor(splu(J, permc_spec="NATURAL"), order)
+        *lu, info = dgttrf(J[2, :-1], J[1], J[0, 1:])
         if info > 0:
             raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
-        return x
+        return Factor(lu)
+
+    def solve(self, rhs):
+        """J^-1 rhs in node order, on a factor used once."""
+        return self.factor().solve(rhs)
 
     def toarray(self):
         """J as a dense array in node order."""
@@ -300,6 +304,28 @@ class Jacobian:
             return dense
         band = self.matrix
         return np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
+
+
+class Factor:
+    """The LU factors of a `Jacobian`: SuperLU's on a rectangle, in the
+    grid's minimum-degree `order`; LAPACK `dgttrf`'s on an interval."""
+
+    def __init__(self, lu, order=None):
+        self.lu = lu
+        self.order = order
+
+    def solve(self, rhs):
+        """J^-1 rhs in node order; a non-finite rhs raises ValueError.  On
+        a rectangle rhs is gathered into the factor's order and the result
+        scattered back."""
+        if not np.isfinite(rhs).all():
+            raise ValueError("right-hand side of a Jacobian solve is not finite")
+        if self.order is None:
+            x, _ = dgttrs(*self.lu, rhs)
+            return x
+        x = np.empty_like(rhs)
+        x[self.order] = self.lu.solve(rhs[self.order])
+        return x
 
 
 @dataclass

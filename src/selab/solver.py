@@ -12,19 +12,24 @@ suite and the convection sub-solution.  Three layers:
   A + diag(K g'(u+eps) - lambda f_s(x,u)) + sum_k diag(w_k) D_k, where the
   last sum linearizes |grad u|^a through the central differences D_k.
   Its sparsity is that of A, so `Grid.jacobian` refills the grid's cached
-  pattern on every iteration: a tridiagonal band solved by LAPACK `dgtsv`
-  on intervals; on rectangles A's CSC data, stored in the grid's one
+  pattern on every iteration: a tridiagonal band factored by LAPACK
+  `dgttrf` on intervals; on rectangles A's CSC data, stored in the grid's one
   minimum-degree ordering (computed once, by `Grid.lu`), which `splu`
   factors without reordering.
   Backtracking line search on the residual sup-norm, steps clipped so
   u stays >= 0.01 eps while eps > 0, and at most 8 trial steps per
   iteration before a stagnating solve gives up (see `newton_solve`).
-* `monotone_iterate` - the globalizer: with a shift D dominating the
-  one-sided Lipschitz constant of s -> -K g(s+eps) + lambda f(x,s), each
-  sweep solves (A + D I) u_{k+1} = D u_k - K g(u_k+eps) - |grad u_k|^a
-  + lambda f(x,u_k); from a sub-solution the iterates ascend.  The
-  convection term is lagged (it has no one-sided structure), which is why
-  bracket escape is recorded as a diagnostic instead of assumed away.
+* `monotone_iterate` - the globalizer: with a per-node shift D_i bounding
+  the slope of s -> K_i g(s+eps) - lambda f(x_i,s) from above on node i's
+  own range [sub_i, super_i] (the sector condition of the monotone scheme:
+  Sattinger, Indiana Univ. Math. J. 21, 1972; Pao, Nonlinear Parabolic and
+  Elliptic Equations, 1992, ch. 3), each sweep solves
+  (A + diag(D)) u_{k+1} = D u_k - K g(u_k+eps) - |grad u_k|^a
+  + lambda f(x,u_k) on one factor of the M-matrix A + diag(D); from a
+  sub-solution the iterates ascend.  D is large only where sub is near 0,
+  next to the boundary, so the sweep count does not grow with the grid.
+  The convection term is lagged (it has no one-sided structure), which is
+  why bracket escape is recorded as a diagnostic instead of assumed away.
 * `solve_with_continuation` - walks eps down a schedule (default
   0.1 * 2^-k, 12 steps), warm-starting each stage; "converged" demands a
   Cauchy tail in eps and an interior minimum clear of eps_final,
@@ -38,8 +43,6 @@ import logging
 from dataclasses import dataclass, field as dataclass_field
 
 import numpy as np
-import scipy.sparse as sp
-from scipy.sparse.linalg import splu
 
 from .errors import (
     ConvergenceError,
@@ -210,27 +213,24 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
 
 
 def default_shift(spec, sub, super_):
-    """Sampled one-sided Lipschitz bound (96 log-spaced levels, times 1.5) of
-    s -> -K g(s+eps) + lambda f(x, s) over [min sub, max super].
+    """Per-node shift of the monotone sweep, an array of shape (n_total,):
+    D_i = 1.5 max(0, max_j [K_i g'(s_ij+eps) - lambda f_s(x_i, s_ij)]) over
+    96 log-spaced levels s_ij spanning node i's own range [sub_i, super_i].
 
-    The monotone sweep needs D >= sup_s d/ds [K g(s+eps) - lambda f(x,s)];
-    only the negative-K regime makes this positive (there -K g is a large
-    decreasing term near s = 0)."""
-    sub_vals = sub.values if isinstance(sub, Field) else np.asarray(sub)
-    super_vals = super_.values if isinstance(super_, Field) else np.asarray(super_)
-    lo = max(float(np.min(sub_vals)), 0.0)
-    hi = float(np.max(super_vals))
-    if hi <= lo:
-        hi = lo + 1.0
-    lo_eff = max(lo, 1e-12) if spec.eps == 0.0 else lo
-    s_vals = np.geomspace(max(lo_eff, 1e-12), max(hi, 1e-9), 96)
+    The sweep needs D_i >= sup_s d/ds [K_i g(s+eps) - lambda f(x_i,s)] over
+    that range, node by node; only the negative-K regime makes this
+    positive (there -K g is a large decreasing term near s = 0), and only
+    where sub_i is small."""
+    sub_vals = np.asarray(sub.values if isinstance(sub, Field) else sub, dtype=float)
+    super_vals = np.asarray(super_.values if isinstance(super_, Field) else super_,
+                            dtype=float)
+    lo = np.maximum(sub_vals, 0.0)
+    hi = np.where(super_vals > lo, super_vals, lo + 1.0)
     K = spec.k_nodal()
-    worst = 0.0
-    for s in s_vals:
-        sv = np.full(spec.grid.n_total, s)
-        cand = (float(np.max(K * spec.dg_at(sv + spec.eps)))
-                - spec.lam * float(np.min(spec.df_at(sv))))
-        worst = max(worst, cand)
+    worst = np.zeros(spec.grid.n_total)
+    for s in np.geomspace(np.maximum(lo, 1e-12), np.maximum(hi, 1e-9), 96):
+        worst = np.maximum(worst, K * spec.dg_at(s + spec.eps)
+                           - spec.lam * spec.df_at(s))
     return 1.5 * worst
 
 
@@ -243,7 +243,9 @@ def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
     the equation residual is below `res_tol`.  Iterate monotonicity and
     staying inside the bracket are recorded in diagnostics, not enforced:
     the lagged convection term can break both, and that is worth seeing.
-    Raises OrderingError if sub > super anywhere.
+    Where g overflows on the bracket (shifted-exp g near s = 0) the shift
+    or a sweep is not finite; the sweep stops there and the report is not
+    converged.  Raises OrderingError if sub > super anywhere.
     """
     grid = spec.grid
     sub_v = np.asarray(sub.values if isinstance(sub, Field) else sub, dtype=float)
@@ -253,32 +255,36 @@ def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
     if gap > 1e-12 * max(1.0, float(np.max(np.abs(sup_v)))):
         raise OrderingError(f"sub exceeds super by {gap:.3e}")
     D = default_shift(spec, sub_v, sup_v)
-    A = grid.neg_laplacian()
-    M = splu((A + D * sp.identity(grid.n_total, format="csr")).tocsc())
     u = (sup_v if from_super else sub_v).copy()
     slack = 1e-10 * max(1.0, float(np.max(np.abs(sup_v))))
     monotone = True
     inside = True
     it = 0
-    for it in range(1, max_iter + 1):
-        u_next = M.solve(D * u - nonlinear_part(spec, u))
-        if from_super:
-            monotone &= bool(np.all(u_next <= u + slack))
-        else:
-            monotone &= bool(np.all(u_next >= u - slack))
-        inside &= bool(np.all(u_next >= sub_v - slack) and
-                       np.all(u_next <= sup_v + slack))
-        inc = float(np.max(np.abs(u_next - u)))
-        u = u_next
-        if inc < tol:
-            # the increment understates the error by a factor ~ D/lambda_1;
-            # keep sweeping until the equation residual agrees or the
-            # increment reaches the noise floor of the iterate scale
-            if float(u.min()) + spec.eps <= 0:
-                break
-            res_now = float(np.max(np.abs(residual(spec, Field(grid, u)).values)))
-            if res_now < res_tol or inc < 1e-15 * max(1.0, float(np.max(np.abs(u)))):
-                break
+    try:
+        factor = grid.jacobian(D, ()).factor()
+        for it in range(1, max_iter + 1):
+            u_next = factor.solve(D * u - nonlinear_part(spec, u))
+            if from_super:
+                monotone &= bool(np.all(u_next <= u + slack))
+            else:
+                monotone &= bool(np.all(u_next >= u - slack))
+            inside &= bool(np.all(u_next >= sub_v - slack) and
+                           np.all(u_next <= sup_v + slack))
+            inc = float(np.max(np.abs(u_next - u)))
+            u = u_next
+            if inc < tol:
+                # the increment understates the error by up to ~ max D/lambda_1;
+                # keep sweeping until the equation residual agrees or the
+                # increment reaches the noise floor of the iterate scale
+                if float(u.min()) + spec.eps <= 0:
+                    break
+                res_now = float(np.max(np.abs(
+                    residual(spec, Field(grid, u)).values)))
+                if res_now < res_tol or inc < 1e-15 * max(
+                        1.0, float(np.max(np.abs(u)))):
+                    break
+    except ValueError:
+        pass  # g overflowed on the bracket, so D or N(u) is not finite
     sol = Field(grid, u)
     positive = float(u.min()) + spec.eps > 0
     res = float(np.max(np.abs(residual(spec, sol).values))) if positive else np.inf
@@ -291,7 +297,7 @@ def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
         min_interior=float(u.min()),
         diagnostics={
             "method": "monotone",
-            "shift": D,
+            "shift": float(D.max()),
             "monotone": monotone,
             "bracket_escape": not inside,
         },

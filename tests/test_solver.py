@@ -240,8 +240,8 @@ def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
 
 @pytest.mark.parametrize("kind", ["interval", "rectangle"])
 def test_newton_reports_a_non_finite_jacobian(kind, monkeypatch, rng):
-    # LAPACK dgtsv does not check finiteness, and SuperLU calls a NaN
-    # pivot "exactly singular"; Jacobian.solve checks before it factors
+    # LAPACK dgttrf does not check finiteness, and SuperLU calls a NaN
+    # pivot "exactly singular"; Jacobian.factor checks before it factors
     n, node = {"interval": (9, 4), "rectangle": (7, 3)}[kind]
     grid = build_grid(kind, (1.0,), n)
     spec = ProblemSpec(grid, Potential(1.0), SingularTerm("power", alpha=0.5),
@@ -327,12 +327,18 @@ def bumped_dominator(spec, start):
     return Field(spec.grid, w)
 
 
+def theorem1_bracket(theorem1_spec, kind, n):
+    """theorem1 (K < 0) at eps = 1e-3 on an interval or n x n rectangle,
+    with its convection sub-solution and a super-solution above it."""
+    grid = build_grid(kind, theorem1_spec.grid.extents, n)
+    spec = replace(theorem1_spec, grid=grid, source=None, eps=1e-3)
+    sub = build_subsolution_convection(spec)
+    return spec, sub.field, bumped_dominator(spec, sub.field.values)
+
+
 @pytest.fixture
 def bracket(theorem1_spec):
-    spec = replace(with_n(theorem1_spec, 127), eps=1e-3)
-    sub = build_subsolution_convection(spec)
-    sup = bumped_dominator(spec, sub.field.values)
-    return spec, sub.field, sup
+    return theorem1_bracket(theorem1_spec, "interval", 127)
 
 
 def test_monotone_iterate_converges_inside_bracket(bracket):
@@ -379,17 +385,81 @@ def test_monotone_rejects_crossed_pair(theorem1_spec):
 def test_default_shift_dominates_the_slope(bracket):
     spec, sub, sup = bracket
     D = default_shift(spec, sub, sup)
-    # the shifted map s -> D s - K g(s+eps) + lam f(s) must be monotone
-    # over the bracket: D + dN/ds >= 0 with
-    # dN/ds = -K g'(s+eps) + lam f'(s)
-    s = np.linspace(float(sub.values.min()), float(sup.values.max()), 200)
-    s = s[s > 0]
+    # node by node, s -> D_i s - N_i(s) must be nondecreasing over
+    # [sub_i, super_i]: D_i >= dN_i/ds = K_i g'(s+eps) - lam f'(s)
+    assert D.shape == (spec.grid.n_total,)
+    assert np.all(D >= 0) and D.max() > 0
+    s = np.linspace(sub.values, sup.values, 200)
+    assert np.all(s > 0)
     alpha, p = spec.singular.alpha, spec.reaction.p
-    k = float(spec.k_nodal().min())
-    dN = (-k) * (-alpha) * (s + spec.eps) ** (-alpha - 1.0) \
-        + spec.lam * p * s ** (p - 1.0)
-    assert D >= -np.min(dN) * 0.99
-    assert D > 0
+    slope = (spec.k_nodal() * -alpha * (s + spec.eps) ** (-alpha - 1.0)
+             - spec.lam * p * s ** (p - 1.0))
+    assert np.all(D >= 0.99 * slope.max(axis=0))
+
+
+def test_monotone_bracket_pinches_within_100_sweeps(bracket):
+    # a scalar shift, set by the node next to the boundary, took 3809
+    # sweeps up and 4546 down on this bracket
+    spec, sub, sup = bracket
+    for from_super in (False, True):
+        rep = monotone_iterate(spec, sub, sup, tol=1e-12, from_super=from_super)
+        assert rep.converged
+        assert rep.iterations <= 100
+
+
+def test_monotone_sweeps_do_not_grow_with_the_grid(theorem1_spec):
+    # a scalar shift took 1551 sweeps on n = 63 and 12462 on n = 511
+    sweeps = []
+    for n in (63, 511):
+        rep = monotone_iterate(*theorem1_bracket(theorem1_spec, "interval", n))
+        assert rep.converged
+        sweeps.append(rep.iterations)
+    assert max(sweeps) <= 1.5 * min(sweeps)
+
+
+def test_monotone_iterate_on_a_rectangle(theorem1_spec):
+    spec, sub, sup = theorem1_bracket(theorem1_spec, "rectangle", 31)
+    rep = monotone_iterate(spec, sub, sup, tol=1e-12)
+    assert rep.converged
+    assert rep.diagnostics["monotone"]
+    assert not rep.diagnostics["bracket_escape"]
+    assert np.all(rep.solution.values >= sub.values - 1e-10)
+    assert np.all(rep.solution.values <= sup.values + 1e-10)
+    polished = newton_solve(spec, rep.solution)
+    assert np.max(np.abs(polished.solution.values
+                         - rep.solution.values)) < 1e-6
+    assert rep.iterations <= 150
+
+
+def test_monotone_reports_a_shift_that_overflows(theorem1_spec):
+    # g = exp(1/s) - 1 overflows below s ~ 1/709, so near sub = 0 the
+    # shift is infinite: a reported failure, not a crash
+    spec = replace(with_n(theorem1_spec, 31), eps=1e-4,
+                   singular=SingularTerm("shifted-exp"))
+    n = spec.grid.n_total
+    rep = monotone_iterate(spec, np.zeros(n), np.ones(n))
+    assert not rep.converged
+    assert rep.iterations == 0
+    assert rep.diagnostics["shift"] == np.inf
+
+
+def test_monotone_factor_uses_minimum_degree_fill(theorem1_spec, monkeypatch):
+    # A + diag(D) goes through Grid.jacobian, so it is factored on the
+    # grid's minimum-degree ordering, not on COLAMD
+    spec, sub, sup = theorem1_bracket(theorem1_spec, "rectangle", 63)
+    factors = []
+
+    def captured(*args, **kwargs):
+        factors.append(splu(*args, **kwargs))
+        return factors[-1]
+
+    monkeypatch.setattr(selab.grid, "splu", captured)
+    monotone_iterate(spec, sub, sup, max_iter=1)
+    assert len(factors) == 1
+    shifted = spec.grid.neg_laplacian() + sp.diags(default_shift(spec, sub, sup))
+    colamd = splu(shifted.tocsc())
+    assert (factors[0].L.nnz + factors[0].U.nnz
+            <= 0.65 * (colamd.L.nnz + colamd.U.nnz))
 
 
 # ---- continuation ----
