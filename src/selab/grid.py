@@ -10,21 +10,24 @@ fields.  Gradients are central differences per axis, again feeding the
 Dirichlet 0 into stencils adjacent to the boundary.  Quadrature is the
 h-weighted node sum, i.e. composite trapezoid given the zero boundary.
 
-Every difference matrix D_k reaches only neighbours the -Laplacian A
-already couples, so a Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k
-has exactly the sparsity of A.  `Grid.jacobian` assembles it on that
-fixed pattern: a tridiagonal band factored by LAPACK `dgttrf` on
-intervals, a refilled copy of A's CSC data for `splu` on rectangles.  The
-monotone sweep's A + diag(D) is the same matrix with no convection
-weights, so it takes the same path and is factored once per call.
+Every linear solve on the grid has the sparsity of the -Laplacian A: A
+itself (fixed-point sweeps, the envelope), the monotone sweep's
+A + diag(D), and the Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k,
+since every difference matrix D_k reaches only neighbours A already
+couples.  `Grid.factor` fills that fixed pattern, checks it is finite and
+factors it, and returns the one `Factor` class, whose solves check their
+right-hand side as well; `Grid.lu` is A's, computed once.  On intervals
+the pattern is a tridiagonal band factored by LAPACK `dgttrf`; on
+rectangles a refilled copy of A's CSC data for `splu`.
 
 Every rectangle matrix is factored on one fill-reducing ordering per
 grid, computed once: SuperLU's multiple minimum degree on A^T + A, which
 `Grid.lu` runs and whose column permutation becomes the grid's node
-order.  The Jacobian pattern is stored symmetrically permuted into that
-order, so each Newton step factors it with no reordering at all.  On the
-five-point pattern its factors hold about 0.56 times the entries of
-those on COLAMD, `splu`'s default, which would rerun on every call.
+order.  The pattern `Grid.factor` fills is stored symmetrically permuted
+into that order, so each Newton step factors it with no reordering at
+all.  On the five-point pattern its factors hold about 0.56 times the
+entries of those on COLAMD, `splu`'s default, which would rerun on every
+call.
 """
 
 from __future__ import annotations
@@ -53,16 +56,15 @@ class Grid:
     spacing : tuple of h per axis
     axes : tuple of 1d interior coordinate arrays per axis
 
-    Derived sparse operators (the -Laplacian matrix, its LU factorization,
+    Derived sparse operators (the -Laplacian matrix, its `Factor`,
     central-difference matrices) are built once on first use and cached;
     they are pure functions of the grid, so the cache does not break
-    value-immutability.  So is the Jacobian pattern behind `jacobian`:
-    on an interval A's (3, n) band template, on a rectangle A in CSC
-    form, symmetrically permuted into the node order of `lu`, with the
-    positions of its diagonal and of every D_k entry in its `data`; so
-    every rectangle matrix is factored on one minimum-degree ordering,
-    computed once.  The caches hold arrays and matrices only, never a Field
-    or anything else that points back at the grid, so a dropped grid is
+    value-immutability.  So is the pattern behind `factor`: on an
+    interval A's (3, n) band template, on a rectangle A in CSC form,
+    symmetrically permuted into the node order of `lu`, with the
+    positions of its diagonal and of every D_k entry in its `data`.  The
+    caches hold arrays, matrices and factors only, never a Field or
+    anything else that points back at the grid, so a dropped grid is
     freed by reference counting alone.
     """
 
@@ -96,6 +98,7 @@ class Grid:
         self._coords = None
         self._matrix = None
         self._lu = None
+        self._rank = None
         self._diff = None
         self._pattern = None
 
@@ -152,13 +155,18 @@ class Grid:
         return self._matrix
 
     def lu(self):
-        """LU factorization of the -Laplacian, computed once and reused.
-        On a rectangle its column permutation is SuperLU's multiple
-        minimum degree ordering of A^T + A; `order = argsort(perm_c)` is
-        the node order every Newton Jacobian of the grid is factored in."""
+        """The -Laplacian A as a `Factor`, computed once and reused.  On an
+        interval it is `factor(0, ())`.  On a rectangle it is SuperLU's on
+        the multiple minimum degree ordering of A^T + A, whose column
+        permutation becomes the node `order` of every other `factor`."""
         if self._lu is None:
-            self._lu = splu(self.neg_laplacian().tocsc(), permc_spec=(
-                "COLAMD" if self.dim == 1 else "MMD_AT_PLUS_A"))
+            if self.dim == 1:
+                self._lu = self.factor(0.0, ())
+            else:
+                superlu = splu(self.neg_laplacian().tocsc(),
+                               permc_spec="MMD_AT_PLUS_A")
+                self._rank = superlu.perm_c
+                self._lu = Factor(superlu.solve)
         return self._lu
 
     def diff_matrices(self):
@@ -200,13 +208,19 @@ class Grid:
         pad = np.concatenate(([0.0], u, [0.0]))
         return [c * pad[2:] - c * pad[:-2]]
 
-    def jacobian(self, diag, weights):
-        """The Jacobian A + diag(diag) + sum_k diag(weights[k]) D_k, filled
-        into A's cached sparsity pattern (on a rectangle, permuted into the
-        node order of `lu`); `weights` is empty for the monotone sweep's
-        shifted A + diag(D)."""
+    def factor(self, diag, weights):
+        """Factor A + diag(diag) + sum_k diag(weights[k]) D_k, filled into
+        A's cached sparsity pattern, once for any number of solves;
+        `weights` is empty for A itself and for the monotone sweep's
+        A + diag(D).  A non-finite matrix raises ValueError before any
+        factorization.  On an interval its three diagonals go straight to
+        LAPACK `dgttrf` (Gaussian elimination with partial pivoting): a
+        zero pivot raises numpy.linalg.LinAlgError, a ValueError.  On a
+        rectangle the matrix is stored in the grid's minimum-degree
+        order, so `splu` factors it as it stands (NATURAL); a singular
+        matrix raises RuntimeError."""
         if self._pattern is None:
-            self._pattern = self._jacobian_pattern()
+            self._pattern = self._factor_pattern()
         if self.dim == 1:
             template, upper, lower = self._pattern
             band = template.copy()
@@ -214,16 +228,21 @@ class Grid:
             for w in weights:
                 band[0, 1:] += w[:-1] * upper
                 band[2, :-1] += w[1:] * lower
-            return Jacobian(band)
+            _require_finite(band, "matrix")
+            *lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+            if info > 0:
+                raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
+            return Factor(lambda rhs: dgttrs(*lu, rhs)[0])
         csc, order, diag_pos, entries = self._pattern
         data = csc.data.copy()
         data[diag_pos] += diag[order]
         for w, (pos, rows, coef) in zip(weights, entries):
             data[pos] += w[rows] * coef
-        return Jacobian(sp.csc_matrix((data, csc.indices, csc.indptr),
-                                      shape=csc.shape), order)
+        _require_finite(data, "matrix")
+        matrix = sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape)
+        return Factor(splu(matrix, permc_spec="NATURAL").solve, order)
 
-    def _jacobian_pattern(self):
+    def _factor_pattern(self):
         A = self.neg_laplacian()
         diffs = self.diff_matrices()
         if self.dim == 1:
@@ -235,7 +254,8 @@ class Grid:
             D, = diffs
             return band, D.diagonal(1), D.diagonal(-1)
         # node order[i] sits at row and column i of the stored matrix
-        rank = self.lu().perm_c
+        self.lu()  # sets the minimum-degree rank of every node
+        rank = self._rank
         order = np.argsort(rank)
         csc = A[order][:, order].tocsc()
         csc.sort_indices()
@@ -259,73 +279,30 @@ class Grid:
         return f"Grid(kind={self.kind!r}, extents={self.extents}, shape={self.shape})"
 
 
-class Jacobian:
-    """A matrix A + diag(d) + sum_k diag(w_k) D_k built by `Grid.jacobian`:
-    a (3, n) array in LAPACK band storage on an interval; on a rectangle a
-    CSC matrix whose row and column i belong to node `order[i]`, the
-    grid's one minimum-degree ordering (`order` is None on an interval).
-    Newton factors each one for a single solve; the monotone sweep
-    factors A + diag(D) once and solves on it every sweep."""
-
-    def __init__(self, matrix, order=None):
-        self.matrix = matrix
-        self.order = order
-
-    def factor(self):
-        """Factor J once, for any number of `Factor.solve` calls.  A
-        non-finite J raises ValueError on either grid kind, checked before
-        any factorization.  On a rectangle the stored matrix is already in
-        fill-reducing order, so `splu` factors it as it stands (NATURAL);
-        a singular J raises RuntimeError.  On an interval the band's three
-        diagonals go straight to LAPACK `dgttrf` (Gaussian elimination with
-        partial pivoting, without `solve_banded`'s 20-30 us of wrapper per
-        call): a zero pivot (info > 0) raises numpy.linalg.LinAlgError, a
-        subclass of ValueError.  (Its info < 0 flags a malformed argument,
-        which the band's fixed shape rules out.)"""
-        J, order = self.matrix, self.order
-        if not np.isfinite(J if order is None else J.data).all():
-            raise ValueError("Jacobian is not finite")
-        if order is not None:
-            return Factor(splu(J, permc_spec="NATURAL"), order)
-        *lu, info = dgttrf(J[2, :-1], J[1], J[0, 1:])
-        if info > 0:
-            raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
-        return Factor(lu)
-
-    def solve(self, rhs):
-        """J^-1 rhs in node order, on a factor used once."""
-        return self.factor().solve(rhs)
-
-    def toarray(self):
-        """J as a dense array in node order."""
-        if self.order is not None:
-            dense = np.empty(self.matrix.shape)
-            dense[np.ix_(self.order, self.order)] = self.matrix.toarray()
-            return dense
-        band = self.matrix
-        return np.diag(band[1]) + np.diag(band[0, 1:], 1) + np.diag(band[2, :-1], -1)
-
-
 class Factor:
-    """The LU factors of a `Jacobian`: SuperLU's on a rectangle, in the
-    grid's minimum-degree `order`; LAPACK `dgttrf`'s on an interval."""
+    """A factored matrix of `Grid.factor` or `Grid.lu`: `solve` maps a
+    right-hand side in node order to the solution in node order.  Where
+    the factors live in the grid's minimum-degree `order` (a Newton
+    Jacobian or the monotone sweep's matrix on a rectangle), `order[i]`
+    is the node at row and column i; otherwise `order` is None."""
 
-    def __init__(self, lu, order=None):
-        self.lu = lu
+    def __init__(self, solve, order=None):
+        self._solve = solve
         self.order = order
 
     def solve(self, rhs):
-        """J^-1 rhs in node order; a non-finite rhs raises ValueError.  On
-        a rectangle rhs is gathered into the factor's order and the result
-        scattered back."""
-        if not np.isfinite(rhs).all():
-            raise ValueError("right-hand side of a Jacobian solve is not finite")
+        """M^-1 rhs in node order; a non-finite rhs raises ValueError."""
+        _require_finite(rhs, "right-hand side")
         if self.order is None:
-            x, _ = dgttrs(*self.lu, rhs)
-            return x
+            return self._solve(rhs)
         x = np.empty_like(rhs)
-        x[self.order] = self.lu.solve(rhs[self.order])
+        x[self.order] = self._solve(rhs[self.order])
         return x
+
+
+def _require_finite(values, what):
+    if not np.isfinite(values).all():
+        raise ValueError(f"{what} is not finite")
 
 
 @dataclass

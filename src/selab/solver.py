@@ -6,16 +6,19 @@ on a Dirichlet grid, written A u + N(u) = 0 with A the -Laplacian.
 `nonlinear_part` is the one place N(u) is assembled, and `fixed_point`
 the one relaxed, clipped sweep u <- max((1-relax) u - relax A^-1 N(u),
 floor) behind the Picard rescue, the mass diagnostic, the comparison
-suite and the convection sub-solution.  Three layers:
+suite and the convection sub-solution; A^-1 is the grid's `Grid.lu`,
+whose solves refuse a non-finite N(u), so the sweep stops there.
+Every other linear solve here is a `Grid.factor` of the same pattern.
+Three layers:
 
 * `newton_solve` - damped Newton with the analytic Jacobian
   A + diag(K g'(u+eps) - lambda f_s(x,u)) + sum_k diag(w_k) D_k, where the
   last sum linearizes |grad u|^a through the central differences D_k.
-  Its sparsity is that of A, so `Grid.jacobian` refills the grid's cached
-  pattern on every iteration: a tridiagonal band factored by LAPACK
-  `dgttrf` on intervals; on rectangles A's CSC data, stored in the grid's one
-  minimum-degree ordering (computed once, by `Grid.lu`), which `splu`
-  factors without reordering.
+  Its sparsity is that of A, so `Grid.factor` refills the grid's cached
+  pattern and factors it on every iteration: a tridiagonal band factored
+  by LAPACK `dgttrf` on intervals; on rectangles A's CSC data, stored in
+  the grid's one minimum-degree ordering (computed once, by `Grid.lu`),
+  which `splu` factors without reordering.
   Backtracking line search on the residual sup-norm, steps clipped so
   u stays >= 0.01 eps while eps > 0, and at most 8 trial steps per
   iteration before a stagnating solve gives up (see `newton_solve`).
@@ -25,13 +28,16 @@ suite and the convection sub-solution.  Three layers:
   Sattinger, Indiana Univ. Math. J. 21, 1972; Pao, Nonlinear Parabolic and
   Elliptic Equations, 1992, ch. 3), each sweep solves
   (A + diag(D)) u_{k+1} = D u_k - K g(u_k+eps) - |grad u_k|^a
-  + lambda f(x,u_k) on one factor of the M-matrix A + diag(D); from a
-  sub-solution the iterates ascend.  D is large only where sub is near 0,
-  next to the boundary, so the sweep count does not grow with the grid.
+  + lambda f(x,u_k) on one `Grid.factor` of the M-matrix A + diag(D);
+  from a sub-solution the iterates ascend.  D is large only where sub is
+  near 0, next to the boundary, so the sweep count does not grow with
+  the grid.
   The convection term is lagged (it has no one-sided structure), which is
   why bracket escape is recorded as a diagnostic instead of assumed away.
 * `solve_with_continuation` - walks eps down a schedule (default
-  0.1 * 2^-k, 12 steps), warm-starting each stage; "converged" demands a
+  0.1 * 2^-k, 12 steps) from 0.5 phi_1 in every regime, warm-starting
+  each stage (a failed one retries after a Picard rescue and, for K > 0,
+  from the gradient-free envelope); "converged" demands a
   Cauchy tail in eps and an interior minimum clear of eps_final,
   otherwise the run is reported nonexistence-indicated with its mode.
   The eps = 0 singular limit is approached, never evaluated.
@@ -47,6 +53,7 @@ import numpy as np
 from .errors import (
     ConvergenceError,
     OrderingError,
+    RegimeError,
     SelabError,
     SingularEvaluationError,
 )
@@ -117,15 +124,21 @@ def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol=0.0, max_iter):
 
         u <- max((1-relax) u - relax A^-1 N(u), floor)
 
-    `lu` factors A and `nonlinear` maps an array u to N(u).
-    Stops once the sup-norm increment falls below `tol` (tol=0 runs all
-    `max_iter` sweeps).  Returns (u, sweeps, last_increment); the caller
-    decides whether last_increment >= tol after max_iter is a failure.
+    `lu` is the grid's `Factor` of A and `nonlinear` maps an array u to
+    N(u).  Stops once the sup-norm increment falls below `tol` (tol=0
+    runs all `max_iter` sweeps), or at the first non-finite N(u), which
+    leaves u at the last finite iterate and the increment infinite.
+    Returns (u, sweeps, last_increment); the caller decides whether
+    last_increment >= tol is a failure.
     """
     inc = np.inf
     sweep = 0
     for sweep in range(1, max_iter + 1):
-        u_new = (1.0 - relax) * u - relax * lu.solve(nonlinear(u))
+        n_u = nonlinear(u)
+        try:
+            u_new = (1.0 - relax) * u - relax * lu.solve(n_u)
+        except ValueError:  # N(u) is not finite
+            return u, sweep - 1, np.inf
         if floor is not None:
             u_new = np.maximum(u_new, floor)
         inc = float(np.max(np.abs(u_new - u)))
@@ -183,8 +196,8 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
                 min_interior=float(u.min()), diagnostics={"method": "newton"},
             )
         try:
-            step = spec.grid.jacobian(*_linearization(spec, u)).solve(-r)
-        except (RuntimeError, ValueError) as exc:  # see Jacobian.solve
+            step = spec.grid.factor(*_linearization(spec, u)).solve(-r)
+        except (RuntimeError, ValueError) as exc:  # see Grid.factor
             raise ConvergenceError(
                 f"Jacobian factorization failed: {exc}",
                 residual=rnorm, iterations=it,
@@ -261,7 +274,7 @@ def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
     inside = True
     it = 0
     try:
-        factor = grid.jacobian(D, ()).factor()
+        factor = grid.factor(D, ())
         for it in range(1, max_iter + 1):
             u_next = factor.solve(D * u - nonlinear_part(spec, u))
             if from_super:
@@ -319,21 +332,6 @@ def _picard_rescue(spec, u0, sweeps=300, relax=0.5):
     return u
 
 
-def _initial_iterate(spec):
-    """Sub-solution when the regime offers one, else scaled phi_1."""
-    from .constructions import build_subsolution_convection, build_subsolution_eigen
-    from .errors import SelabError
-
-    try:
-        if spec.regime() == "negative":
-            return build_subsolution_convection(spec).field.values.copy(), "sub-convection"
-        sub = build_subsolution_eigen(spec)
-        return sub.field.values.copy(), "sub-eigen"
-    except SelabError:
-        pair = first_eigenpair(spec.grid)
-        return 0.5 * pair.phi1.values.copy(), "phi1-scaled"
-
-
 def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
                             initial=None, max_iter=60):
     """Walk eps down the schedule with warm starts; see module docstring.
@@ -372,7 +370,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
             initial.values if isinstance(initial, Field) else initial,
             dtype=float).copy(), "caller"
     else:
-        u, init_kind = _initial_iterate(spec.with_eps(schedule[0]))
+        u, init_kind = 0.5 * first_eigenpair(spec.grid).phi1.values, "phi1-scaled"
 
     total_iters = 0
     eps_done = []
@@ -384,7 +382,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     solution = Field(spec.grid, u)
     try:
         positive_regime = spec.regime() == "positive"
-    except Exception:
+    except RegimeError:
         positive_regime = False
     eps_monotone = True if positive_regime else None
     envelope = None

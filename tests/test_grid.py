@@ -5,6 +5,7 @@ from hypothesis import strategies as st
 
 from selab.errors import GridError, ShapeError
 from selab.grid import (
+    Factor,
     Field,
     apply_laplacian,
     boundary_distance,
@@ -91,6 +92,19 @@ def test_neg_laplacian_is_an_m_matrix():
     off = A - np.diag(np.diag(A))
     assert np.all(off <= 0)
     np.testing.assert_allclose(A, A.T)
+
+
+@pytest.mark.parametrize("kind,n", [("interval", 31), ("rectangle", 9)])
+def test_lu_is_a_factor_of_the_neg_laplacian(kind, n, rng):
+    g = build_grid(kind, 1.0, n)
+    F = g.lu()
+    assert isinstance(F, Factor) and g.lu() is F
+    x = rng.standard_normal(g.n_total)
+    b = g.neg_laplacian() @ x
+    np.testing.assert_allclose(F.solve(b), x, rtol=0, atol=1e-12)
+    b[3] = np.inf
+    with pytest.raises(ValueError, match="not finite"):
+        F.solve(b)
 
 
 @settings(max_examples=20, deadline=None)

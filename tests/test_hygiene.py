@@ -1,9 +1,13 @@
 """Source hygiene: every imported name in the package, the demos and the
-tests is read somewhere in its module.
+tests is read somewhere in its module, and only `selab.grid` factors.
 
 Names listed in a module's `__all__` count as read (they are re-exported),
 and `from __future__ import annotations` is exempt.  An import kept only
 for a side effect would need a name that is read; there is none today.
+
+Every linear solve on a grid goes through `Grid.factor` or `Grid.lu`, so
+`splu`, `dgttrf` and `dgttrs` are called in `src/selab/grid.py` alone;
+the tests call `splu` only as a reference.
 """
 
 import ast
@@ -64,3 +68,38 @@ def test_the_scan_sees_unused_and_exempt_names():
         "    return np.pi\n"
     )
     assert unused_imports(source) == [("os", 2), ("pi", 4), ("dumps", 7)]
+
+
+FACTORIZERS = {"splu", "dgttrf", "dgttrs"}
+GRID = ROOT / "src/selab/grid.py"
+
+
+def factorizer_calls(source):
+    """(name, line) of every call to a factorizer, by bare or dotted name."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in FACTORIZERS:
+                yield name, node.lineno
+
+
+@pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name != "tests"],
+                         ids=lambda p: str(p.relative_to(ROOT)))
+def test_only_the_grid_factors(path):
+    calls = sorted(factorizer_calls(path.read_text()))
+    if path == GRID:
+        assert {name for name, _ in calls} == FACTORIZERS
+    else:
+        assert calls == []
+
+
+def test_the_factorizer_scan_sees_bare_and_dotted_calls():
+    source = (
+        "import scipy.sparse.linalg\n"
+        "from scipy.linalg.lapack import dgttrf\n"
+        "lu = scipy.sparse.linalg.splu(a)\n"
+        "x = dgttrf(dl, d, du)\n"
+        "solve = lu.solve\n"
+    )
+    assert sorted(factorizer_calls(source)) == [("dgttrf", 4), ("splu", 3)]

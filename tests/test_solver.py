@@ -24,6 +24,7 @@ from selab.solver import (
     residual,
     solve_with_continuation,
 )
+from selab.spectral import first_eigenpair
 
 
 def with_n(spec, n):
@@ -123,6 +124,29 @@ def test_fixed_point_reports_exhaustion(poisson):
     assert inc >= tol
 
 
+def test_fixed_point_stops_at_a_non_finite_nonlinearity(poisson):
+    # the grid's Factor refuses a non-finite right-hand side, so the sweep
+    # keeps its last finite iterate instead of running on NaN
+    grid, c, exact = poisson
+    calls = []
+
+    def nonlinear(v):
+        calls.append(1)
+        return -c if len(calls) == 1 else np.full(15, np.nan)
+
+    u, sweeps, inc = fixed_point(grid.lu(), nonlinear, np.zeros(15),
+                                 max_iter=10)
+    assert (len(calls), sweeps, inc) == (2, 1, np.inf)
+    assert np.array_equal(u, exact)
+
+
+def test_supersolution_reports_a_non_finite_reaction(theorem3_spec):
+    reaction = ReactionTerm("custom", fn=lambda x, s: np.where(s > 0.5, np.inf, s))
+    spec = replace(theorem3_spec, reaction=reaction, lam=50.0)
+    with pytest.raises(ConvergenceError, match="not finite"):
+        build_supersolution(spec)
+
+
 # ---- Newton ----
 
 
@@ -175,16 +199,21 @@ GRIDS = {
 }
 
 
+def dense_matrix(grid, d, w):
+    """A + diag(d) + sum_k diag(w_k) D_k as a dense array in node order."""
+    dense = grid.neg_laplacian().toarray() + np.diag(d)
+    for wk, D in zip(w, grid.diff_matrices()):
+        dense += wk[:, None] * D.toarray()
+    return dense
+
+
 def linearized(kind, a, kval, rng):
     grid = build_grid(*GRIDS[kind])
     spec = ProblemSpec(grid, Potential(kval), SingularTerm("power", alpha=0.5),
                        ReactionTerm("power", p=0.5), a, 2.0, 1e-2, None)
     u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
     d, w = _linearization(spec, u)
-    dense = grid.neg_laplacian().toarray() + np.diag(d)
-    for wk, D in zip(w, grid.diff_matrices()):
-        dense += wk[:, None] * D.toarray()
-    return spec, u, grid.jacobian(d, w), dense
+    return spec, u, grid.factor(d, w), dense_matrix(grid, d, w)
 
 
 linearization_cases = pytest.mark.parametrize(
@@ -193,23 +222,23 @@ linearization_cases = pytest.mark.parametrize(
 
 @linearization_cases
 def test_jacobian_is_the_derivative_of_the_residual(kind, a, kval, rng):
-    spec, u, J, dense = linearized(kind, a, kval, rng)
-    np.testing.assert_allclose(J.toarray(), dense, rtol=1e-15,
-                               atol=1e-15 * np.abs(dense).max())
+    spec, u, F, dense = linearized(kind, a, kval, rng)
     v = rng.standard_normal(spec.grid.n_total)
+    Jv = dense @ v
+    # the factored matrix is the dense one: it takes J v back to v
+    np.testing.assert_allclose(F.solve(Jv), v, rtol=0, atol=1e-13)
     delta = 1e-6
     diff = (residual(spec, Field(spec.grid, u + delta * v)).values
             - residual(spec, Field(spec.grid, u - delta * v)).values) / (2 * delta)
-    Jv = J.toarray() @ v
     np.testing.assert_allclose(Jv, diff, rtol=0, atol=1e-6 * np.abs(Jv).max())
 
 
 @linearization_cases
 def test_newton_step_is_the_dense_solve(kind, a, kval, rng):
-    spec, u, J, dense = linearized(kind, a, kval, rng)
+    spec, u, F, dense = linearized(kind, a, kval, rng)
     rhs = -residual(spec, Field(spec.grid, u)).values
     want = np.linalg.solve(dense, rhs)
-    np.testing.assert_allclose(J.solve(rhs), want, rtol=0,
+    np.testing.assert_allclose(F.solve(rhs), want, rtol=0,
                                atol=1e-10 * np.abs(want).max())
 
 
@@ -230,8 +259,9 @@ def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
         (j,) = D[0].indices
         w[0] = -A[0, j] / D[0, j]
         weights.append(w)
-    J = grid.jacobian(d, weights)
-    assert not np.any(J.toarray()[0])
+    assert not np.any(dense_matrix(grid, d, weights)[0])
+    with pytest.raises((RuntimeError, ValueError), match="singular"):
+        grid.factor(d, weights)
     monkeypatch.setattr(selab.solver, "_linearization", lambda spec, u: (d, weights))
     u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
     with pytest.raises(ConvergenceError, match="Jacobian"):
@@ -241,7 +271,7 @@ def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
 @pytest.mark.parametrize("kind", ["interval", "rectangle"])
 def test_newton_reports_a_non_finite_jacobian(kind, monkeypatch, rng):
     # LAPACK dgttrf does not check finiteness, and SuperLU calls a NaN
-    # pivot "exactly singular"; Jacobian.factor checks before it factors
+    # pivot "exactly singular"; Grid.factor checks before it factors
     n, node = {"interval": (9, 4), "rectangle": (7, 3)}[kind]
     grid = build_grid(kind, (1.0,), n)
     spec = ProblemSpec(grid, Potential(1.0), SingularTerm("power", alpha=0.5),
@@ -271,7 +301,7 @@ def test_rectangle_factors_use_minimum_degree_fill(theorem3_spec, monkeypatch):
 
     monkeypatch.setattr(selab.grid, "splu", captured)
     grid.lu()
-    grid.jacobian(d, w).solve(np.ones(grid.n_total))
+    grid.factor(d, w).solve(np.ones(grid.n_total))
     A = grid.neg_laplacian()
     J = A + sp.diags(d) + sum(sp.diags(wk) @ D for wk, D in zip(w, grid.diff_matrices()))
     assert len(factors) == 2
@@ -286,7 +316,7 @@ def test_stagnating_newton_gives_up_within_the_line_search_budget(
     # theorem3 has no solution at lambda = 5 (lambda* is about 10.4), so
     # this stage stagnates; each iteration may try at most 8 steps
     spec = replace(with_n(theorem3_spec, 48), lam=5.0).with_eps(0.1)
-    u0, _ = selab.solver._initial_iterate(spec)
+    u0 = 0.5 * first_eigenpair(spec.grid).phi1.values
     calls = []
     evaluate = selab.solver._residual
 
@@ -362,12 +392,21 @@ def test_monotone_two_sided_runs_pinch_the_same_solution(bracket):
     assert np.max(np.abs(up.solution.values - down.solution.values)) < 1e-6
 
 
+def newton_gap(spec, sub, pinch):
+    """Sup-norm distance from a pinch to the Newton solution found from
+    the sub-solution, a start independent of the pinch (Newton polishing
+    the pinch itself returns after 0 iterations)."""
+    newton = newton_solve(spec, sub)
+    assert newton.iterations >= 1
+    return float(np.max(np.abs(newton.solution.values - pinch.solution.values)))
+
+
 def test_monotone_agrees_with_newton(bracket):
     spec, sub, sup = bracket
     rep = monotone_iterate(spec, sub, sup, tol=1e-12)
-    polished = newton_solve(spec, rep.solution)
-    assert np.max(np.abs(polished.solution.values
-                         - rep.solution.values)) < 1e-6
+    assert newton_gap(spec, sub, rep) < 1e-9
+    # the check sees a pinch stopped early (6e-6 away after 20 sweeps)
+    assert newton_gap(spec, sub, monotone_iterate(spec, sub, sup, max_iter=20)) > 1e-9
 
 
 def test_monotone_rejects_crossed_pair(theorem1_spec):
@@ -425,9 +464,9 @@ def test_monotone_iterate_on_a_rectangle(theorem1_spec):
     assert not rep.diagnostics["bracket_escape"]
     assert np.all(rep.solution.values >= sub.values - 1e-10)
     assert np.all(rep.solution.values <= sup.values + 1e-10)
-    polished = newton_solve(spec, rep.solution)
-    assert np.max(np.abs(polished.solution.values
-                         - rep.solution.values)) < 1e-6
+    assert newton_gap(spec, sub, rep) < 1e-9
+    # a pinch stopped after 40 sweeps is 9e-8 away
+    assert newton_gap(spec, sub, monotone_iterate(spec, sub, sup, max_iter=40)) > 1e-9
     assert rep.iterations <= 150
 
 
@@ -444,7 +483,7 @@ def test_monotone_reports_a_shift_that_overflows(theorem1_spec):
 
 
 def test_monotone_factor_uses_minimum_degree_fill(theorem1_spec, monkeypatch):
-    # A + diag(D) goes through Grid.jacobian, so it is factored on the
+    # A + diag(D) goes through Grid.factor, so it is factored on the
     # grid's minimum-degree ordering, not on COLAMD
     spec, sub, sup = theorem1_bracket(theorem1_spec, "rectangle", 63)
     factors = []
@@ -541,6 +580,20 @@ def test_continuation_reports_mass_overflow_as_divergence():
     assert not np.isfinite(rep.diagnostics["stages"][-1]["mass"])
     assert rep.diagnostics["mode"] == "mass-divergence"
     assert rep.diagnostics["mass_fitted"] is None
+
+
+def test_continuation_passes_on_an_error_of_a_callable_k(theorem3_spec):
+    # K is evaluated on the boundary only by the regime test; its error
+    # must surface, not read as "not the positive regime" and silently
+    # switch off the stage masses
+    def K(x):
+        if np.any((x == 0.0) | (x == 1.0)):
+            raise ZeroDivisionError("K is undefined on the boundary")
+        return np.ones_like(x)
+
+    spec = replace(theorem3_spec, potential=Potential(K), lam=20.0)
+    with pytest.raises(ZeroDivisionError):
+        solve_with_continuation(spec, initial=np.full(spec.grid.n_total, 0.1))
 
 
 def test_continuation_caller_initial(theorem1_spec):
