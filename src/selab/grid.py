@@ -24,10 +24,17 @@ Every rectangle matrix is factored on one fill-reducing ordering per
 grid, computed once: SuperLU's multiple minimum degree on A^T + A, which
 `Grid.lu` runs and whose column permutation becomes the grid's node
 order.  The pattern `Grid.factor` fills is stored symmetrically permuted
-into that order, so each Newton step factors it with no reordering at
-all.  On the five-point pattern its factors hold about 0.56 times the
-entries of those on COLAMD, `splu`'s default, which would rerun on every
-call.
+into that order, so it is factored with no reordering at all.  On the
+five-point pattern its factors hold about 0.56 times the entries of
+those on COLAMD, `splu`'s default, which would rerun on every call.
+
+A rectangle Newton Jacobian is not factored on every iteration.  A
+`LaggedFactor`, carried by the Newton solve and never by the grid, keeps
+the last exact Jacobian factor; GMRES preconditioned by it solves the
+next Jacobians to 1e-12 relative, and the Jacobian is factored afresh,
+becoming the new lagged factor, only when GMRES would need more than 12
+iterations.  A's own factor and the monotone sweep's A + diag(D), each
+solved many times, stay exact, and so does every interval matrix.
 """
 
 from __future__ import annotations
@@ -42,6 +49,10 @@ from scipy.sparse.linalg import splu
 from .errors import GridError, ShapeError
 
 _KINDS = ("interval", "rectangle")
+# GMRES on a lagged Jacobian factor must reach this relative residual
+# within this many iterations, or the Jacobian is factored afresh
+_KRYLOV_RTOL = 1e-12
+_KRYLOV_CAP = 12
 
 
 class Grid:
@@ -208,7 +219,7 @@ class Grid:
         pad = np.concatenate(([0.0], u, [0.0]))
         return [c * pad[2:] - c * pad[:-2]]
 
-    def factor(self, diag, weights):
+    def factor(self, diag, weights, lagged=None):
         """Factor A + diag(diag) + sum_k diag(weights[k]) D_k, filled into
         A's cached sparsity pattern, once for any number of solves;
         `weights` is empty for A itself and for the monotone sweep's
@@ -218,7 +229,13 @@ class Grid:
         zero pivot raises numpy.linalg.LinAlgError, a ValueError.  On a
         rectangle the matrix is stored in the grid's minimum-degree
         order, so `splu` factors it as it stands (NATURAL); a singular
-        matrix raises RuntimeError."""
+        matrix raises RuntimeError.
+
+        With a `LaggedFactor` (a Newton solve's), a rectangle matrix is
+        not factored here: each solve runs GMRES preconditioned by the
+        lagged factor, and factors the matrix only when GMRES falls short
+        (see `LaggedFactor.solve`), raising RuntimeError then if it is
+        singular.  Intervals ignore `lagged`."""
         if self._pattern is None:
             self._pattern = self._factor_pattern()
         if self.dim == 1:
@@ -240,6 +257,8 @@ class Grid:
             data[pos] += w[rows] * coef
         _require_finite(data, "matrix")
         matrix = sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape)
+        if lagged is not None:
+            return Factor(lambda rhs: lagged.solve(matrix, rhs), order)
         return Factor(splu(matrix, permc_spec="NATURAL").solve, order)
 
     def _factor_pattern(self):
@@ -281,7 +300,8 @@ class Grid:
 
 class Factor:
     """A factored matrix of `Grid.factor` or `Grid.lu`: `solve` maps a
-    right-hand side in node order to the solution in node order.  Where
+    right-hand side in node order to the solution in node order (through
+    GMRES, where `Grid.factor` was given a `LaggedFactor`).  Where
     the factors live in the grid's minimum-degree `order` (a Newton
     Jacobian or the monotone sweep's matrix on a rectangle), `order[i]`
     is the node at row and column i; otherwise `order` is None."""
@@ -298,6 +318,79 @@ class Factor:
         x = np.empty_like(rhs)
         x[self.order] = self._solve(rhs[self.order])
         return x
+
+
+class LaggedFactor:
+    """The last exact factor of a run of rectangle Newton Jacobians,
+    which preconditions GMRES on the ones after it (Knoll & Keyes,
+    J. Comput. Phys. 193, 2004, on frozen preconditioners).  A Newton
+    solve carries one from step to step, and a continuation from stage
+    to stage; the grid never holds one, so a solve does not depend on
+    what ran on its grid before.  It keeps at most one factor alive."""
+
+    def __init__(self):
+        self._superlu = None
+
+    def solve(self, matrix, rhs):
+        """matrix^-1 rhs for a matrix stored like `Grid.factor`'s: GMRES
+        on the lagged factor while it reaches _KRYLOV_RTOL, otherwise an
+        exact factor of `matrix`, which becomes the lagged one."""
+        if self._superlu is not None:
+            x = gmres(matrix, self._superlu.solve, rhs)
+            if x is not None:
+                return x
+            self._superlu = None  # drop the stale factor before the new one
+        self._superlu = splu(matrix, permc_spec="NATURAL")
+        return self._superlu.solve(rhs)
+
+
+def gmres(matrix, precondition, rhs):
+    """x with |rhs - matrix x| <= _KRYLOV_RTOL |rhs| in 2-norm, by GMRES
+    from x = 0 right-preconditioned by `precondition` (an approximate
+    matrix^-1), so the residual it minimizes is the true one (Saad &
+    Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Gram-Schmidt twice,
+    Givens rotations).  None when _KRYLOV_CAP iterations do not reach the
+    target, or once the last iteration's rate of decrease, kept up over
+    the iterations left, would not."""
+    norm = float(np.linalg.norm(rhs))
+    if norm == 0.0:
+        return np.zeros_like(rhs)
+    target = _KRYLOV_RTOL * norm
+    basis = np.zeros((_KRYLOV_CAP + 1, rhs.size))
+    basis[0] = rhs / norm
+    hess = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
+    # the residual of the projected least-squares problem, rotated
+    g = np.zeros(_KRYLOV_CAP + 1)
+    g[0] = norm
+    rotations = []
+    for k in range(_KRYLOV_CAP):
+        w = matrix @ precondition(basis[k])
+        for _ in range(2):
+            coef = basis[:k + 1] @ w
+            w -= coef @ basis[:k + 1]
+            hess[:k + 1, k] += coef
+        hess[k + 1, k] = np.linalg.norm(w)
+        if hess[k + 1, k] > 0.0:
+            basis[k + 1] = w / hess[k + 1, k]
+        for i, (c, s) in enumerate(rotations):
+            hess[i, k], hess[i + 1, k] = (c * hess[i, k] + s * hess[i + 1, k],
+                                          c * hess[i + 1, k] - s * hess[i, k])
+        r = np.hypot(hess[k, k], hess[k + 1, k])
+        if r == 0.0:  # matrix times the preconditioner is singular
+            return None
+        c, s = hess[k, k] / r, hess[k + 1, k] / r
+        rotations.append((c, s))
+        hess[k, k] = r
+        g[k + 1] = -s * g[k]
+        g[k] *= c
+        # this iteration cut the residual by |s|
+        rho = abs(g[k + 1])
+        if rho <= target:
+            y = np.linalg.solve(np.triu(hess[:k + 1, :k + 1]), g[:k + 1])
+            return precondition(y @ basis[:k + 1])
+        if k > 0 and rho * abs(s) ** (_KRYLOV_CAP - 1 - k) > target:
+            return None
+    return None
 
 
 def _require_finite(values, what):

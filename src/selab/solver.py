@@ -15,10 +15,13 @@ Three layers:
   A + diag(K g'(u+eps) - lambda f_s(x,u)) + sum_k diag(w_k) D_k, where the
   last sum linearizes |grad u|^a through the central differences D_k.
   Its sparsity is that of A, so `Grid.factor` refills the grid's cached
-  pattern and factors it on every iteration: a tridiagonal band factored
-  by LAPACK `dgttrf` on intervals; on rectangles A's CSC data, stored in
-  the grid's one minimum-degree ordering (computed once, by `Grid.lu`),
-  which `splu` factors without reordering.
+  pattern on every iteration.  On intervals it is a tridiagonal band,
+  factored every time by LAPACK `dgttrf`.  On rectangles it is A's CSC
+  data, stored in the grid's one minimum-degree ordering (computed once,
+  by `Grid.lu`); GMRES solves it, preconditioned by the last exact
+  Jacobian factor, and `splu` factors it without reordering only when
+  GMRES falls short (Newton-Krylov with a lagged factor, see
+  `grid.LaggedFactor`).  One lagged factor serves a whole continuation.
   Backtracking line search on the residual sup-norm, steps clipped so
   u stays >= 0.01 eps while eps > 0, and at most 8 trial steps per
   iteration before a stagnating solve gives up (see `newton_solve`).
@@ -57,7 +60,7 @@ from .errors import (
     SelabError,
     SingularEvaluationError,
 )
-from .grid import Field
+from .grid import Field, LaggedFactor
 from .mass import mass_integral, mass_trend
 from .spectral import first_eigenpair
 
@@ -160,7 +163,7 @@ def _linearization(spec, u):
                   for comp in comps]
 
 
-def newton_solve(spec, initial, tol=1e-10, max_iter=60):
+def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
     """Damped Newton from `initial`; returns a SolveReport.
 
     Backtracks through at most 8 steps t = 1, 1/2, ..., 2^-7 until the
@@ -178,7 +181,14 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
     already carries rounding noise of order U/h^2 times machine epsilon,
     so an absolute target below that is unreachable.  Raises
     ConvergenceError on stagnation or a singular Jacobian.
+
+    On a rectangle each step's Jacobian is solved by GMRES on the last
+    exact Jacobian factor, `lagged`, and factored afresh only when GMRES
+    falls short (see `grid.LaggedFactor`); a continuation passes one
+    along its stages, and by default each solve starts its own.
     """
+    if lagged is None:
+        lagged = LaggedFactor()
     u = np.asarray(initial.values if isinstance(initial, Field) else initial,
                    dtype=float).copy()
     floor = 0.01 * spec.eps if spec.eps > 0 else 0.0
@@ -196,7 +206,7 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60):
                 min_interior=float(u.min()), diagnostics={"method": "newton"},
             )
         try:
-            step = spec.grid.factor(*_linearization(spec, u)).solve(-r)
+            step = spec.grid.factor(*_linearization(spec, u), lagged).solve(-r)
         except (RuntimeError, ValueError) as exc:  # see Grid.factor
             raise ConvergenceError(
                 f"Jacobian factorization failed: {exc}",
@@ -351,7 +361,12 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     positive-K regime a true limit solution must keep this mass bounded,
     so divergence indicates the eps-family has no positive limit even
     though every regularized stage solves).  Nonexistence is indicated,
-    never proved.
+    never proved.  diagnostics["solution"] says what the report's
+    solution is: "stage", the last converged stage, or "start", the
+    initial iterate, when the first stage already failed.
+
+    One `grid.LaggedFactor` serves every Newton solve of the call, each
+    stage's warm, Picard and envelope attempts alike.
     """
     if schedule is None:
         schedule = default_schedule()
@@ -386,6 +401,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
         positive_regime = False
     eps_monotone = True if positive_regime else None
     envelope = None
+    lagged = LaggedFactor()
 
     def stage_initials(stage, warm):
         yield "warm", warm
@@ -413,7 +429,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
                 picard_u = attempt
             try:
                 report = newton_solve(stage, Field(spec.grid, attempt), tol=tol,
-                                      max_iter=max_iter)
+                                      max_iter=max_iter, lagged=lagged)
                 break
             except ConvergenceError as exc:
                 # the message, not the exception: its traceback holds this
@@ -482,6 +498,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
             "verdict": verdict,
             "mode": mode,
             "initial": init_kind,
+            "solution": "stage" if eps_done else "start",
             "increments": increments,
             "stages": stage_stats,
             "path_tol": path_tol,

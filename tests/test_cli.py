@@ -65,6 +65,25 @@ def test_solve_writes_field_and_report(tmp_path):
     assert rep["residual_inf"] < 1e-8
     assert rep["min_interior"] > 0
     assert rep["diagnostics"]["verdict"] == "converged"
+    assert rep["diagnostics"]["solution"] == "stage"
+
+
+def test_solve_says_when_the_first_stage_fails(tmp_path):
+    # theorem1 on n = 4095 at lambda = 10 collapses in its first stage
+    # (a grid-dependent floor, see ROADMAP); the report says the field in
+    # u.csv is the start, which is still written
+    from selab.acceptance import bundled_config_text
+
+    config = tmp_path / "fine.cfg"
+    config.write_text(bundled_config_text(T1).replace("domain.n = 127",
+                                                      "domain.n = 4095"))
+    out = tmp_path / "run"
+    assert main(["solve", "--config", str(config), "--lambda", "10",
+                 "--out", str(out)]) == 2
+    rep = read_json(out / "report.json")
+    assert rep["eps_path"] == []
+    assert rep["diagnostics"]["solution"] == "start"
+    assert (out / "u.csv").exists()
 
 
 def test_solve_nonexistence_exits_two(tmp_path):

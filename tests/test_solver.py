@@ -10,7 +10,8 @@ from scipy.sparse.linalg import splu
 
 from selab.constructions import build_subsolution_convection, build_supersolution
 from selab.errors import ConvergenceError, OrderingError
-from selab.grid import Field, build_grid, gradient_magnitude
+from selab.grid import Field, LaggedFactor, build_grid, gradient_magnitude
+import selab.grid
 from selab.model import Potential, ProblemSpec, ReactionTerm, SingularTerm
 import selab.solver
 from selab.solver import (
@@ -242,10 +243,10 @@ def test_newton_step_is_the_dense_solve(kind, a, kval, rng):
                                atol=1e-10 * np.abs(want).max())
 
 
-@pytest.mark.parametrize("kind", list(GRIDS))
-def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
-    # cancel the first row of J exactly (h = 1/8 keeps the arithmetic
-    # exact): its diagonal through d, its neighbours through the weights
+def singular_linearization(kind):
+    """A spec and (d, w) whose J has an all-zero first row: its diagonal
+    cancelled through d, its neighbours through the weights (h = 1/8
+    keeps the arithmetic exact)."""
     grid = build_grid(kind, *{"interval": ((1.0,), 7),
                               "rectangle": ((1.0, 2.0), (7, 15))}[kind])
     spec = ProblemSpec(grid, Potential(1.0), SingularTerm("power", alpha=0.5),
@@ -259,12 +260,19 @@ def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
         (j,) = D[0].indices
         w[0] = -A[0, j] / D[0, j]
         weights.append(w)
+    return spec, d, weights
+
+
+@pytest.mark.parametrize("kind", list(GRIDS))
+def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
+    spec, d, weights = singular_linearization(kind)
+    grid = spec.grid
     assert not np.any(dense_matrix(grid, d, weights)[0])
     with pytest.raises((RuntimeError, ValueError), match="singular"):
         grid.factor(d, weights)
     monkeypatch.setattr(selab.solver, "_linearization", lambda spec, u: (d, weights))
     u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
-    with pytest.raises(ConvergenceError, match="Jacobian"):
+    with pytest.raises(ConvergenceError, match="Jacobian factorization failed"):
         newton_solve(spec, Field(grid, u))
 
 
@@ -283,6 +291,130 @@ def test_newton_reports_a_non_finite_jacobian(kind, monkeypatch, rng):
     u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
     with pytest.raises(ConvergenceError, match="Jacobian.*not finite"):
         newton_solve(spec, Field(grid, u))
+
+
+# ---- Newton-Krylov on a lagged factor (rectangles) ----
+
+
+def counted_splu(monkeypatch):
+    calls = []
+
+    def captured(*args, **kwargs):
+        calls.append(1)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(selab.grid, "splu", captured)
+    return calls
+
+
+def lagged_pair(rng, shift):
+    """A 31 x 29 rectangle, a LaggedFactor holding the factor of one
+    Jacobian, and the (d, w) of a second one whose diagonal is moved by
+    `shift` times a random field."""
+    grid = build_grid("rectangle", (1.0, 1.3), (31, 29))
+    spec = ProblemSpec(grid, Potential(-1.0), SingularTerm("power", alpha=0.5),
+                       ReactionTerm("power", p=0.5), 1.0, 2.0, 1e-2, None)
+    u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
+    lagged = LaggedFactor()
+    grid.factor(*_linearization(spec, u), lagged).solve(np.ones(grid.n_total))
+    d, w = _linearization(spec, u + 0.01 * rng.uniform(0.0, 1.0, grid.n_total))
+    return grid, lagged, d + shift * rng.uniform(0.0, 1.0, grid.n_total), w
+
+
+def assert_is_the_exact_solve(grid, d, w, rhs, x):
+    want = grid.factor(d, w).solve(rhs)
+    assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
+
+
+def test_lagged_factor_serves_a_nearby_jacobian_through_gmres(rng, monkeypatch):
+    grid, lagged, d, w = lagged_pair(rng, 0.0)
+    calls = counted_splu(monkeypatch)
+    rhs = rng.standard_normal(grid.n_total)
+    x = grid.factor(d, w, lagged).solve(rhs)
+    assert calls == []
+    assert_is_the_exact_solve(grid, d, w, rhs, x)
+
+
+def test_stale_lagged_factor_falls_back_to_an_exact_factor(rng, monkeypatch):
+    # a diagonal moved by up to 1e5 (the Jacobian's own is about 1e3)
+    # leaves the lagged factor useless: GMRES gives up, the new Jacobian
+    # is factored, after the stale factor is dropped, and serves next
+    grid, lagged, d, w = lagged_pair(rng, 1e5)
+    released = []
+
+    def captured(*args, **kwargs):
+        released.append(lagged._superlu is None)
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(selab.grid, "splu", captured)
+    rhs = rng.standard_normal(grid.n_total)
+    x = grid.factor(d, w, lagged).solve(rhs)
+    assert released == [True]
+    assert_is_the_exact_solve(grid, d, w, rhs, x)
+    calls = counted_splu(monkeypatch)
+    grid.factor(d, w, lagged).solve(rhs)
+    assert calls == []
+
+
+def test_lagged_factor_checks_finiteness_before_any_gmres(rng, monkeypatch):
+    grid, lagged, d, w = lagged_pair(rng, 0.0)
+    calls = []
+    monkeypatch.setattr(selab.grid, "gmres", lambda *args: calls.append(args))
+    d[5] = np.inf
+    with pytest.raises(ValueError, match="not finite"):
+        grid.factor(d, w, lagged)
+    assert calls == []
+
+
+def test_newton_reports_a_singular_jacobian_behind_a_lagged_factor(
+        monkeypatch, rng):
+    # the first step is factored and lags; the second Jacobian is
+    # singular, so GMRES cannot solve it and its exact factorization fails
+    spec, d, weights = singular_linearization("rectangle")
+    steps = []
+
+    def linearization(spec, u):
+        steps.append(1)
+        return _linearization(spec, u) if len(steps) == 1 else (d, weights)
+
+    monkeypatch.setattr(selab.solver, "_linearization", linearization)
+    u = 0.3 + rng.uniform(0.0, 1.0, spec.grid.n_total)
+    with pytest.raises(ConvergenceError, match="Jacobian factorization failed") \
+            as info:
+        newton_solve(spec, Field(spec.grid, u))
+    assert info.value.iterations == 2
+
+
+@pytest.mark.parametrize("config,lam", [("theorem1", 1.0), ("theorem3", 80.0)])
+@pytest.mark.parametrize("n", [39, 47])
+def test_lagged_continuation_matches_the_exact_one(config, lam, n, request,
+                                                   monkeypatch):
+    # the lagged factor changes rounding only: verdict, mode, eps path and
+    # every stage's Newton iterations are those of a run that factors
+    # every Jacobian (a cap of 0 GMRES iterations), with far fewer
+    # factorizations; it lives in the call, so a rerun on the same grid
+    # gives the same bits
+    spec = request.getfixturevalue(f"{config}_spec")
+    spec = replace(spec, grid=build_grid("rectangle", (1.0,), n), source=None,
+                   lam=lam)
+
+    def fingerprint(rep):
+        return (rep.diagnostics["verdict"], rep.diagnostics["mode"], rep.eps_path,
+                [s["iterations"] for s in rep.diagnostics["stages"]])
+
+    calls = counted_splu(monkeypatch)
+    first = solve_with_continuation(spec)
+    factored = len(calls)
+    again = solve_with_continuation(spec)
+    np.testing.assert_array_equal(again.solution.values, first.solution.values)
+    assert again.residual_inf == first.residual_inf
+    assert fingerprint(again) == fingerprint(first)
+    del calls[:]
+    monkeypatch.setattr(selab.grid, "_KRYLOV_CAP", 0)
+    exact = solve_with_continuation(spec)
+    assert fingerprint(first) == fingerprint(exact)
+    assert exact.diagnostics["verdict"] == "converged"
+    assert 2 * factored < len(calls)
 
 
 def test_rectangle_factors_use_minimum_degree_fill(theorem3_spec, monkeypatch):
