@@ -20,21 +20,30 @@ right-hand side as well; `Grid.lu` is A's, computed once.  On intervals
 the pattern is a tridiagonal band factored by LAPACK `dgttrf`; on
 rectangles a refilled copy of A's CSC data for `splu`.
 
-Every rectangle matrix is factored on one fill-reducing ordering per
-grid, computed once: SuperLU's multiple minimum degree on A^T + A, which
-`Grid.lu` runs and whose column permutation becomes the grid's node
-order.  The pattern `Grid.factor` fills is stored symmetrically permuted
-into that order, so it is factored with no reordering at all.  On the
-five-point pattern its factors hold about 0.56 times the entries of
-those on COLAMD, `splu`'s default, which would rerun on every call.
+A itself is never factored on a rectangle.  It is the Kronecker sum of
+two 3-point stencils, whose eigenvectors are the sine modes, so the 2-d
+type-I discrete sine transform S (orthonormal, its own inverse)
+diagonalizes it: A^-1 b = S Lambda^-1 S b, with Lambda[j, k] the sum of
+the per-axis eigenvalues `Grid.sine_eigenvalues` (the fast Poisson
+solver: Hockney, J. ACM 12, 1965; Swarztrauber, SIAM Review 19, 1977).
+
+Every other rectangle matrix is factored on one fill-reducing ordering
+per grid, computed once, when `Grid.factor` first needs its pattern:
+SuperLU's multiple minimum degree on A^T + A, whose column permutation
+becomes the grid's node order (the factor of A that yields it is
+dropped at once).  The pattern `Grid.factor` fills is stored
+symmetrically permuted into that order, so it is factored with no
+reordering at all.  On the five-point pattern its factors hold about
+0.56 times the entries of those on COLAMD, `splu`'s default, which would
+rerun on every call.
 
 A rectangle Newton Jacobian is not factored on every iteration.  A
 `LaggedFactor`, carried by the Newton solve and never by the grid, keeps
 the last exact Jacobian factor; GMRES preconditioned by it solves the
 next Jacobians to 1e-12 relative, and the Jacobian is factored afresh,
 becoming the new lagged factor, only when GMRES would need more than 12
-iterations.  A's own factor and the monotone sweep's A + diag(D), each
-solved many times, stay exact, and so does every interval matrix.
+iterations.  The monotone sweep's A + diag(D), solved many times, stays
+exact, and so does every interval matrix.
 """
 
 from __future__ import annotations
@@ -43,6 +52,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.fft import dstn, idstn
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
@@ -72,8 +82,8 @@ class Grid:
     they are pure functions of the grid, so the cache does not break
     value-immutability.  So is the pattern behind `factor`: on an
     interval A's (3, n) band template, on a rectangle A in CSC form,
-    symmetrically permuted into the node order of `lu`, with the
-    positions of its diagonal and of every D_k entry in its `data`.  The
+    symmetrically permuted into the grid's minimum-degree node order, with
+    the positions of its diagonal and of every D_k entry in its `data`.  The
     caches hold arrays, matrices and factors only, never a Field or
     anything else that points back at the grid, so a dropped grid is
     freed by reference counting alone.
@@ -109,7 +119,7 @@ class Grid:
         self._coords = None
         self._matrix = None
         self._lu = None
-        self._rank = None
+        self._sines = None
         self._diff = None
         self._pattern = None
 
@@ -165,19 +175,34 @@ class Grid:
                 self._matrix = (sp.kron(Ax, Iy) + sp.kron(Ix, Ay)).tocsr()
         return self._matrix
 
+    def sine_eigenvalues(self):
+        """Per axis, the eigenvalues (4/h^2) sin^2(k pi h / 2L), k = 1..n,
+        of the 3-point stencil on its sine modes sin(k pi x / L); A's are
+        their sums over the axes.  Computed once."""
+        if self._sines is None:
+            self._sines = tuple(
+                4.0 / h**2 * np.sin(np.arange(1, n + 1) * np.pi * h / (2.0 * L)) ** 2
+                for h, L, n in zip(self.spacing, self.extents, self.shape))
+        return self._sines
+
     def lu(self):
         """The -Laplacian A as a `Factor`, computed once and reused.  On an
-        interval it is `factor(0, ())`.  On a rectangle it is SuperLU's on
-        the multiple minimum degree ordering of A^T + A, whose column
-        permutation becomes the node `order` of every other `factor`."""
+        interval it is `factor(0, ())`.  On a rectangle nothing is
+        factored: a solve is two orthonormal type-I sine transforms
+        around a division by A's eigenvalues."""
         if self._lu is None:
             if self.dim == 1:
                 self._lu = self.factor(0.0, ())
             else:
-                superlu = splu(self.neg_laplacian().tocsc(),
-                               permc_spec="MMD_AT_PLUS_A")
-                self._rank = superlu.perm_c
-                self._lu = Factor(superlu.solve)
+                lx, ly = self.sine_eigenvalues()
+                eig = lx[:, None] + ly[None, :]
+                shape = self.shape  # the solve must not point back at the grid
+
+                def solve(rhs):
+                    b = dstn(rhs.reshape(shape), type=1, norm="ortho")
+                    return idstn(b / eig, type=1, norm="ortho").ravel()
+
+                self._lu = Factor(solve)
         return self._lu
 
     def diff_matrices(self):
@@ -272,9 +297,9 @@ class Grid:
             band[2, :-1] = A.diagonal(-1)
             D, = diffs
             return band, D.diagonal(1), D.diagonal(-1)
+        # the minimum-degree rank of every node; the factor is dropped
+        rank = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c
         # node order[i] sits at row and column i of the stored matrix
-        self.lu()  # sets the minimum-degree rank of every node
-        rank = self._rank
         order = np.argsort(rank)
         csc = A[order][:, order].tocsc()
         csc.sort_indices()
@@ -301,10 +326,11 @@ class Grid:
 class Factor:
     """A factored matrix of `Grid.factor` or `Grid.lu`: `solve` maps a
     right-hand side in node order to the solution in node order (through
-    GMRES, where `Grid.factor` was given a `LaggedFactor`).  Where
-    the factors live in the grid's minimum-degree `order` (a Newton
-    Jacobian or the monotone sweep's matrix on a rectangle), `order[i]`
-    is the node at row and column i; otherwise `order` is None."""
+    GMRES, where `Grid.factor` was given a `LaggedFactor`, and through
+    sine transforms for A on a rectangle).  Where the factors live in
+    the grid's minimum-degree `order` (a Newton Jacobian or the monotone
+    sweep's matrix on a rectangle), `order[i]` is the node at row and
+    column i; otherwise `order` is None."""
 
     def __init__(self, solve, order=None):
         self._solve = solve

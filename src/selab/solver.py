@@ -6,8 +6,9 @@ on a Dirichlet grid, written A u + N(u) = 0 with A the -Laplacian.
 `nonlinear_part` is the one place N(u) is assembled, and `fixed_point`
 the one relaxed, clipped sweep u <- max((1-relax) u - relax A^-1 N(u),
 floor) behind the Picard rescue, the mass diagnostic, the comparison
-suite and the convection sub-solution; A^-1 is the grid's `Grid.lu`,
-whose solves refuse a non-finite N(u), so the sweep stops there.
+suite and the convection sub-solution; A^-1 is the grid's `Grid.lu`
+(on a rectangle, sine transforms: nothing is factored), whose solves
+refuse a non-finite N(u), so the sweep stops there.
 Every other linear solve here is a `Grid.factor` of the same pattern.
 Three layers:
 
@@ -18,9 +19,9 @@ Three layers:
   pattern on every iteration.  On intervals it is a tridiagonal band,
   factored every time by LAPACK `dgttrf`.  On rectangles it is A's CSC
   data, stored in the grid's one minimum-degree ordering (computed once,
-  by `Grid.lu`); GMRES solves it, preconditioned by the last exact
-  Jacobian factor, and `splu` factors it without reordering only when
-  GMRES falls short (Newton-Krylov with a lagged factor, see
+  when `Grid.factor` first needs it); GMRES solves it, preconditioned by
+  the last exact Jacobian factor, and `splu` factors it without
+  reordering only when GMRES falls short (Newton-Krylov with a lagged factor, see
   `grid.LaggedFactor`).  One lagged factor serves a whole continuation.
   Backtracking line search on the residual sup-norm, steps clipped so
   u stays >= 0.01 eps while eps > 0, and at most 8 trial steps per

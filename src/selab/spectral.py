@@ -3,7 +3,8 @@ collar on which its gradient stays bounded away from 0.
 
 The pair has a closed form on selab's grids.  The 3-point stencil with
 n interior nodes and spacing h = L/(n+1) has the sine modes sin(k pi x/L)
-as exact eigenvectors, with eigenvalues (4/h^2) sin^2(k pi h / 2L); the
+as exact eigenvectors, with eigenvalues (4/h^2) sin^2(k pi h / 2L)
+(`Grid.sine_eigenvalues`, which `Grid.lu` divides by on a rectangle); the
 5-point stencil on a rectangle is the Kronecker sum of two such stencils,
 so its principal pair is the sum of the per-axis values and the tensor
 product of the per-axis sines.  On the unit interval lambda_1 approaches
@@ -41,8 +42,7 @@ def first_eigenpair(grid):
     lambda_1 = sum_k (4/h_k^2) sin^2(pi h_k / 2 L_k),
     phi_1 = prod_k sin(pi x_k / L_k) in row-major order, scaled to
     sup-norm 1."""
-    lam = sum(4.0 / h**2 * np.sin(np.pi * h / (2.0 * L)) ** 2
-              for h, L in zip(grid.spacing, grid.extents))
+    lam = sum(eigenvalues[0] for eigenvalues in grid.sine_eigenvalues())
     phi = np.sin(np.pi * grid.axes[0] / grid.extents[0])
     for x, L in zip(grid.axes[1:], grid.extents[1:]):
         phi = np.multiply.outer(phi, np.sin(np.pi * x / L)).ravel()

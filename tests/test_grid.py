@@ -2,7 +2,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.sparse.linalg import splu
 
+import selab.grid
 from selab.errors import GridError, ShapeError
 from selab.grid import (
     Factor,
@@ -105,6 +107,51 @@ def test_lu_is_a_factor_of_the_neg_laplacian(kind, n, rng):
     b[3] = np.inf
     with pytest.raises(ValueError, match="not finite"):
         F.solve(b)
+
+
+def test_lu_solves_an_uneven_rectangle_by_sine_transforms(rng):
+    # unequal node counts and extents: both axes' eigenvalues, and the
+    # row-major layout, must line up with the transforms
+    g = build_grid("rectangle", (2.0, 0.5), (7, 12))
+    x = rng.standard_normal(g.n_total)
+    b = g.neg_laplacian() @ x
+    got = g.lu().solve(b)
+    assert np.linalg.norm(g.neg_laplacian() @ got - b) <= 1e-12 * np.linalg.norm(b)
+    assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
+
+
+def counted_splu(monkeypatch):
+    """The `permc_spec` of every `splu` call the grid makes."""
+    calls = []
+
+    def captured(*args, **kwargs):
+        calls.append(kwargs.get("permc_spec"))
+        return splu(*args, **kwargs)
+
+    monkeypatch.setattr(selab.grid, "splu", captured)
+    return calls
+
+
+def test_lu_on_a_rectangle_factors_nothing(monkeypatch, rng):
+    calls = counted_splu(monkeypatch)
+    g = build_grid("rectangle", (1.0, 1.3), (15, 11))
+    g.lu().solve(rng.standard_normal(g.n_total))
+    assert calls == []
+
+
+def test_the_minimum_degree_ordering_is_computed_once(monkeypatch, rng):
+    # the first factor on a rectangle orders the grid (one minimum-degree
+    # splu of A, dropped at once); a later one reuses that ordering and
+    # only factors its own matrix
+    calls = counted_splu(monkeypatch)
+    g = build_grid("rectangle", (1.0, 1.3), (15, 11))
+    g.lu()
+    d = 1.0 + rng.uniform(0.0, 1.0, g.n_total)
+    g.factor(d, ())
+    assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
+    del calls[:]
+    g.factor(2.0 * d, (rng.standard_normal(g.n_total),) * 2)
+    assert calls == ["NATURAL"]
 
 
 @settings(max_examples=20, deadline=None)

@@ -6,8 +6,9 @@ and `from __future__ import annotations` is exempt.  An import kept only
 for a side effect would need a name that is read; there is none today.
 
 Every linear solve on a grid goes through `Grid.factor` or `Grid.lu`, so
-`splu`, `dgttrf`, `dgttrs` and the Krylov solver `gmres` are called in
-`src/selab/grid.py` alone; the tests call `splu` only as a reference.
+`splu`, `dgttrf`, `dgttrs`, the Krylov solver `gmres` and the sine
+transforms `dstn` and `idstn` are called in `src/selab/grid.py` alone;
+the tests call `splu` only as a reference.
 """
 
 import ast
@@ -70,7 +71,7 @@ def test_the_scan_sees_unused_and_exempt_names():
     assert unused_imports(source) == [("os", 2), ("pi", 4), ("dumps", 7)]
 
 
-FACTORIZERS = {"splu", "dgttrf", "dgttrs", "gmres"}
+FACTORIZERS = {"splu", "dgttrf", "dgttrs", "gmres", "dstn", "idstn"}
 GRID = ROOT / "src/selab/grid.py"
 
 
