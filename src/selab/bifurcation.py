@@ -272,6 +272,10 @@ def lambda0_bound(spec_template):
         lo_b, hi_b = s_lo, s_hi
         for _ in range(200):
             mid = 0.5 * (lo_b + hi_b)
+            if mid == lo_b or mid == hi_b:
+                # float resolution: margin(lo_b) < 0 <= margin(hi_b), so
+                # every further step would leave both ends where they are
+                break
             if margin(mid) < 0:
                 lo_b = mid
             else:

@@ -26,6 +26,12 @@ type-I discrete sine transform S (orthonormal, its own inverse)
 diagonalizes it: A^-1 b = S Lambda^-1 S b, with Lambda[j, k] the sum of
 the per-axis eigenvalues `Grid.sine_eigenvalues` (the fast Poisson
 solver: Hockney, J. ACM 12, 1965; Swarztrauber, SIAM Review 19, 1977).
+`Grid.lu` imports `scipy.fft` (which loads `scipy.special`) on a
+rectangle's first solve of A, not with this module, so a process that
+solves on intervals only never loads either.  `splu`, `dgttrf` and
+`dgttrs` stay module-level: every path needs them, and every factor is
+made through the one module attribute `splu`, so rebinding it (as a
+tracer does) sees them all.
 
 Every other rectangle matrix is factored on one fill-reducing ordering
 per grid, computed once, when `Grid.factor` first needs its pattern:
@@ -52,7 +58,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.fft import dstn, idstn
 from scipy.linalg.lapack import dgttrf, dgttrs
 from scipy.sparse.linalg import splu
 
@@ -194,6 +199,8 @@ class Grid:
             if self.dim == 1:
                 self._lu = self.factor(0.0, ())
             else:
+                from scipy.fft import dstn, idstn
+
                 lx, ly = self.sine_eigenvalues()
                 eig = lx[:, None] + ly[None, :]
                 shape = self.shape  # the solve must not point back at the grid
@@ -225,23 +232,26 @@ class Grid:
             self._diff = tuple(mats)
         return self._diff
 
-    def apply_neg_laplacian(self, u):
-        """A u as an array.  On an interval the 3-point stencil is applied
-        by slicing, which sums the same products in the same order as the
-        sparse product."""
-        if self.dim == 2:
-            return self.neg_laplacian() @ u
-        inv = 1.0 / self.spacing[0] ** 2
-        pad = np.concatenate(([0.0], u, [0.0]))
-        return -inv * pad[:-2] + 2.0 * inv * pad[1:-1] - inv * pad[2:]
-
     def central_differences(self, u):
         """Central-difference derivative of u per axis, as a list of arrays
-        (by slicing on an interval, like `apply_neg_laplacian`)."""
+        (by slicing u padded with its Dirichlet zeros on an interval)."""
         if self.dim == 2:
             return [D @ u for D in self.diff_matrices()]
-        c = 1.0 / (2 * self.spacing[0])
+        return self._interval_differences(np.concatenate(([0.0], u, [0.0])))
+
+    def residual_stencils(self, u):
+        """(A u, central_differences(u)), the two stencils of a residual.
+        On an interval both slice one padded copy of u, and A u sums the
+        same products in the same order as the sparse product."""
+        if self.dim == 2:
+            return self.neg_laplacian() @ u, self.central_differences(u)
+        inv = 1.0 / self.spacing[0] ** 2
         pad = np.concatenate(([0.0], u, [0.0]))
+        return (-inv * pad[:-2] + 2.0 * inv * pad[1:-1] - inv * pad[2:],
+                self._interval_differences(pad))
+
+    def _interval_differences(self, pad):
+        c = 1.0 / (2 * self.spacing[0])
         return [c * pad[2:] - c * pad[:-2]]
 
     def factor(self, diag, weights, lagged=None):
@@ -472,7 +482,7 @@ def _check_field(grid, field):
 def apply_laplacian(grid, field):
     """Return -Laplacian of the field (second-order stencil, Dirichlet 0)."""
     _check_field(grid, field)
-    return Field(grid, grid.apply_neg_laplacian(field.values))
+    return Field(grid, grid.neg_laplacian() @ field.values)
 
 
 def gradient_components(grid, field):

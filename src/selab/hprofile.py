@@ -18,6 +18,11 @@ Two consequences used downstream: the energy identity above, and the
 bound t h'(t) <= 2 h(t) (h' is nondecreasing, so h(t) >= t h'(t)/2 by
 convexity through the origin; for the power family the ratio
 t h' / (2h) is constant and equals 1/(alpha+1)).
+
+`scipy.integrate` and `scipy.interpolate` are imported where a profile
+is tabulated (the non-power branch of `build_h_profile`) or interpolated
+(`HProfile.h_at` and `dh_at` off the closed form), the only code that
+uses them, so importing selab does not load them.
 """
 
 from __future__ import annotations
@@ -25,8 +30,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
-from scipy.interpolate import PchipInterpolator
 
 from .errors import KellerOssermanError, ModelError
 from .model import classify_singularity
@@ -61,6 +64,8 @@ class HProfile:
         if self.closed_form:
             return self.coeff * t**self.exponent
         if self._h_interp is None:
+            from scipy.interpolate import PchipInterpolator
+
             self._h_interp = PchipInterpolator(self.t, self.h)
         return self._h_interp(np.clip(t, 0.0, self.T))
 
@@ -71,6 +76,8 @@ class HProfile:
                 out = self.coeff * self.exponent * t ** (self.exponent - 1.0)
             return np.where(t == 0.0, 0.0, out)
         if self._dh_interp is None:
+            from scipy.interpolate import PchipInterpolator
+
             self._dh_interp = PchipInterpolator(self.t, self.dh)
         return self._dh_interp(np.clip(t, 0.0, self.T))
 
@@ -117,6 +124,9 @@ def build_h_profile(g, T=1.0):
     # of t(h) and monotone inversion.  1/sqrt(2 G) is an integrable
     # power-like singularity at 0, so a geometric grid with an analytic
     # local-power first cell suffices.
+    from scipy.integrate import cumulative_trapezoid
+    from scipy.interpolate import PchipInterpolator
+
     hi = 1.0
     for _ in range(60):
         y = np.concatenate([[0.0], np.geomspace(1e-12 * hi, hi, 3000)])

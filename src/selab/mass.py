@@ -6,12 +6,13 @@ once eps falls below u(first node) and would report a bounded mass for
 any grid; the per-cell piecewise-linear reconstruction keeps the
 eps-rate observable.  Its cell integrals are divided differences of the
 primitive P of g (`SingularTerm.primitive`), exact for every g family.
+`reference_mass` imports `scipy.integrate` inside its rectangle branch,
+the only quadrature here, so a run on intervals never loads it.
 """
 
 from __future__ import annotations
 
 import numpy as np
-from scipy.integrate import quad
 
 
 def mass_integral(g, field, eps):
@@ -57,6 +58,8 @@ def reference_mass(grid, g, c2, eps):
     if grid.dim == 1:
         half = grid.extents[0] / 2.0
         return float(2.0 * (g.primitive(c2 * half + eps) - g.primitive(eps)) / c2)
+    from scipy.integrate import quad
+
     Lx, Ly = grid.extents
     tmax = min(Lx, Ly) / 2.0
 

@@ -24,8 +24,6 @@ import weakref
 from dataclasses import dataclass, field as dataclass_field, replace
 
 import numpy as np
-from scipy.interpolate import PchipInterpolator
-from scipy.special import expi
 
 from .errors import ConfigError, ModelError, RegimeError
 from .grid import Field, Grid, build_grid
@@ -50,7 +48,9 @@ class SingularTerm:
 
     The interval masses, a table's integrability probe and a table
     profile's G are differences of P: no caller picks an integration
-    method by family.
+    method by family.  PCHIP and Ei are imported by the one family that
+    uses each, so a power g loads neither `scipy.interpolate` nor
+    `scipy.special`.
     """
 
     family: str
@@ -77,6 +77,8 @@ class SingularTerm:
                 raise ModelError("table values must be nonnegative nonincreasing")
             object.__setattr__(self, "table_s", s)
             object.__setattr__(self, "table_g", g)
+            from scipy.interpolate import PchipInterpolator
+
             interp = PchipInterpolator(s, g, extrapolate=False)
             object.__setattr__(self, "_pchip", (interp, interp.derivative(),
                                                 interp.antiderivative()))
@@ -113,6 +115,8 @@ class SingularTerm:
                 return np.log(s)
             return s ** (1.0 - self.alpha) / (1.0 - self.alpha)
         if self.family == "shifted-exp":
+            from scipy.special import expi
+
             with np.errstate(over="ignore", invalid="ignore"):
                 head = s * np.expm1(1.0 / s)
                 return np.where(np.isinf(head), -np.inf, head - expi(1.0 / s))

@@ -87,31 +87,34 @@ class SolveReport:
     diagnostics: dict = dataclass_field(default_factory=dict)
 
 
-def _gradient_data(spec, u):
-    comps = spec.grid.central_differences(u)
-    mag = np.abs(comps[0]) if len(comps) == 1 else np.sqrt(sum(c**2 for c in comps))
-    return comps, mag
+def _magnitude(comps):
+    """|grad u| from its central-difference components."""
+    return np.abs(comps[0]) if len(comps) == 1 else np.sqrt(sum(c**2 for c in comps))
 
 
-def nonlinear_part(spec, u):
+def nonlinear_part(spec, u, comps=None):
     """N(u) = K g(u+eps) + |grad u|^a - lambda f(x,u) - source as an array:
-    every term of the equation but the -Laplacian."""
-    _, mag = _gradient_data(spec, u)
+    every term of the equation but the -Laplacian.  `comps`, the central
+    differences of u, are taken here unless the caller already has them."""
+    if comps is None:
+        comps = spec.grid.central_differences(u)
     n = (-spec.lam * spec.f_at(u) + spec.k_nodal() * spec.g_at(u + spec.eps)
-         + mag**spec.conv_a)
+         + _magnitude(comps)**spec.conv_a)
     if spec.source is not None:
         n = n - spec.source.values
     return n
 
 
 def _residual(spec, u):
-    """(A u, A u + N(u)) for an array u; see `residual`."""
+    """(A u, A u + N(u)) for an array u; see `residual`.  The stencils of
+    A u and of the gradient are taken together, from one padded u on an
+    interval."""
     if float(u.min()) + spec.eps <= 0.0:
         raise SingularEvaluationError(
             f"g would be evaluated at min(u)+eps = {float(u.min()) + spec.eps:.3e} <= 0"
         )
-    Au = spec.grid.apply_neg_laplacian(u)
-    return Au, Au + nonlinear_part(spec, u)
+    Au, comps = spec.grid.residual_stencils(u)
+    return Au, Au + nonlinear_part(spec, u, comps)
 
 
 def residual(spec, field):
@@ -145,7 +148,7 @@ def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol=0.0, max_iter):
             return u, sweep - 1, np.inf
         if floor is not None:
             u_new = np.maximum(u_new, floor)
-        inc = float(np.max(np.abs(u_new - u)))
+        inc = float(np.abs(u_new - u).max())
         u = u_new
         if inc < tol:
             break
@@ -157,7 +160,8 @@ def _linearization(spec, u):
     K g(u+eps) - lambda f(x,u), w_k = a |grad u|^(a-2) (D_k u) from
     |grad u|^a (0 where the gradient vanishes)."""
     diag = spec.k_nodal() * spec.dg_at(u + spec.eps) - spec.lam * spec.df_at(u)
-    comps, mag = _gradient_data(spec, u)
+    comps = spec.grid.central_differences(u)
+    mag = _magnitude(comps)
     a = spec.conv_a
     safe = np.maximum(mag, _GRAD_FLOOR)
     return diag, [np.where(mag > _GRAD_FLOOR, a * safe ** (a - 2.0) * comp, 0.0)
@@ -196,9 +200,9 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
     if spec.eps > 0:
         u = np.maximum(u, floor)
     Au, r = _residual(spec, u)
-    rnorm = float(np.max(np.abs(r)))
+    rnorm = float(np.abs(r).max())
     for it in range(1, max_iter + 1):
-        scale = max(1.0, float(np.max(np.abs(Au))))
+        scale = max(1.0, float(np.abs(Au).max()))
         if rnorm < tol * scale:
             sol = Field(spec.grid, u)
             return SolveReport(
@@ -222,7 +226,7 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
                 t *= 0.5
                 continue
             Au_new, r_new = _residual(spec, cand)
-            n_new = float(np.max(np.abs(r_new)))
+            n_new = float(np.abs(r_new).max())
             if n_new < (1.0 - 1e-4 * t) * rnorm:
                 break
             t *= 0.5

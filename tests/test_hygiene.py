@@ -9,9 +9,17 @@ Every linear solve on a grid goes through `Grid.factor` or `Grid.lu`, so
 `splu`, `dgttrf`, `dgttrs`, the Krylov solver `gmres` and the sine
 transforms `dstn` and `idstn` are called in `src/selab/grid.py` alone;
 the tests call `splu` only as a reference.
+
+A run loads only the scipy it uses: a fresh interpreter that solves an
+interval problem through the CLI holds none of the subpackages that only
+rectangles, tabulated or shifted-exp g, or the h-profile need.
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -104,3 +112,41 @@ def test_the_factorizer_scan_sees_bare_and_dotted_calls():
         "solve = lu.solve\n"
     )
     assert sorted(factorizer_calls(source)) == [("dgttrf", 4), ("splu", 3)]
+
+
+ON_DEMAND = ("scipy.fft", "scipy.special", "scipy.integrate",
+             "scipy.interpolate", "scipy.optimize")
+PROBE = """
+import json, sys
+import numpy as np
+import selab, selab.cli
+from selab.grid import build_grid
+from selab.model import SingularTerm
+
+def loaded():
+    return [m for m in %r if m in sys.modules]
+
+seen = {}
+assert selab.cli.main(["solve", "--config", "theorem1.cfg", "--out", sys.argv[1]]) == 0
+seen["interval solve"] = loaded()
+build_grid("rectangle", 1.0, 7).lu().solve(np.ones(49))
+seen["rectangle A"] = loaded()
+s = np.geomspace(1e-3, 2.0, 20)
+SingularTerm("table", table_s=s, table_g=s**-0.5)
+seen["table g"] = loaded()
+print(json.dumps(seen))
+""" % (ON_DEMAND,)
+
+
+def test_an_interval_run_loads_only_the_scipy_it_uses(tmp_path):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path)],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert seen["interval solve"] == []
+    # the probe is not vacuous: each on-demand import does load its module
+    assert "scipy.fft" in seen["rectangle A"]
+    assert "scipy.interpolate" in seen["table g"]
