@@ -46,7 +46,6 @@ from .errors import (
 from .grid import (
     Field,
     Grid,
-    apply_laplacian,
     boundary_distance,
     build_grid,
     gradient_components,
@@ -64,7 +63,6 @@ from .model import (
     SingularTerm,
     classify_singularity,
     compute_p,
-    hypothesis_probe,
     make_problem,
     parse_config,
     problem_from_config,
@@ -113,7 +111,6 @@ __all__ = [
     "SingularTerm",
     "SolveReport",
     "SweepResult",
-    "apply_laplacian",
     "boundary_distance",
     "build_grid",
     "build_h_profile",
@@ -133,7 +130,6 @@ __all__ = [
     "gradient_magnitude",
     "halving_rate",
     "hopf_collar",
-    "hypothesis_probe",
     "integrate",
     "lambda0_bound",
     "lambda_sweep",

@@ -479,12 +479,6 @@ def _check_field(grid, field):
         raise ShapeError("field length does not match grid")
 
 
-def apply_laplacian(grid, field):
-    """Return -Laplacian of the field (second-order stencil, Dirichlet 0)."""
-    _check_field(grid, field)
-    return Field(grid, grid.neg_laplacian() @ field.values)
-
-
 def gradient_components(grid, field):
     """Central-difference derivative per axis; list of plain arrays."""
     _check_field(grid, field)

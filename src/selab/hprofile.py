@@ -19,10 +19,9 @@ bound t h'(t) <= 2 h(t) (h' is nondecreasing, so h(t) >= t h'(t)/2 by
 convexity through the origin; for the power family the ratio
 t h' / (2h) is constant and equals 1/(alpha+1)).
 
-`scipy.integrate` and `scipy.interpolate` are imported where a profile
-is tabulated (the non-power branch of `build_h_profile`) or interpolated
-(`HProfile.h_at` and `dh_at` off the closed form), the only code that
-uses them, so importing selab does not load them.
+A tabulated profile is interpolated by the numpy PCHIP of `selab.model`
+and its t(h) map is a cumulative trapezoid, so no profile loads
+`scipy.interpolate` or `scipy.integrate`.
 """
 
 from __future__ import annotations
@@ -32,7 +31,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import KellerOssermanError, ModelError
-from .model import classify_singularity
+from .model import _Pchip, classify_singularity
 
 
 @dataclass
@@ -40,8 +39,8 @@ class HProfile:
     """Monotone table (t_i, h_i, h'_i) on [0, T].
 
     For the power family the exact closed forms back the evaluators and
-    the table is a sampling of them; otherwise monotone (PCHIP)
-    interpolation of the table is used.
+    the table is a sampling of them; otherwise h and h' are monotone
+    (PCHIP) interpolants of the table, each built on its first use.
     """
 
     t: np.ndarray
@@ -64,9 +63,7 @@ class HProfile:
         if self.closed_form:
             return self.coeff * t**self.exponent
         if self._h_interp is None:
-            from scipy.interpolate import PchipInterpolator
-
-            self._h_interp = PchipInterpolator(self.t, self.h)
+            self._h_interp = _Pchip(self.t, self.h)
         return self._h_interp(np.clip(t, 0.0, self.T))
 
     def dh_at(self, t):
@@ -76,10 +73,14 @@ class HProfile:
                 out = self.coeff * self.exponent * t ** (self.exponent - 1.0)
             return np.where(t == 0.0, 0.0, out)
         if self._dh_interp is None:
-            from scipy.interpolate import PchipInterpolator
-
-            self._dh_interp = PchipInterpolator(self.t, self.dh)
+            self._dh_interp = _Pchip(self.t, self.dh)
         return self._dh_interp(np.clip(t, 0.0, self.T))
+
+
+def _cumulative_trapezoid(y, x):
+    """Trapezoid integrals of y from x_0 to each x_i, starting at 0:
+    scipy's `cumulative_trapezoid(y, x, initial=0)`, bitwise."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
 def _t_grid(T, n_uniform=160, n_geometric=48):
@@ -96,7 +97,8 @@ def build_h_profile(g, T=1.0):
     primitive, then quadrature of t(h) = integral dy/sqrt(2 G(y)) and
     monotone inversion.
     Raises KellerOssermanError for non-integrable g and ModelError for
-    T <= 0 (or an indeterminate table classification).
+    T <= 0, an indeterminate table classification, or a t(h) map that is
+    not finite and strictly increasing.
     """
     if T <= 0:
         raise ModelError(f"profile domain cap T must be positive, got {T}")
@@ -124,9 +126,6 @@ def build_h_profile(g, T=1.0):
     # of t(h) and monotone inversion.  1/sqrt(2 G) is an integrable
     # power-like singularity at 0, so a geometric grid with an analytic
     # local-power first cell suffices.
-    from scipy.integrate import cumulative_trapezoid
-    from scipy.interpolate import PchipInterpolator
-
     hi = 1.0
     for _ in range(60):
         y = np.concatenate([[0.0], np.geomspace(1e-12 * hi, hi, 3000)])
@@ -137,14 +136,16 @@ def build_h_profile(g, T=1.0):
         m = np.log(G[2] / G[1]) / np.log(y[2] / y[1])
         t0 = y[1] * w[0] / (1.0 - m / 2.0)
         ty = np.concatenate(
-            [[0.0], t0 + cumulative_trapezoid(w, y[1:], initial=0.0)]
+            [[0.0], t0 + _cumulative_trapezoid(w, y[1:])]
         )
         if ty[-1] >= T:
             break
         hi *= 4.0
     else:
         raise ModelError("profile height escaped; g decays too fast")
-    inv = PchipInterpolator(ty, y)
+    # knots that are not strictly increasing (a degenerate t(h) map)
+    # raise ModelError here
+    inv = _Pchip(ty, y)
     h = inv(np.clip(t, 0.0, ty[-1]))
     dh = np.sqrt(2.0 * np.interp(h, y, G))
     dh[0] = 0.0

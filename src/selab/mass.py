@@ -6,8 +6,9 @@ once eps falls below u(first node) and would report a bounded mass for
 any grid; the per-cell piecewise-linear reconstruction keeps the
 eps-rate observable.  Its cell integrals are divided differences of the
 primitive P of g (`SingularTerm.primitive`), exact for every g family.
-`reference_mass` imports `scipy.integrate` inside its rectangle branch,
-the only quadrature here, so a run on intervals never loads it.
+The rectangle branch of `reference_mass` is selab's one use of
+`scipy.integrate` (`quad`) and imports it there, so no other run loads
+it.
 """
 
 from __future__ import annotations

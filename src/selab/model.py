@@ -3,7 +3,9 @@ and the assembled problem
 
     -Lap(u) + K(x) g(u) + |grad u|^a = lambda f(x, u),   u > 0, u|_bdry = 0.
 
-Structural hypotheses the catalog enforces or probes:
+Structural hypotheses of the paper.  Power and shifted-exp g and power f
+satisfy them; a table g is checked nonnegative and nonincreasing only, and
+a custom f is not checked:
 
   (g)  g : (0, inf) -> (0, inf) nonincreasing with g(s) -> +inf as s -> 0+;
   (f1) f(x, .) nondecreasing and s -> f(x, s)/s nonincreasing;
@@ -31,6 +33,110 @@ from .grid import Field, Grid, build_grid
 _SINGULAR_FAMILIES = ("power", "shifted-exp", "table")
 
 
+def _end_slope(h0, h1, m0, m1):
+    """Three-point one-sided slope at an end knot, clamped to keep the
+    shape (Moler, *Numerical Computing with MATLAB*, 3.6)."""
+    d = ((2 * h0 + h1) * m0 - h0 * m1) / (h0 + h1)
+    if np.sign(d) != np.sign(m0):
+        return 0.0
+    if np.sign(m0) != np.sign(m1) and abs(d) > 3.0 * abs(m0):
+        return 3.0 * m0
+    return d
+
+
+def _power_sum(c, s):
+    """sum_j c[:, j] s^(k-1-j) for the k columns of `c` (highest power
+    first), added from the lowest power up with the powers of s built by
+    repeated multiplication: PPoly's order, not Horner's."""
+    out = c[:, -1] + c[:, -2] * s
+    z = s
+    for j in range(c.shape[1] - 3, -1, -1):
+        z = z * s
+        out = out + c[:, j] * z
+    return out
+
+
+class _Pchip:
+    """Monotone piecewise-cubic Hermite interpolant of the knots (x, y).
+
+    The shape-preserving cubic of Fritsch & Carlson (SIAM J. Numer. Anal.
+    17, 1980): interior slopes are the weighted harmonic mean of the
+    neighboring secants (Fritsch & Butland, SIAM J. Sci. Stat. Comput. 5,
+    1984), 0 where the secants change sign or one is 0; end slopes are
+    three-point and clamped; two knots give the line.  Outside [x_0,
+    x_n-1] the end cubics continue.  Every step follows the arithmetic
+    of scipy's `PchipInterpolator` and `PPoly`, so the values, the
+    derivative and the antiderivative (0 at x_0) are scipy's, bitwise.
+    Knots that are not finite and strictly increasing raise ModelError.
+    """
+
+    def __init__(self, x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        if x.ndim != 1 or x.shape != y.shape or x.size < 2:
+            raise ModelError("interpolation needs matching 1d knots, at least two")
+        if not (np.all(np.isfinite(x)) and np.all(np.isfinite(y))):
+            raise ModelError("interpolation knots and values must be finite")
+        h = x[1:] - x[:-1]
+        if not np.all(h > 0):
+            raise ModelError("interpolation knots must be strictly increasing")
+        m = (y[1:] - y[:-1]) / h
+        d = np.empty_like(y)
+        if m.size == 1:
+            d[:] = m[0]
+        else:
+            sm = np.sign(m)
+            flat = (sm[1:] != sm[:-1]) | (m[1:] == 0) | (m[:-1] == 0)
+            w1 = 2 * h[1:] + h[:-1]
+            w2 = h[1:] + 2 * h[:-1]
+            with np.errstate(divide="ignore", invalid="ignore"):
+                d[1:-1] = np.where(flat, 0.0,
+                                   1.0 / ((w1 / m[:-1] + w2 / m[1:]) / (w1 + w2)))
+            d[0] = _end_slope(h[0], h[1], m[0], m[1])
+            d[-1] = _end_slope(h[-1], h[-2], m[-1], m[-2])
+        t = (d[:-1] + d[1:] - 2 * m) / h
+        self.x = x
+        self._inner = x[1:-1]
+        # one row per interval: the cubic in s = x - x_i, highest power first
+        self._c = np.stack((t / h, (m - d[:-1]) / h - t, d[:-1], y[:-1]), axis=1)
+        self._dc = self._c[:, :3] * np.array([3.0, 2.0, 1.0])
+        self._ic = None
+
+    def _eval(self, c, x):
+        x = np.asarray(x, dtype=float)
+        flat = x.reshape(-1)
+        # the interval [x_i, x_i+1) holding each point, the last one
+        # closed, the end ones continued: i counts the interior knots <= x
+        i = np.searchsorted(self._inner, flat, side="right")
+        return _power_sum(c.take(i, axis=0), flat - self.x.take(i)).reshape(x.shape)
+
+    def __call__(self, x):
+        return self._eval(self._c, x)
+
+    def derivative(self, x):
+        return self._eval(self._dc, x)
+
+    def antiderivative(self, x):
+        if self._ic is None:
+            # each interval's constant is the previous quartic at its right
+            # end, summed term by term as _power_sum does and carried
+            # forward one interval at a time (scipy's fix_continuity);
+            # built on first use
+            ic = np.zeros((self._c.shape[0], 5))
+            ic[:, :4] = self._c / np.array([4.0, 3.0, 2.0, 1.0])
+            s = (self.x[1:] - self.x[:-1])[:-1]
+            z = [s]
+            for _ in range(3):
+                z.append(z[-1] * s)
+            terms = [(ic[:-1, 3 - j] * z[j]).tolist() for j in range(4)]
+            carry = 0.0
+            for k, (t1, t2, t3, t4) in enumerate(zip(*terms), start=1):
+                carry = carry + t1 + t2 + t3 + t4
+                ic[k, 4] = carry
+            self._ic = ic
+        return self._eval(self._ic, x)
+
+
 @dataclass(frozen=True)
 class SingularTerm:
     """Nonincreasing g blowing up at 0, with a primitive P (P' = g).
@@ -43,21 +149,21 @@ class SingularTerm:
                            extended by the first/last value outside the
                            sampled range; P is the PCHIP antiderivative,
                            continued linearly outside the range.  The
-                           interpolant, its derivative and its
-                           antiderivative are built once, on construction.
+                           interpolant (`_Pchip`, numpy alone) is built
+                           once, on construction, and its antiderivative
+                           on the first call of P.
 
     The interval masses, a table's integrability probe and a table
     profile's G are differences of P: no caller picks an integration
-    method by family.  PCHIP and Ei are imported by the one family that
-    uses each, so a power g loads neither `scipy.interpolate` nor
-    `scipy.special`.
+    method by family.  Ei is imported by the shifted-exp primitive alone,
+    so only that family loads `scipy.special`.
     """
 
     family: str
     alpha: float | None = None
     table_s: np.ndarray | None = None
     table_g: np.ndarray | None = None
-    _pchip: tuple | None = dataclass_field(
+    _pchip: _Pchip | None = dataclass_field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -77,11 +183,7 @@ class SingularTerm:
                 raise ModelError("table values must be nonnegative nonincreasing")
             object.__setattr__(self, "table_s", s)
             object.__setattr__(self, "table_g", g)
-            from scipy.interpolate import PchipInterpolator
-
-            interp = PchipInterpolator(s, g, extrapolate=False)
-            object.__setattr__(self, "_pchip", (interp, interp.derivative(),
-                                                interp.antiderivative()))
+            object.__setattr__(self, "_pchip", _Pchip(s, g))
 
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
@@ -90,7 +192,7 @@ class SingularTerm:
         if self.family == "shifted-exp":
             with np.errstate(over="ignore"):
                 return np.exp(1.0 / s) - 1.0
-        return self._pchip[0](np.clip(s, self.table_s[0], self.table_s[-1]))
+        return self._pchip(np.clip(s, self.table_s[0], self.table_s[-1]))
 
     def deriv(self, s):
         s = np.asarray(s, dtype=float)
@@ -100,7 +202,7 @@ class SingularTerm:
             with np.errstate(over="ignore"):
                 return -np.exp(1.0 / s) / s**2
         inside = np.clip(s, self.table_s[0], self.table_s[-1])
-        d = self._pchip[1](inside)
+        d = self._pchip.derivative(inside)
         # flat extension outside the table
         d = np.where((s < self.table_s[0]) | (s > self.table_s[-1]), 0.0, d)
         return d
@@ -121,7 +223,7 @@ class SingularTerm:
                 head = s * np.expm1(1.0 / s)
                 return np.where(np.isinf(head), -np.inf, head - expi(1.0 / s))
         inside = np.clip(s, self.table_s[0], self.table_s[-1])
-        return self._pchip[2](inside) + self._pchip[0](inside) * (s - inside)
+        return self._pchip.antiderivative(inside) + self._pchip(inside) * (s - inside)
 
 
 _TAIL_MARGIN = 0.01
@@ -236,12 +338,6 @@ class ReactionTerm:
         # one-sided finite difference fallback
         step = 1e-7 * np.maximum(np.abs(s), 1.0)
         return (self.value(grid, s + step) - self.value(grid, s)) / step
-
-    @property
-    def f0_positive(self):
-        """Whether a power reaction has f(x, 0) > 0, i.e. p = 0 (recorded,
-        not enforced)."""
-        return self.p == 0.0
 
 
 @dataclass(frozen=True)
@@ -381,67 +477,6 @@ def compute_p(spec):
     g1 = float(spec.g_at(np.array([1.0]))[0])
     p = np.minimum(f1, -spec.k_nodal() * g1)
     return Field(grid, p), bool(np.all(p > 0))
-
-
-@dataclass
-class ProbeReport:
-    """Sampled verdicts on the structural hypotheses; `passed` is the
-    conjunction.  Limit hypotheses are trend checks, not proofs."""
-
-    f_monotone: bool
-    f_ratio_nonincreasing: bool
-    f_ratio_blows_up_at_zero: bool
-    f_ratio_vanishes_at_infinity: bool
-    g_nonincreasing: bool
-    g_blows_up_at_zero: bool
-    details: dict = dataclass_field(default_factory=dict)
-
-    @property
-    def passed(self):
-        return (
-            self.f_monotone
-            and self.f_ratio_nonincreasing
-            and self.f_ratio_blows_up_at_zero
-            and self.f_ratio_vanishes_at_infinity
-            and self.g_nonincreasing
-            and self.g_blows_up_at_zero
-        )
-
-
-def hypothesis_probe(f, g, sample_spec, s_range=(1e-6, 1e6), n_samples=61):
-    """Sample the hypotheses (f1), (f2), (g) on a log grid of s values.
-
-    `sample_spec` supplies the spatial sample nodes: a Grid or a
-    ProblemSpec (its grid is used).  A small slack (1e-10 relative)
-    absorbs rounding in the monotonicity checks.
-    """
-    grid = sample_spec.grid if isinstance(sample_spec, ProblemSpec) else sample_spec
-    s = np.geomspace(s_range[0], s_range[1], n_samples)
-    fx = np.array([f.value(grid, np.full(grid.n_total, si)) for si in s])
-    ratios = fx / s[:, None]
-    slack = 1.0 + 1e-10
-    f_monotone = bool(np.all(fx[1:] >= fx[:-1] / slack))
-    ratio_noninc = bool(np.all(ratios[1:] <= ratios[:-1] * slack))
-    mid = n_samples // 2
-    blows_up = bool(np.all(ratios[0] >= 10.0 * ratios[mid]))
-    vanishes = bool(np.all(ratios[-1] <= 0.1 * ratios[mid]))
-    gs = g(s)
-    g_noninc = bool(np.all(gs[1:] <= gs[:-1] * slack))
-    g_blows = bool(gs[0] >= 10.0 * max(gs[mid], 1e-300))
-    return ProbeReport(
-        f_monotone=f_monotone,
-        f_ratio_nonincreasing=ratio_noninc,
-        f_ratio_blows_up_at_zero=blows_up,
-        f_ratio_vanishes_at_infinity=vanishes,
-        g_nonincreasing=g_noninc,
-        g_blows_up_at_zero=g_blows,
-        details={
-            "s_range": s_range,
-            "ratio_at_smallest_s": float(ratios[0].min()),
-            "ratio_at_largest_s": float(ratios[-1].max()),
-            "f0_positive": f.f0_positive if f.family == "power" else None,
-        },
-    )
 
 
 # ---- Problem config files (flat key-value text) ----

@@ -2,14 +2,16 @@
 G(y) = integral_0^y g.  Tests check the power-family closed form against
 an independently derived constant, the tabulated branch against direct
 quadrature of t(h) = integral_0^h ds / sqrt(2 G(s)), and the growth
-bound t h' <= 2 h."""
+bound t h' <= 2 h.  scipy's PCHIP and cumulative trapezoid are the
+bitwise oracles of the tabulated branch's numpy ones."""
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
+from scipy.integrate import cumulative_trapezoid, quad
+from scipy.interpolate import PchipInterpolator
 
-from selab.errors import KellerOssermanError
-from selab.hprofile import build_h_profile, verify_h_bound
+from selab.errors import KellerOssermanError, ModelError
+from selab.hprofile import _cumulative_trapezoid, build_h_profile, verify_h_bound
 from selab.model import SingularTerm
 
 
@@ -62,6 +64,39 @@ def test_table_branch_matches_quadrature_inverse():
     for h_target in (1e-4, 1e-2, 0.3, 0.9):
         t = t_of_h(h_target)
         assert prof.h_at(t) == pytest.approx(h_target, rel=2e-3)
+
+
+@pytest.mark.parametrize("x", [
+    pytest.param(np.geomspace(1e-12, 1.0, 3000), id="geometric"),
+    pytest.param(np.cumsum(np.random.default_rng(3).uniform(0.0, 1.0, 257)),
+                 id="random"),
+    pytest.param(np.array([0.5, 2.0]), id="two-points"),
+])
+def test_cumulative_trapezoid_matches_scipy(x):
+    y = 1.0 / np.sqrt(x)
+    got = _cumulative_trapezoid(y, x)
+    want = cumulative_trapezoid(y, x, initial=0.0)
+    assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("alpha", [0.35, 0.5])
+def test_table_profile_interpolates_like_scipy(alpha):
+    s = np.geomspace(1e-8, 10.0, 400)
+    prof = build_h_profile(SingularTerm("table", table_s=s, table_g=s**-alpha))
+    t = np.concatenate([prof.t, np.geomspace(1e-12, 2.0 * prof.T, 301), [-1.0]])
+    inside = np.clip(t, 0.0, prof.T)
+    for got, knots in ((prof.h_at(t), prof.h), (prof.dh_at(t), prof.dh)):
+        want = PchipInterpolator(prof.t, knots)(inside)
+        assert got.tobytes() == want.tobytes()
+
+
+def test_degenerate_t_map_is_a_model_error():
+    # 2 G overflows once h passes 0.9, so 1/sqrt(2 G) is 0 there and the
+    # t(h) knots stop increasing
+    s = np.geomspace(1e-8, 10.0, 50)
+    g = SingularTerm("table", table_s=s, table_g=np.full(50, 1e308))
+    with np.errstate(over="ignore"), pytest.raises(ModelError, match="increasing"):
+        build_h_profile(g, T=1e-160)
 
 
 def test_profile_monotone_from_zero():

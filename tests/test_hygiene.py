@@ -11,8 +11,10 @@ transforms `dstn` and `idstn` are called in `src/selab/grid.py` alone;
 the tests call `splu` only as a reference.
 
 A run loads only the scipy it uses: a fresh interpreter that solves an
-interval problem through the CLI holds none of the subpackages that only
-rectangles, tabulated or shifted-exp g, or the h-profile need.
+interval problem through the CLI, then builds, classifies and integrates
+a tabulated g and its h-profile, holds none of the subpackages that only
+rectangles or shifted-exp g need.  Each module of the package imports
+only the scipy names on its allowlist.
 """
 
 import ast
@@ -114,14 +116,56 @@ def test_the_factorizer_scan_sees_bare_and_dotted_calls():
     assert sorted(factorizer_calls(source)) == [("dgttrf", 4), ("splu", 3)]
 
 
+SCIPY_ALLOWED = {
+    "grid.py": {"sparse", "sparse.linalg.splu", "linalg.lapack.dgttrf",
+                "linalg.lapack.dgttrs", "fft.dstn", "fft.idstn"},
+    "model.py": {"special.expi"},
+    "mass.py": {"integrate.quad"},
+}
+
+
+def scipy_imports(source):
+    """What a module imports from scipy: `module` for `import scipy.module`
+    and `module.name` for `from scipy.module import name`, nested ones too."""
+    found = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found |= {alias.name.removeprefix("scipy.") for alias in node.names
+                      if alias.name.split(".")[0] == "scipy"}
+        elif (isinstance(node, ast.ImportFrom) and node.module
+              and node.module.split(".")[0] == "scipy"):
+            module = node.module.removeprefix("scipy").lstrip(".")
+            found |= {f"{module}.{alias.name}".lstrip(".") for alias in node.names}
+    return found
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/selab").rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_each_module_imports_only_its_allowed_scipy(path):
+    assert scipy_imports(path.read_text()) == SCIPY_ALLOWED.get(path.name, set())
+
+
+def test_the_scipy_scan_sees_plain_from_and_nested_imports():
+    source = (
+        "import scipy.sparse as sp\n"
+        "import numpy, scipy\n"
+        "from scipy import linalg\n"
+        "def f():\n"
+        "    from scipy.interpolate import PchipInterpolator\n"
+    )
+    assert scipy_imports(source) == {"sparse", "scipy", "linalg",
+                                     "interpolate.PchipInterpolator"}
+
+
 ON_DEMAND = ("scipy.fft", "scipy.special", "scipy.integrate",
-             "scipy.interpolate", "scipy.optimize")
+             "scipy.interpolate", "scipy.optimize", "scipy.spatial")
 PROBE = """
 import json, sys
 import numpy as np
 import selab, selab.cli
 from selab.grid import build_grid
-from selab.model import SingularTerm
+from selab.hprofile import build_h_profile
+from selab.model import SingularTerm, classify_singularity
 
 def loaded():
     return [m for m in %r if m in sys.modules]
@@ -129,11 +173,21 @@ def loaded():
 seen = {}
 assert selab.cli.main(["solve", "--config", "theorem1.cfg", "--out", sys.argv[1]]) == 0
 seen["interval solve"] = loaded()
+s = np.geomspace(1e-8, 10.0, 400)
+g = SingularTerm("table", table_s=s, table_g=s**-0.4)
+seen["table g"] = loaded()
+assert classify_singularity(g) == "integrable"
+seen["table classify"] = loaded()
+g.primitive(np.geomspace(1e-9, 20.0, 50))
+seen["table primitive"] = loaded()
+profile = build_h_profile(g)
+profile.h_at(np.linspace(0.0, 1.0, 9))
+profile.dh_at(np.linspace(0.0, 1.0, 9))
+seen["table profile"] = loaded()
+SingularTerm("shifted-exp").primitive(np.array([0.5, 1.0]))
+seen["shifted-exp primitive"] = loaded()
 build_grid("rectangle", 1.0, 7).lu().solve(np.ones(49))
 seen["rectangle A"] = loaded()
-s = np.geomspace(1e-3, 2.0, 20)
-SingularTerm("table", table_s=s, table_g=s**-0.5)
-seen["table g"] = loaded()
 print(json.dumps(seen))
 """ % (ON_DEMAND,)
 
@@ -146,7 +200,9 @@ def test_an_interval_run_loads_only_the_scipy_it_uses(tmp_path):
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
     seen = json.loads(proc.stdout.strip().splitlines()[-1])
-    assert seen["interval solve"] == []
+    for step in ("interval solve", "table g", "table classify",
+                 "table primitive", "table profile"):
+        assert seen[step] == [], step
     # the probe is not vacuous: each on-demand import does load its module
+    assert seen["shifted-exp primitive"] == ["scipy.special"]
     assert "scipy.fft" in seen["rectangle A"]
-    assert "scipy.interpolate" in seen["table g"]

@@ -2,12 +2,12 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-import scipy.interpolate
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 from scipy.interpolate import PchipInterpolator
 
+import selab.model
 from selab.errors import ConfigError, ModelError, RegimeError
 from selab.grid import build_grid
 from selab.model import (
@@ -17,7 +17,6 @@ from selab.model import (
     SingularTerm,
     classify_singularity,
     compute_p,
-    hypothesis_probe,
     make_problem,
     parse_config,
     problem_from_config,
@@ -77,17 +76,100 @@ def test_table_g_builds_its_pchip_once(monkeypatch):
     expect = fresh(inside)
     expect_d = np.where((x < s[0]) | (x > s[-1]), 0.0,
                         fresh.derivative()(inside))
+    expect_p = fresh.antiderivative()(inside) + expect * (x - inside)
     np.testing.assert_array_equal(g(x), expect)
     np.testing.assert_array_equal(g.deriv(x), expect_d)
 
     def rebuilt(*args, **kwargs):
         raise AssertionError("table g rebuilt its PCHIP on a call")
 
-    # SingularTerm imports PCHIP where it builds one, so a rebuild would
-    # read the patched name off scipy.interpolate
-    monkeypatch.setattr(scipy.interpolate, "PchipInterpolator", rebuilt)
+    # a rebuild on a call would go through the module's _Pchip
+    monkeypatch.setattr(selab.model, "_Pchip", rebuilt)
     np.testing.assert_array_equal(g(x), expect)
     np.testing.assert_array_equal(g.deriv(x), expect_d)
+    np.testing.assert_array_equal(g.primitive(x), expect_p)
+
+
+# ---- the numpy PCHIP against scipy's, bit for bit ----
+
+
+def assert_bitwise(got, want):
+    got, want = np.asarray(got), np.asarray(want)
+    assert got.shape == want.shape and got.dtype == want.dtype
+    assert got.tobytes() == want.tobytes()
+
+
+def assert_pchip_matches_scipy(x, y, at):
+    ours = selab.model._Pchip(x, y)
+    ref = PchipInterpolator(x, y)
+    assert_bitwise(ours(at), ref(at))
+    assert_bitwise(ours.derivative(at), ref.derivative()(at))
+    assert_bitwise(ours.antiderivative(at), ref.antiderivative()(at))
+
+
+def probe_points(x, rng):
+    """The knots, both ends and beyond, and random points between."""
+    span = x[-1] - x[0]
+    return np.concatenate([x, [x[0], x[-1], x[0] - 0.1 * span,
+                               x[-1] + 0.1 * span],
+                           rng.uniform(x[0], x[-1], 200)])
+
+
+@pytest.mark.parametrize("alpha", [0.35, 0.5, 1.0, 1.5])
+def test_pchip_matches_scipy_on_a_geometric_power_table(alpha):
+    s = np.geomspace(1e-8, 10.0, 400)
+    at = np.concatenate([probe_points(s, np.random.default_rng(1)),
+                         np.geomspace(1e-9, 20.0, 301)])
+    assert_pchip_matches_scipy(s, s**-alpha, at)
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_pchip_matches_scipy_on_nonincreasing_tables_with_flat_runs(seed):
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(4, 120))
+    x = np.cumsum(rng.uniform(1e-3, 1.0, n))
+    y = np.sort(rng.uniform(0.0, 5.0, n))[::-1].copy()
+    for start in rng.integers(0, n - 2, 3):
+        y[start:start + 3] = y[start]      # a flat run of three knots
+    assert np.any(np.diff(y) == 0)
+    assert_pchip_matches_scipy(x, y, probe_points(x, rng))
+
+
+@pytest.mark.parametrize("x,y", [
+    pytest.param([0.5, 2.0], [3.0, 1.0], id="two-knots"),
+    pytest.param([0.5, 0.75, 2.0], [3.0, 2.5, 1.0], id="three-knots"),
+    pytest.param([0.5, 0.75, 2.0], [3.0, 3.0, 1.0], id="three-knots-flat"),
+    pytest.param([0.1, 0.2, 5.0], [9.0, 1.0, 0.9], id="three-knots-steep"),
+    # the end slopes' two clamps: to 0 against the end secant, and to 3
+    # times it where the secants change sign
+    pytest.param([0.0, 1.0, 1.1], [0.0, 1.0, 3.0], id="end-slope-zero"),
+    pytest.param([0.0, 1.0, 1.1], [0.0, 1.0, -5.0], id="end-slope-three"),
+])
+def test_pchip_matches_scipy_on_short_tables(x, y):
+    x, y = np.array(x), np.array(y)
+    assert_pchip_matches_scipy(x, y, probe_points(x, np.random.default_rng(2)))
+
+
+def test_pchip_keeps_the_shape_of_its_input():
+    x = np.geomspace(1e-3, 2.0, 30)
+    ours, ref = selab.model._Pchip(x, x**-0.5), PchipInterpolator(x, x**-0.5)
+    for at in (np.float64(0.3), np.array(x[7]), np.array([[0.01, 0.5], [1.0, 2.0]])):
+        assert_bitwise(ours(at), ref(at))
+        assert_bitwise(ours.derivative(at), ref.derivative()(at))
+        assert_bitwise(ours.antiderivative(at), ref.antiderivative()(at))
+
+
+@pytest.mark.parametrize("x,y", [
+    pytest.param([0.1, 0.2, 0.2, 0.4], [4.0, 3.0, 2.0, 1.0], id="repeated-knot"),
+    pytest.param([0.1, 0.3, 0.2], [3.0, 2.0, 1.0], id="decreasing-knots"),
+    pytest.param([0.1, np.nan, 0.4], [3.0, 2.0, 1.0], id="nan-knot"),
+    pytest.param([0.1, 0.2, np.inf], [3.0, 2.0, 1.0], id="inf-knot"),
+    pytest.param([0.1, 0.2, 0.4], [3.0, np.inf, 1.0], id="inf-value"),
+    pytest.param([0.1], [3.0], id="one-knot"),
+])
+def test_pchip_rejects_bad_knots_with_a_model_error(x, y):
+    with pytest.raises(ModelError):
+        selab.model._Pchip(np.array(x), np.array(y))
 
 
 @pytest.mark.parametrize(
@@ -289,29 +371,6 @@ def test_compute_p_takes_the_smaller_branch():
     p, positive = compute_p(spec)
     assert positive
     np.testing.assert_allclose(p.values, 0.25)  # -K g(1) < lambda f(1)
-
-
-def test_hypothesis_probe_passes_canonical():
-    g = build_grid("interval", (1.0,), 9)
-    rep = hypothesis_probe(f_power(0.5), g_power(0.5), g)
-    assert rep.passed
-
-
-def test_hypothesis_probe_flags_superlinear_surrogate():
-    g = build_grid("interval", (1.0,), 9)
-    f = ReactionTerm("custom", fn=lambda x, s: s**2, dfn=lambda x, s: 2 * s)
-    rep = hypothesis_probe(f, g_power(0.5), g)
-    assert not rep.passed
-    assert not rep.f_ratio_nonincreasing
-
-
-def test_hypothesis_probe_flags_bounded_g():
-    g = build_grid("interval", (1.0,), 9)
-    s = np.geomspace(1e-8, 10.0, 50)
-    flat = SingularTerm("table", table_s=s, table_g=np.full(50, 2.0))
-    rep = hypothesis_probe(f_power(0.5), flat, g)
-    assert rep.g_nonincreasing
-    assert not rep.g_blows_up_at_zero
 
 
 # ---- config files ----
