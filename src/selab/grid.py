@@ -46,10 +46,14 @@ rerun on every call.
 A rectangle Newton Jacobian is not factored on every iteration.  A
 `LaggedFactor`, carried by the Newton solve and never by the grid, keeps
 the last exact Jacobian factor; GMRES preconditioned by it solves the
-next Jacobians to 1e-12 relative, and the Jacobian is factored afresh,
-becoming the new lagged factor, only when GMRES would need more than 12
-iterations.  The monotone sweep's A + diag(D), solved many times, stays
-exact, and so does every interval matrix.
+next Jacobians to the tolerance the Newton step asks for (its forcing
+term, see `solver.newton_solve`; never below 1e-12 relative), and the
+Jacobian is factored afresh, becoming the new lagged factor, only when
+GMRES would need more than 12 iterations.  The monotone sweep's
+A + diag(D), solved many times, stays exact, and so does every interval
+matrix.  A `LaggedFactor` counts the exact factorizations and GMRES
+iterations it spends, and an interval Jacobian factored for it counts
+as one factorization, so the counts mean the same on both kinds.
 """
 
 from __future__ import annotations
@@ -64,8 +68,9 @@ from scipy.sparse.linalg import splu
 from .errors import GridError, ShapeError
 
 _KINDS = ("interval", "rectangle")
-# GMRES on a lagged Jacobian factor must reach this relative residual
-# within this many iterations, or the Jacobian is factored afresh
+# GMRES on a lagged Jacobian factor must reach its target within this
+# many iterations, or the Jacobian is factored afresh; no target is
+# tighter than this relative residual
 _KRYLOV_RTOL = 1e-12
 _KRYLOV_CAP = 12
 
@@ -270,7 +275,8 @@ class Grid:
         not factored here: each solve runs GMRES preconditioned by the
         lagged factor, and factors the matrix only when GMRES falls short
         (see `LaggedFactor.solve`), raising RuntimeError then if it is
-        singular.  Intervals ignore `lagged`."""
+        singular.  An interval matrix is factored as ever and counted in
+        `lagged.factorizations`."""
         if self._pattern is None:
             self._pattern = self._factor_pattern()
         if self.dim == 1:
@@ -284,6 +290,8 @@ class Grid:
             *lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
             if info > 0:
                 raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
+            if lagged is not None:
+                lagged.factorizations += 1
             return Factor(lambda rhs: dgttrs(*lu, rhs)[0])
         csc, order, diag_pos, entries = self._pattern
         data = csc.data.copy()
@@ -293,7 +301,8 @@ class Grid:
         _require_finite(data, "matrix")
         matrix = sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape)
         if lagged is not None:
-            return Factor(lambda rhs: lagged.solve(matrix, rhs), order)
+            return Factor(lambda rhs, rtol, atol: lagged.solve(matrix, rhs, rtol, atol),
+                          order, inexact=True)
         return Factor(splu(matrix, permc_spec="NATURAL").solve, order)
 
     def _factor_pattern(self):
@@ -340,19 +349,26 @@ class Factor:
     sine transforms for A on a rectangle).  Where the factors live in
     the grid's minimum-degree `order` (a Newton Jacobian or the monotone
     sweep's matrix on a rectangle), `order[i]` is the node at row and
-    column i; otherwise `order` is None."""
+    column i; otherwise `order` is None.  An `inexact` factor's solve
+    callable takes the tolerances of `solve` after the right-hand side;
+    an exact one takes the right-hand side alone."""
 
-    def __init__(self, solve, order=None):
+    def __init__(self, solve, order=None, inexact=False):
         self._solve = solve
         self.order = order
+        self._inexact = inexact
 
-    def solve(self, rhs):
-        """M^-1 rhs in node order; a non-finite rhs raises ValueError."""
+    def solve(self, rhs, rtol=_KRYLOV_RTOL, atol=0.0):
+        """M^-1 rhs in node order; a non-finite rhs raises ValueError.
+        Through GMRES, x is returned once |rhs - M x| <= max(rtol |rhs|,
+        atol) in 2-norm (rtol no tighter than 1e-12); an exact factor
+        ignores both tolerances."""
         _require_finite(rhs, "right-hand side")
+        tolerances = (rtol, atol) if self._inexact else ()
         if self.order is None:
-            return self._solve(rhs)
+            return self._solve(rhs, *tolerances)
         x = np.empty_like(rhs)
-        x[self.order] = self._solve(rhs[self.order])
+        x[self.order] = self._solve(rhs[self.order], *tolerances)
         return x
 
 
@@ -362,36 +378,44 @@ class LaggedFactor:
     J. Comput. Phys. 193, 2004, on frozen preconditioners).  A Newton
     solve carries one from step to step, and a continuation from stage
     to stage; the grid never holds one, so a solve does not depend on
-    what ran on its grid before.  It keeps at most one factor alive."""
+    what ran on its grid before.  It keeps at most one factor alive.
+    `factorizations` and `krylov_iterations` count the exact factors
+    made for it and the GMRES iterations run on it."""
 
     def __init__(self):
         self._superlu = None
+        self.factorizations = 0
+        self.krylov_iterations = 0
 
-    def solve(self, matrix, rhs):
+    def solve(self, matrix, rhs, rtol, atol):
         """matrix^-1 rhs for a matrix stored like `Grid.factor`'s: GMRES
-        on the lagged factor while it reaches _KRYLOV_RTOL, otherwise an
-        exact factor of `matrix`, which becomes the lagged one."""
+        on the lagged factor while it reaches max(rtol |rhs|, atol),
+        otherwise an exact factor of `matrix`, which becomes the lagged
+        one."""
         if self._superlu is not None:
-            x = gmres(matrix, self._superlu.solve, rhs)
+            x, iterations = gmres(matrix, self._superlu.solve, rhs, rtol, atol)
+            self.krylov_iterations += iterations
             if x is not None:
                 return x
             self._superlu = None  # drop the stale factor before the new one
         self._superlu = splu(matrix, permc_spec="NATURAL")
+        self.factorizations += 1
         return self._superlu.solve(rhs)
 
 
-def gmres(matrix, precondition, rhs):
-    """x with |rhs - matrix x| <= _KRYLOV_RTOL |rhs| in 2-norm, by GMRES
-    from x = 0 right-preconditioned by `precondition` (an approximate
+def gmres(matrix, precondition, rhs, rtol, atol):
+    """(x, iterations) with |rhs - matrix x| <= max(rtol |rhs|, atol) in
+    2-norm, rtol raised to _KRYLOV_RTOL if it is below, by GMRES from
+    x = 0 right-preconditioned by `precondition` (an approximate
     matrix^-1), so the residual it minimizes is the true one (Saad &
     Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Gram-Schmidt twice,
-    Givens rotations).  None when _KRYLOV_CAP iterations do not reach the
-    target, or once the last iteration's rate of decrease, kept up over
-    the iterations left, would not."""
+    Givens rotations).  x is None when _KRYLOV_CAP iterations do not
+    reach the target, or once the last iteration's rate of decrease,
+    kept up over the iterations left, would not."""
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
-        return np.zeros_like(rhs)
-    target = _KRYLOV_RTOL * norm
+        return np.zeros_like(rhs), 0
+    target = max(max(rtol, _KRYLOV_RTOL) * norm, atol)
     basis = np.zeros((_KRYLOV_CAP + 1, rhs.size))
     basis[0] = rhs / norm
     hess = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
@@ -413,7 +437,7 @@ def gmres(matrix, precondition, rhs):
                                           c * hess[i + 1, k] - s * hess[i, k])
         r = np.hypot(hess[k, k], hess[k + 1, k])
         if r == 0.0:  # matrix times the preconditioner is singular
-            return None
+            return None, k + 1
         c, s = hess[k, k] / r, hess[k + 1, k] / r
         rotations.append((c, s))
         hess[k, k] = r
@@ -423,10 +447,10 @@ def gmres(matrix, precondition, rhs):
         rho = abs(g[k + 1])
         if rho <= target:
             y = np.linalg.solve(np.triu(hess[:k + 1, :k + 1]), g[:k + 1])
-            return precondition(y @ basis[:k + 1])
+            return precondition(y @ basis[:k + 1]), k + 1
         if k > 0 and rho * abs(s) ** (_KRYLOV_CAP - 1 - k) > target:
-            return None
-    return None
+            return None, k + 1
+    return None, _KRYLOV_CAP
 
 
 def _require_finite(values, what):
@@ -513,13 +537,17 @@ def integrate(grid, field):
 # ---- Field snapshots (CSV, row-major, header x[,y],value) ----
 
 def write_field_csv(field, path):
+    """One row per node, its coordinates and value each written as the
+    repr of the float (the shortest text that reads back to it).  Rows
+    are built from plain-float columns and written 1024 at a time, which
+    is as fast as one write and holds a tenth of the text."""
     grid = field.grid
-    cols = [grid.coords()[:, i] for i in range(grid.dim)]
-    header = ("x,value" if grid.dim == 1 else "x,y,value") + "\n"
+    columns = [grid.coords()[:, i] for i in range(grid.dim)] + [field.values]
     with open(path, "w") as fh:
-        fh.write(header)
-        for row in zip(*cols, field.values):
-            fh.write(",".join(repr(float(v)) for v in row) + "\n")
+        fh.write(("x,value" if grid.dim == 1 else "x,y,value") + "\n")
+        for start in range(0, grid.n_total, 1024):
+            rows = zip(*(map(repr, c[start:start + 1024].tolist()) for c in columns))
+            fh.write("\n".join(map(",".join, rows)) + "\n")
 
 
 def read_field_csv(grid, path):

@@ -64,7 +64,7 @@ class HProfile:
             return self.coeff * t**self.exponent
         if self._h_interp is None:
             self._h_interp = _Pchip(self.t, self.h)
-        return self._h_interp(np.clip(t, 0.0, self.T))
+        return self._h_interp(np.minimum(np.maximum(t, 0.0), self.T))
 
     def dh_at(self, t):
         t = np.asarray(t, dtype=float)
@@ -74,7 +74,7 @@ class HProfile:
             return np.where(t == 0.0, 0.0, out)
         if self._dh_interp is None:
             self._dh_interp = _Pchip(self.t, self.dh)
-        return self._dh_interp(np.clip(t, 0.0, self.T))
+        return self._dh_interp(np.minimum(np.maximum(t, 0.0), self.T))
 
 
 def _cumulative_trapezoid(y, x):
@@ -97,8 +97,9 @@ def build_h_profile(g, T=1.0):
     primitive, then quadrature of t(h) = integral dy/sqrt(2 G(y)) and
     monotone inversion.
     Raises KellerOssermanError for non-integrable g and ModelError for
-    T <= 0, an indeterminate table classification, or a t(h) map that is
-    not finite and strictly increasing.
+    T <= 0, an indeterminate table classification, a primitive G whose
+    double is not finite, or a t(h) map that is not finite and strictly
+    increasing.
     """
     if T <= 0:
         raise ModelError(f"profile domain cap T must be positive, got {T}")
@@ -130,6 +131,11 @@ def build_h_profile(g, T=1.0):
     for _ in range(60):
         y = np.concatenate([[0.0], np.geomspace(1e-12 * hi, hi, 3000)])
         G = g.primitive(y) - g.primitive(0.0)
+        # 2 G must stay finite (a NaN fails this test as well)
+        if not np.all(np.abs(G) <= 0.5 * np.finfo(float).max):
+            raise ModelError(
+                f"the primitive G of g leaves the float range on [0, {hi:g}]: "
+                "2 G is not finite")
         with np.errstate(divide="ignore"):
             w = 1.0 / np.sqrt(2.0 * G[1:])
         # local power G ~ G_1 (y/y_1)^m on the first cell, m < 2
@@ -146,7 +152,7 @@ def build_h_profile(g, T=1.0):
     # knots that are not strictly increasing (a degenerate t(h) map)
     # raise ModelError here
     inv = _Pchip(ty, y)
-    h = inv(np.clip(t, 0.0, ty[-1]))
+    h = inv(np.minimum(np.maximum(t, 0.0), ty[-1]))
     dh = np.sqrt(2.0 * np.interp(h, y, G))
     dh[0] = 0.0
     return HProfile(t=t, h=h, dh=dh, T=float(T))

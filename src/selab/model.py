@@ -117,24 +117,27 @@ class _Pchip:
         return self._eval(self._dc, x)
 
     def antiderivative(self, x):
-        if self._ic is None:
-            # each interval's constant is the previous quartic at its right
-            # end, summed term by term as _power_sum does and carried
-            # forward one interval at a time (scipy's fix_continuity);
-            # built on first use
-            ic = np.zeros((self._c.shape[0], 5))
-            ic[:, :4] = self._c / np.array([4.0, 3.0, 2.0, 1.0])
-            s = (self.x[1:] - self.x[:-1])[:-1]
-            z = [s]
-            for _ in range(3):
-                z.append(z[-1] * s)
-            terms = [(ic[:-1, 3 - j] * z[j]).tolist() for j in range(4)]
-            carry = 0.0
-            for k, (t1, t2, t3, t4) in enumerate(zip(*terms), start=1):
-                carry = carry + t1 + t2 + t3 + t4
-                ic[k, 4] = carry
-            self._ic = ic
-        return self._eval(self._ic, x)
+        # where the integral leaves the float range it is inf, silently,
+        # as scipy's is
+        with np.errstate(over="ignore"):
+            if self._ic is None:
+                # each interval's constant is the previous quartic at its
+                # right end, summed term by term as _power_sum does and
+                # carried forward one interval at a time (scipy's
+                # fix_continuity); built on first use
+                ic = np.zeros((self._c.shape[0], 5))
+                ic[:, :4] = self._c / np.array([4.0, 3.0, 2.0, 1.0])
+                s = (self.x[1:] - self.x[:-1])[:-1]
+                z = [s]
+                for _ in range(3):
+                    z.append(z[-1] * s)
+                terms = [(ic[:-1, 3 - j] * z[j]).tolist() for j in range(4)]
+                carry = 0.0
+                for k, (t1, t2, t3, t4) in enumerate(zip(*terms), start=1):
+                    carry = carry + t1 + t2 + t3 + t4
+                    ic[k, 4] = carry
+                self._ic = ic
+            return self._eval(self._ic, x)
 
 
 @dataclass(frozen=True)
@@ -185,6 +188,11 @@ class SingularTerm:
             object.__setattr__(self, "table_g", g)
             object.__setattr__(self, "_pchip", _Pchip(s, g))
 
+    def _in_table(self, s):
+        """s clamped to the table's range (np.clip's values, at half
+        its cost)."""
+        return np.minimum(np.maximum(s, self.table_s[0]), self.table_s[-1])
+
     def __call__(self, s):
         s = np.asarray(s, dtype=float)
         if self.family == "power":
@@ -192,7 +200,7 @@ class SingularTerm:
         if self.family == "shifted-exp":
             with np.errstate(over="ignore"):
                 return np.exp(1.0 / s) - 1.0
-        return self._pchip(np.clip(s, self.table_s[0], self.table_s[-1]))
+        return self._pchip(self._in_table(s))
 
     def deriv(self, s):
         s = np.asarray(s, dtype=float)
@@ -201,7 +209,7 @@ class SingularTerm:
         if self.family == "shifted-exp":
             with np.errstate(over="ignore"):
                 return -np.exp(1.0 / s) / s**2
-        inside = np.clip(s, self.table_s[0], self.table_s[-1])
+        inside = self._in_table(s)
         d = self._pchip.derivative(inside)
         # flat extension outside the table
         d = np.where((s < self.table_s[0]) | (s > self.table_s[-1]), 0.0, d)
@@ -222,7 +230,7 @@ class SingularTerm:
             with np.errstate(over="ignore", invalid="ignore"):
                 head = s * np.expm1(1.0 / s)
                 return np.where(np.isinf(head), -np.inf, head - expi(1.0 / s))
-        inside = np.clip(s, self.table_s[0], self.table_s[-1])
+        inside = self._in_table(s)
         return self._pchip.antiderivative(inside) + self._pchip(inside) * (s - inside)
 
 

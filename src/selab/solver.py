@@ -23,6 +23,10 @@ Three layers:
   the last exact Jacobian factor, and `splu` factors it without
   reordering only when GMRES falls short (Newton-Krylov with a lagged factor, see
   `grid.LaggedFactor`).  One lagged factor serves a whole continuation.
+  GMRES solves each step only as far as Newton's progress calls for: an
+  inexact Newton method (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
+  Anal. 19, 1982) whose forcing terms follow the residual's observed
+  decrease (Eisenstat & Walker, SIAM J. Sci. Comput. 17, 1996).
   Backtracking line search on the residual sup-norm, steps clipped so
   u stays >= 0.01 eps while eps > 0, and at most 8 trial steps per
   iteration before a stagnating solve gives up (see `newton_solve`).
@@ -71,6 +75,9 @@ _GRAD_FLOOR = 1e-14
 # line-search trial steps per Newton iteration, t = 1, 1/2, ..., 2^-7;
 # the reason for 8 is in `newton_solve`
 _TRIAL_STEPS = 8
+# the loosest relative residual a Newton step's GMRES solve may stop at
+# (the first step's forcing term); see `newton_solve`
+_FORCING_MAX = 1e-4
 
 
 @dataclass
@@ -190,7 +197,14 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
     On a rectangle each step's Jacobian is solved by GMRES on the last
     exact Jacobian factor, `lagged`, and factored afresh only when GMRES
     falls short (see `grid.LaggedFactor`); a continuation passes one
-    along its stages, and by default each solve starts its own.
+    along its stages, and by default each solve starts its own.  GMRES
+    stops at the relative residual eta_k (the forcing term) or at a
+    tenth of the stopping target, 0.1 tol max(1, |A u|_inf), whichever
+    is looser: eta_0 = 1e-4, then eta_k = min(1e-4, 0.9 (|r_k|_inf /
+    |r_k-1|_inf)^2), Eisenstat & Walker's choice 2 with gamma = 0.9 and
+    alpha = 2, never below 1e-12.  Their usual cap of 0.1 in place of
+    1e-4 adds Newton steps on rectangles and saves no time.  Interval
+    Jacobians are factored exactly, and ignore both targets.
     """
     if lagged is None:
         lagged = LaggedFactor()
@@ -201,6 +215,7 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
         u = np.maximum(u, floor)
     Au, r = _residual(spec, u)
     rnorm = float(np.abs(r).max())
+    forcing = _FORCING_MAX
     for it in range(1, max_iter + 1):
         scale = max(1.0, float(np.abs(Au).max()))
         if rnorm < tol * scale:
@@ -211,7 +226,8 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
                 min_interior=float(u.min()), diagnostics={"method": "newton"},
             )
         try:
-            step = spec.grid.factor(*_linearization(spec, u), lagged).solve(-r)
+            step = spec.grid.factor(*_linearization(spec, u), lagged).solve(
+                -r, forcing, 0.1 * tol * scale)
         except (RuntimeError, ValueError) as exc:  # see Grid.factor
             raise ConvergenceError(
                 f"Jacobian factorization failed: {exc}",
@@ -234,6 +250,7 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
             raise ConvergenceError(
                 "Newton line search stagnated", residual=rnorm, iterations=it
             )
+        forcing = min(_FORCING_MAX, 0.9 * (n_new / rnorm) ** 2)
         u, Au, r, rnorm = cand, Au_new, r_new, n_new
     raise ConvergenceError(
         "Newton did not converge", residual=rnorm, iterations=max_iter
@@ -371,7 +388,10 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     initial iterate, when the first stage already failed.
 
     One `grid.LaggedFactor` serves every Newton solve of the call, each
-    stage's warm, Picard and envelope attempts alike.
+    stage's warm, Picard and envelope attempts alike.  Each entry of
+    diagnostics["stages"] counts, over all of its stage's attempts, the
+    exact Jacobian factorizations ("factorizations") and the GMRES
+    iterations ("krylov_iterations") the stage spent.
     """
     if schedule is None:
         schedule = default_schedule()
@@ -429,6 +449,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
         stage = spec.with_eps(eps)
         report = None
         picard_u = None
+        spent = (lagged.factorizations, lagged.krylov_iterations)
         for kind, attempt in stage_initials(stage, u):
             if kind == "picard":
                 picard_u = attempt
@@ -465,6 +486,8 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
             "min": float(u.min()),
             "max": float(u.max()),
             "iterations": report.iterations,
+            "factorizations": lagged.factorizations - spent[0],
+            "krylov_iterations": lagged.krylov_iterations - spent[1],
         }
         if positive_regime:
             stage["mass"] = mass_integral(spec.singular, report.solution, eps)

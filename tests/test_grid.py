@@ -209,6 +209,26 @@ def test_field_csv_round_trip(tmp_path):
     np.testing.assert_array_equal(back.values, u.values)
 
 
+@pytest.mark.parametrize("kind,extents,n", [
+    ("interval", (1.0,), 255), ("interval", (1.0,), 1024),
+    ("interval", (1.0,), 2049), ("rectangle", (1.0, 1.3), (23, 19)),
+    ("rectangle", (1.0, 1.3), (47, 45))])
+def test_field_csv_bytes_are_those_of_one_repr_per_value(kind, extents, n, tmp_path):
+    # the file is what writing each row's repr(float(v)) gives, byte for
+    # byte, on values of every magnitude and sign, in one block of rows
+    # or several, the last one full or not
+    g = build_grid(kind, extents, n)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal(g.n_total) * 10.0 ** rng.integers(-300, 300, g.n_total)
+    values[:4] = (0.0, -0.0, 1e-320, 0.1)
+    path = tmp_path / "f.csv"
+    write_field_csv(Field(g, values), path)
+    cols = [g.coords()[:, i] for i in range(g.dim)]
+    want = ("x,value" if g.dim == 1 else "x,y,value") + "\n" + "".join(
+        ",".join(repr(float(v)) for v in row) + "\n" for row in zip(*cols, values))
+    assert path.read_bytes() == want.encode()
+
+
 def test_field_csv_rejects_wrong_grid(tmp_path):
     g = build_grid("interval", (1.0,), 9)
     path = tmp_path / "f.csv"

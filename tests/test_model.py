@@ -70,7 +70,11 @@ def test_table_g_validation():
 def test_table_g_builds_its_pchip_once(monkeypatch):
     s = np.geomspace(1e-3, 2.0, 40)
     g = SingularTerm("table", table_s=s, table_g=s**-0.5)
-    x = np.concatenate([np.geomspace(1e-3, 2.0, 97), [1e-4, 3.0]])
+    # below, at and just beside both table ends, and beyond them
+    ends = [s[0], s[-1], np.nextafter(s[0], 0.0), np.nextafter(s[0], 1.0),
+            np.nextafter(s[-1], 0.0), np.nextafter(s[-1], 3.0)]
+    x = np.concatenate([np.geomspace(1e-3, 2.0, 97), [1e-4, 3.0], ends])
+    # the table's clamp is np.clip's, bit for bit
     inside = np.clip(x, s[0], s[-1])
     fresh = PchipInterpolator(s, s**-0.5, extrapolate=False)
     expect = fresh(inside)
@@ -157,6 +161,17 @@ def test_pchip_keeps_the_shape_of_its_input():
         assert_bitwise(ours(at), ref(at))
         assert_bitwise(ours.derivative(at), ref.derivative()(at))
         assert_bitwise(ours.antiderivative(at), ref.antiderivative()(at))
+
+
+def test_pchip_antiderivative_overflows_to_inf_like_scipy():
+    # the integral of 1e308 passes the float range near s = 1.8: inf from
+    # there on, with no overflow warning (the suite runs with -W error)
+    s = np.geomspace(1e-8, 10.0, 50)
+    at = np.concatenate([s, np.geomspace(1e-9, 20.0, 301)])
+    ours = selab.model._Pchip(s, np.full(50, 1e308)).antiderivative(at)
+    ref = PchipInterpolator(s, np.full(50, 1e308)).antiderivative()(at)
+    assert_bitwise(ours, ref)
+    assert np.isinf(ours).any() and np.isfinite(ours[at <= 1.0]).all()
 
 
 @pytest.mark.parametrize("x,y", [

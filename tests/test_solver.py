@@ -417,6 +417,95 @@ def test_lagged_continuation_matches_the_exact_one(config, lam, n, request,
     assert 2 * factored < len(calls)
 
 
+# ---- inexact Newton: each step's GMRES target (forcing terms) ----
+
+
+def krylov_problem(rng, shift):
+    """A shifted 31 x 29 five-point matrix, a right-hand side, and the
+    exact factor's solve of the matrix with its diagonal moved by `shift`
+    times a random field, as a preconditioner."""
+    A = build_grid("rectangle", (1.0, 1.3), (31, 29)).neg_laplacian().tocsc()
+    d = rng.uniform(0.0, 100.0, A.shape[0])
+    matrix = (A + sp.diags(d)).tocsc()
+    near = splu((A + sp.diags(d + shift * rng.uniform(0.0, 1.0, d.size))).tocsc())
+    return matrix, near.solve, rng.standard_normal(A.shape[0])
+
+
+@pytest.mark.parametrize("rtol,atol", [(1e-4, 0.0), (1e-8, 0.0), (1e-20, 0.0),
+                                       (1e-12, 1e-3), (1e-6, 1e-3)])
+def test_gmres_meets_the_looser_of_its_two_targets(rtol, atol, rng):
+    # a relative target below 1e-12 is raised to it
+    matrix, precondition, rhs = krylov_problem(rng, 50.0)
+    x, iterations = selab.grid.gmres(matrix, precondition, rhs, rtol, atol)
+    norm = np.linalg.norm(rhs)
+    target = max(max(rtol, 1e-12) * norm, atol)
+    assert np.linalg.norm(rhs - matrix @ x) <= 1.01 * target
+    assert 1 <= iterations <= selab.grid._KRYLOV_CAP
+    # a looser target never takes more iterations
+    _, tight = selab.grid.gmres(matrix, precondition, rhs, 1e-12, 0.0)
+    assert iterations <= tight
+
+
+def test_gmres_returns_none_past_its_cap(rng, monkeypatch):
+    matrix, precondition, rhs = krylov_problem(rng, 50.0)
+    _, needed = selab.grid.gmres(matrix, precondition, rhs, 1e-12, 0.0)
+    monkeypatch.setattr(selab.grid, "_KRYLOV_CAP", needed - 1)
+    x, iterations = selab.grid.gmres(matrix, precondition, rhs, 1e-12, 0.0)
+    assert x is None and 1 <= iterations < needed
+    # a stale preconditioner gives up within the cap as well
+    monkeypatch.setattr(selab.grid, "_KRYLOV_CAP", 12)
+    matrix, precondition, rhs = krylov_problem(rng, 1e5)
+    x, iterations = selab.grid.gmres(matrix, precondition, rhs, 1e-12, 0.0)
+    assert x is None and iterations <= 12
+
+
+@pytest.mark.parametrize("kind", ["interval", "rectangle"])
+def test_exact_factors_ignore_the_krylov_targets(kind, rng):
+    spec, u, factor, _ = linearized(kind, 1.0, -1.0, rng)
+    rhs = rng.standard_normal(spec.grid.n_total)
+    for exact in (factor, spec.grid.lu()):
+        want = exact.solve(rhs)
+        assert exact.solve(rhs, 0.5, 1e3).tobytes() == want.tobytes()
+
+
+def test_an_interval_jacobian_counts_as_one_factorization(theorem1_spec):
+    # an interval stage factors every Newton step and runs no GMRES
+    rep = solve_with_continuation(theorem1_spec)
+    for stage in rep.diagnostics["stages"]:
+        assert stage["factorizations"] == stage["iterations"]
+        assert stage["krylov_iterations"] == 0
+
+
+def test_forcing_terms_halve_the_gmres_work(theorem1_spec, monkeypatch):
+    # theorem1 on 39^2 at lambda = 1 (33 Newton steps): GMRES run to
+    # 1e-12 on every step, as before forcing terms, takes 251 iterations;
+    # the forcing terms take 114 (and the forcing terms held at their
+    # 1e-12 floor, the absolute target alone, 176), for the same
+    # verdict, eps path and Newton steps
+    spec = replace(theorem1_spec, grid=build_grid("rectangle", (1.0,), 39),
+                   source=None, lam=1.0)
+
+    def outcome(rep):
+        stages = rep.diagnostics["stages"]
+        return ((rep.diagnostics["verdict"], rep.diagnostics["mode"], rep.eps_path,
+                 [s["iterations"] for s in stages]),
+                sum(s["krylov_iterations"] for s in stages),
+                sum(s["factorizations"] for s in stages))
+
+    forced, krylov, factored = outcome(solve_with_continuation(spec))
+    assert forced[0] == "converged" and factored >= 1
+    monkeypatch.setattr(selab.solver, "_FORCING_MAX", 1e-12)
+    floored, floored_krylov, _ = outcome(solve_with_continuation(spec))
+    assert floored == forced
+    assert krylov < 0.7 * floored_krylov
+    gmres = selab.grid.gmres
+    monkeypatch.setattr(selab.grid, "gmres", lambda matrix, precondition, rhs,
+                        rtol, atol: gmres(matrix, precondition, rhs, 1e-12, 0.0))
+    tight, tight_krylov, _ = outcome(solve_with_continuation(spec))
+    assert tight == forced
+    assert 0 < krylov < 0.6 * tight_krylov
+
+
 def test_rectangle_factors_use_minimum_degree_fill(theorem3_spec, monkeypatch):
     # one minimum-degree ordering per grid: the factor of A that yields
     # it and that of a Newton Jacobian on it hold far fewer entries than
