@@ -151,6 +151,8 @@ def _manufactured_spec(grid, u_star, grad_mag, lam=1.0, eps=1e-2):
         mag = gradient_magnitude(grid, Field(grid, vals)).values
     else:
         mag = np.asarray(grad_mag, dtype=float)
+    # summed term by term, not from ProblemSpec.psi: a source built from
+    # psi would make u_star solve a wrong psi too, and the check pass
     src = (
         A @ vals
         + pot.nodal(grid) * g(vals + eps)
@@ -307,12 +309,10 @@ def comparison_suite(seed=None, n_instances=50):
                 out.append((None, spec, "solve failed"))
                 continue
             u = rep.solution.values
-            lu = grid.lu()
             bump = abs(kval) * g(np.full(grid.n_total, eps))
-            w = u.copy()
-            for _ in range(400):
-                w_next = lu.solve(lam * spec.f_at(w) + bump)
-                w = np.maximum(w, w_next)
+            w, _, _ = fixed_point(grid.lu(),
+                                  lambda s: -(lam * spec.f_at(s) + bump),
+                                  u, floor=u, max_iter=400)
             v = float(rng.uniform(0.3, 0.9)) * u
             report = check_ordering(
                 grid, psi_from_spec(spec), Field(grid, v), Field(grid, w)

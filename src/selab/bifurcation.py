@@ -34,18 +34,10 @@ from .spectral import first_eigenpair
 
 log = logging.getLogger(__name__)
 
-THREADS_ENV = "SELAB_THREADS"
-
 
 def _thread_budget(threads=None):
     if threads is not None:
         return max(1, int(threads))
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            log.warning("ignoring non-integer %s=%r", THREADS_ENV, env)
     return min(4, os.cpu_count() or 1)
 
 
@@ -84,7 +76,8 @@ def lambda_sweep(spec_template, lambdas, schedule=None, tol=1e-10,
 
     Warm-started (default): sequential, each lambda seeded with the
     previous converged solution.  With warm_start=False the entries are
-    independent and run on a thread pool capped by SELAB_THREADS.
+    independent and run on a pool of `threads` threads (default
+    min(4, cpu count)).
     """
     lambdas = [float(l) for l in lambdas]
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
@@ -169,8 +162,10 @@ class LambdaStarEstimate:
     lambda0_below_hi: bool | None = None
 
 
-def _with_grid_n(spec, n):
-    grid = build_grid(spec.grid.kind, spec.grid.extents, n)
+def _refined(spec):
+    """`spec` on a grid with twice the interior nodes on every axis."""
+    grid = build_grid(spec.grid.kind, spec.grid.extents,
+                      tuple(2 * n for n in spec.grid.shape))
     return replace(spec, grid=grid, source=None)
 
 
@@ -226,7 +221,7 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
             history.append((mid, "nonexistence-indicated"))
     refined = None
     if refine:
-        fine = _with_grid_n(spec_template, 2 * n_axis)
+        fine = _refined(spec_template)
         refined = (not converged_at(lo, fine)) and converged_at(hi, fine)
     below_hi = None if lambda0 is None else bool(lambda0 <= hi)
     if below_hi is False:
@@ -249,11 +244,10 @@ def lambda0_bound(spec_template):
     spec = spec_template
     if spec.regime() != "positive":
         raise RegimeError("lambda_0 bound lives in the positive-K regime")
-    K = spec.k_nodal()
+    psi = replace(spec, lam=1.0, eps=0.0).psi  # f - K g
 
     def margin(s):
-        sv = np.full(spec.grid.n_total, s)
-        return float(np.max(spec.f_at(sv) - K * spec.g_at(sv)))
+        return float(np.max(psi(np.full(spec.grid.n_total, s))))
 
     s_lo = 1e-10
     if margin(s_lo) >= 0:

@@ -369,7 +369,7 @@ def build_parser():
     p.add_argument("--no-warm", action="store_true",
                    help="solve each lambda cold, in parallel")
     p.add_argument("--threads", type=int, default=None,
-                   help="worker cap for cold sweeps (also SELAB_THREADS)")
+                   help="worker cap for cold sweeps")
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("lambda-star",

@@ -20,7 +20,8 @@ yield "hypotheses-not-met" and no ordering claim.  In the positive-K
 regime the right Psi for catalog pairs is lambda f alone (the K g and
 convection terms have the good sign and are absorbed into the sub-side
 inequality); including -K g with K > 0 breaks the strict-decrease
-hypothesis for small s, and the probe will say so.
+hypothesis for small s, and the probe will say so.  `psi_from_spec`
+hands the checker the solver's own Psi, `ProblemSpec.psi`.
 """
 
 from __future__ import annotations
@@ -53,8 +54,10 @@ class ComparisonReport:
 
 
 def psi_from_spec(spec):
-    """The zeroth-order part of the equation moved to one side:
-    Psi(x, s) = lambda f(x, s) - K(x) g(s + eps).
+    """The spec's zeroth-order part `ProblemSpec.psi` in the
+    psi(grid, s) form check_ordering takes:
+    Psi(x, s) = lambda f(x, s) - K(x) g(s + eps), with s floored at
+    1e-300 so a zero node at eps = 0 stays finite.
 
     This is the Psi the ordering lemma is applied to for the eigen
     sub-solution against the super-solution U (for K > 0 the super side
@@ -66,11 +69,8 @@ def psi_from_spec(spec):
     for K > 0 only above a crossover level, which is why check_ordering
     probes the range the pair actually attains.
     """
-    k = spec.k_nodal()
-
     def psi(grid, s):
-        return (spec.lam * spec.f_at(s)
-                - k * spec.g_at(np.maximum(s, 1e-300) + spec.eps))
+        return spec.psi(np.maximum(s, 1e-300))
 
     return psi
 

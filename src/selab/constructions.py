@@ -1,10 +1,11 @@
 """Certified sub- and super-solution constructions.
 
 Each construction returns its field together with a certificate: the
-nodal residual of the defining inequality for the full problem
+nodal residual of the defining inequality for the spec's problem
 
-    -Lap(u) + K(x) g(u) + |grad u|^a - lambda f(x, u),
+    -Lap(u) + |grad u|^a - psi(x, u),   psi = lambda f(x, u) - K(x) g(u + eps)
 
+(`ProblemSpec.psi`, so an eps stage is certified at its own eps),
 nonpositive for a sub-solution, and metadata (fitted constants,
 thresholds, iteration counts).  Certificates are evaluated with the same
 stencils the solver uses, so "certified" means certified on this grid.
@@ -18,7 +19,9 @@ stencils the solver uses, so "certified" means certified on this grid.
   -Lap(v) + |grad v|^a = p(x) with the forcing floor
   p(x) = min{lambda f(x,1), -K(x) g(1)} > 0, by Picard with a lagged
   gradient.  Since p <= lambda f(x,s) - K(x) g(s) for every s, v is a
-  sub-solution wherever it is positive.
+  sub-solution wherever it is positive; its certificate is p - psi(v).
+
+Both fixed points are the solver's `fixed_point`.
 
 * Eigenfunction sub-solution M h(phi_1) (positive-K regime, integrable
   g): h is the flat-start profile h'' = g(h), M = max{1, 2 K* / delta^2}
@@ -45,7 +48,7 @@ from .errors import (
 from .grid import Field, boundary_distance, gradient_magnitude
 from .hprofile import build_h_profile
 from .model import compute_p
-from .solver import fixed_point, residual
+from .solver import fixed_point, residual, settled
 from .spectral import default_collar_width, first_eigenpair, hopf_collar
 
 
@@ -60,29 +63,20 @@ class Construction:
 
 
 def build_supersolution(spec, tol=1e-11, max_iter=2000):
-    """Fixed-point solve of -Lap(U) = lambda f(x, U) starting from phi_1.
+    """Fixed-point solve of -Lap(U) = lambda f(x, U) starting from phi_1:
+    `solver.fixed_point` with N(U) = -lambda f(x, U).
 
-    Stops once the increment falls below `tol` times max(1, max |U|):
-    U reaches about 1e4 at lambda = 1000, where an absolute test would
-    only add sweeps.  Stagnation or a non-finite lambda f(x, U) raises
-    ConvergenceError, collapse onto zero DegenerateSolutionError.
+    Stagnation or a non-finite lambda f(x, U) raises ConvergenceError,
+    collapse onto zero DegenerateSolutionError.
     """
     grid = spec.grid
-    lu = grid.lu()
-    u = first_eigenpair(grid).phi1.values
-    for it in range(1, max_iter + 1):
-        try:
-            u_next = lu.solve(spec.lam * spec.f_at(u))
-        except ValueError as exc:
-            raise ConvergenceError(f"super-solution fixed point: {exc}",
-                                   residual=np.inf, iterations=it) from exc
-        inc = float(np.max(np.abs(u_next - u)))
-        u = u_next
-        if inc < tol * max(1.0, float(np.max(np.abs(u)))):
-            break
-    else:
-        raise ConvergenceError("super-solution fixed point stagnated",
-                               residual=inc, iterations=max_iter)
+    u, it, inc = fixed_point(grid.lu(), lambda v: -spec.lam * spec.f_at(v),
+                             first_eigenpair(grid).phi1.values,
+                             tol=tol, max_iter=max_iter)
+    if not settled(u, inc, tol):
+        why = "stagnated" if np.isfinite(inc) else "met a lambda f that is not finite"
+        raise ConvergenceError(f"super-solution fixed point {why}",
+                               residual=inc, iterations=it)
     if float(np.max(np.abs(u))) < 1e-10:
         raise DegenerateSolutionError("super-solution collapsed onto zero")
     dist = boundary_distance(grid).values
@@ -121,7 +115,7 @@ def build_subsolution_convection(spec, tol=1e-11, max_iter=5000):
 
     v, it, inc = fixed_point(grid.lu(), nonlinear, np.zeros(grid.n_total),
                              tol=tol, max_iter=max_iter)
-    if not inc < tol:  # also catches a NaN increment
+    if not settled(v, inc, tol):
         raise ConvergenceError("convection sub-solution Picard stagnated",
                                residual=inc, iterations=max_iter)
     if float(v.min()) <= 0.0:
@@ -130,8 +124,8 @@ def build_subsolution_convection(spec, tol=1e-11, max_iter=5000):
         )
     mag = gradient_magnitude(grid, Field(grid, v)).values
     eq_res = grid.neg_laplacian() @ v + mag**spec.conv_a - p.values
-    # sub-solution certificate against the full problem at s = v
-    cert = p.values + spec.k_nodal() * spec.g_at(v) - spec.lam * spec.f_at(v)
+    # sub-solution certificate against the spec's problem, eps included
+    cert = p.values - spec.psi(v)
     return Construction(
         kind="sub-convection",
         field=Field(grid, v),

@@ -509,13 +509,15 @@ def gradient_components(grid, field):
     return grid.central_differences(field.values)
 
 
+def magnitude(comps):
+    """|grad u| as an array, from its central-difference components."""
+    return np.abs(comps[0]) if len(comps) == 1 else np.sqrt(sum(c**2 for c in comps))
+
+
 def gradient_magnitude(grid, field):
     """|grad u| at interior nodes via central differences; stencils
     adjacent to the boundary use the Dirichlet 0 value."""
-    comps = gradient_components(grid, field)
-    if len(comps) == 1:
-        return Field(grid, np.abs(comps[0]))
-    return Field(grid, np.sqrt(sum(c**2 for c in comps)))
+    return Field(grid, magnitude(gradient_components(grid, field)))
 
 
 def boundary_distance(grid):

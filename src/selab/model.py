@@ -449,6 +449,15 @@ class ProblemSpec:
     def dg_at(self, s):
         return self.singular.deriv(s)
 
+    def psi(self, s):
+        """The zeroth-order part psi(x, s) = lambda f(x, s) - K(x) g(s + eps)
+        at nodal levels s: the equation is -Lap u + |grad u|^a = psi + source."""
+        return self.lam * self.f_at(s) - self.k_nodal() * self.g_at(s + self.eps)
+
+    def dpsi(self, s):
+        """d psi / ds = lambda f_s(x, s) - K(x) g'(s + eps)."""
+        return self.lam * self.df_at(s) - self.k_nodal() * self.dg_at(s + self.eps)
+
     def with_lambda(self, lam):
         return replace(self, lam=float(lam))
 

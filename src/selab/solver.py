@@ -2,19 +2,20 @@
 
     -Lap(u) + K(x) g(u + eps) + |grad u|^a = lambda f(x, u) + source
 
-on a Dirichlet grid, written A u + N(u) = 0 with A the -Laplacian.
-`nonlinear_part` is the one place N(u) is assembled, and `fixed_point`
-the one relaxed, clipped sweep u <- max((1-relax) u - relax A^-1 N(u),
-floor) behind the Picard rescue, the mass diagnostic, the comparison
-suite and the convection sub-solution; A^-1 is the grid's `Grid.lu`
-(on a rectangle, sine transforms: nothing is factored), whose solves
-refuse a non-finite N(u), so the sweep stops there.
-Every other linear solve here is a `Grid.factor` of the same pattern.
-Three layers:
+on a Dirichlet grid, written A u + N(u) = 0 with A the -Laplacian and
+N(u) = |grad u|^a - psi(x, u) - source, psi = lambda f - K g(. + eps) the
+spec's `ProblemSpec.psi`.  `nonlinear_part` is the one place N(u) is
+assembled, and `fixed_point` the one relaxed, clipped sweep
+u <- max((1-relax) u - relax A^-1 N(u), floor), stopped by `settled`,
+behind the Picard rescue, the mass diagnostic, the comparison suite, the
+super-solution and the convection sub-solution; A^-1 is the grid's
+`Grid.lu` (on a rectangle, sine transforms: nothing is factored), whose
+solves refuse a non-finite N(u), so the sweep stops there.  Every other
+linear solve here is a `Grid.factor` of the same pattern.  Three layers:
 
 * `newton_solve` - damped Newton with the analytic Jacobian
-  A + diag(K g'(u+eps) - lambda f_s(x,u)) + sum_k diag(w_k) D_k, where the
-  last sum linearizes |grad u|^a through the central differences D_k.
+  A + diag(-psi'(u)) + sum_k diag(w_k) D_k, where the last sum
+  linearizes |grad u|^a through the central differences D_k.
   Its sparsity is that of A, so `Grid.factor` refills the grid's cached
   pattern on every iteration.  On intervals it is a tridiagonal band,
   factored every time by LAPACK `dgttrf`.  On rectangles it is A's CSC
@@ -31,15 +32,14 @@ Three layers:
   u stays >= 0.01 eps while eps > 0, and at most 8 trial steps per
   iteration before a stagnating solve gives up (see `newton_solve`).
 * `monotone_iterate` - the globalizer: with a per-node shift D_i bounding
-  the slope of s -> K_i g(s+eps) - lambda f(x_i,s) from above on node i's
-  own range [sub_i, super_i] (the sector condition of the monotone scheme:
+  the slope -psi'(x_i, s) from above on node i's own range
+  [sub_i, super_i] (the sector condition of the monotone scheme:
   Sattinger, Indiana Univ. Math. J. 21, 1972; Pao, Nonlinear Parabolic and
   Elliptic Equations, 1992, ch. 3), each sweep solves
-  (A + diag(D)) u_{k+1} = D u_k - K g(u_k+eps) - |grad u_k|^a
-  + lambda f(x,u_k) on one `Grid.factor` of the M-matrix A + diag(D);
-  from a sub-solution the iterates ascend.  D is large only where sub is
-  near 0, next to the boundary, so the sweep count does not grow with
-  the grid.
+  (A + diag(D)) u_{k+1} = D u_k - N(u_k) on one `Grid.factor` of the
+  M-matrix A + diag(D); from a sub-solution the iterates ascend.  D is
+  large only where sub is near 0, next to the boundary, so the sweep
+  count does not grow with the grid.
   The convection term is lagged (it has no one-sided structure), which is
   why bracket escape is recorded as a diagnostic instead of assumed away.
 * `solve_with_continuation` - walks eps down a schedule (default
@@ -65,7 +65,7 @@ from .errors import (
     SelabError,
     SingularEvaluationError,
 )
-from .grid import Field, LaggedFactor
+from .grid import Field, LaggedFactor, magnitude
 from .mass import mass_integral, mass_trend
 from .spectral import first_eigenpair
 
@@ -94,19 +94,14 @@ class SolveReport:
     diagnostics: dict = dataclass_field(default_factory=dict)
 
 
-def _magnitude(comps):
-    """|grad u| from its central-difference components."""
-    return np.abs(comps[0]) if len(comps) == 1 else np.sqrt(sum(c**2 for c in comps))
-
-
 def nonlinear_part(spec, u, comps=None):
-    """N(u) = K g(u+eps) + |grad u|^a - lambda f(x,u) - source as an array:
-    every term of the equation but the -Laplacian.  `comps`, the central
-    differences of u, are taken here unless the caller already has them."""
+    """N(u) = |grad u|^a - psi(x,u) - source as an array, psi = lambda f -
+    K g(. + eps) the spec's zeroth-order part: every term of the equation
+    but the -Laplacian.  `comps`, the central differences of u, are taken
+    here unless the caller already has them."""
     if comps is None:
         comps = spec.grid.central_differences(u)
-    n = (-spec.lam * spec.f_at(u) + spec.k_nodal() * spec.g_at(u + spec.eps)
-         + _magnitude(comps)**spec.conv_a)
+    n = magnitude(comps)**spec.conv_a - spec.psi(u)
     if spec.source is not None:
         n = n - spec.source.values
     return n
@@ -133,17 +128,22 @@ def residual(spec, field):
     return Field(spec.grid, _residual(spec, np.asarray(field.values, dtype=float))[1])
 
 
+def settled(u, inc, tol):
+    """The fixed-point stop, inc < tol max(1, |u|_inf) (never for a NaN inc):
+    relative, since the super-solution reaches 1e4 at lambda = 1000."""
+    return inc < tol * max(1.0, float(np.abs(u).max()))
+
+
 def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol=0.0, max_iter):
     """Relaxed, clipped sweep for A u + N(u) = 0:
 
         u <- max((1-relax) u - relax A^-1 N(u), floor)
 
     `lu` is the grid's `Factor` of A and `nonlinear` maps an array u to
-    N(u).  Stops once the sup-norm increment falls below `tol` (tol=0
-    runs all `max_iter` sweeps), or at the first non-finite N(u), which
-    leaves u at the last finite iterate and the increment infinite.
-    Returns (u, sweeps, last_increment); the caller decides whether
-    last_increment >= tol is a failure.
+    N(u).  Stops once `settled` (tol=0 runs all `max_iter` sweeps), or
+    at the first non-finite N(u), which leaves u at the last finite
+    iterate and the increment infinite.  Returns (u, sweeps,
+    last_increment); `not settled(u, last_increment, tol)` is a failure.
     """
     inc = np.inf
     sweep = 0
@@ -157,22 +157,21 @@ def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol=0.0, max_iter):
             u_new = np.maximum(u_new, floor)
         inc = float(np.abs(u_new - u).max())
         u = u_new
-        if inc < tol:
+        if settled(u, inc, tol):
             break
     return u, sweep, inc
 
 
 def _linearization(spec, u):
-    """(d, [w_k]) with N'(u) = diag(d) + sum_k diag(w_k) D_k: d from
-    K g(u+eps) - lambda f(x,u), w_k = a |grad u|^(a-2) (D_k u) from
+    """(d, [w_k]) with N'(u) = diag(d) + sum_k diag(w_k) D_k: d = -psi'(u)
+    from the zeroth-order part, w_k = a |grad u|^(a-2) (D_k u) from
     |grad u|^a (0 where the gradient vanishes)."""
-    diag = spec.k_nodal() * spec.dg_at(u + spec.eps) - spec.lam * spec.df_at(u)
     comps = spec.grid.central_differences(u)
-    mag = _magnitude(comps)
+    mag = magnitude(comps)
     a = spec.conv_a
     safe = np.maximum(mag, _GRAD_FLOOR)
-    return diag, [np.where(mag > _GRAD_FLOOR, a * safe ** (a - 2.0) * comp, 0.0)
-                  for comp in comps]
+    return -spec.dpsi(u), [np.where(mag > _GRAD_FLOOR, a * safe ** (a - 2.0) * comp,
+                                    0.0) for comp in comps]
 
 
 def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
@@ -259,8 +258,9 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
 
 def default_shift(spec, sub, super_):
     """Per-node shift of the monotone sweep, an array of shape (n_total,):
-    D_i = 1.5 max(0, max_j [K_i g'(s_ij+eps) - lambda f_s(x_i, s_ij)]) over
-    96 log-spaced levels s_ij spanning node i's own range [sub_i, super_i].
+    D_i = 1.5 max(0, max_j -psi'(x_i, s_ij)), with -psi' = K g'(s+eps) -
+    lambda f_s, over 96 log-spaced levels s_ij spanning node i's own
+    range [sub_i, super_i].
 
     The sweep needs D_i >= sup_s d/ds [K_i g(s+eps) - lambda f(x_i,s)] over
     that range, node by node; only the negative-K regime makes this
@@ -271,11 +271,9 @@ def default_shift(spec, sub, super_):
                             dtype=float)
     lo = np.maximum(sub_vals, 0.0)
     hi = np.where(super_vals > lo, super_vals, lo + 1.0)
-    K = spec.k_nodal()
     worst = np.zeros(spec.grid.n_total)
     for s in np.geomspace(np.maximum(lo, 1e-12), np.maximum(hi, 1e-9), 96):
-        worst = np.maximum(worst, K * spec.dg_at(s + spec.eps)
-                           - spec.lam * spec.df_at(s))
+        worst = np.maximum(worst, -spec.dpsi(s))
     return 1.5 * worst
 
 

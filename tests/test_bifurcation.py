@@ -6,7 +6,7 @@ import pytest
 from dataclasses import replace
 
 from selab.bifurcation import (
-    THREADS_ENV,
+    _refined,
     _thread_budget,
     estimate_lambda_star,
     lambda0_bound,
@@ -221,20 +221,23 @@ def test_sweep_verdicts_and_iterations_are_pinned(theorem3_spec, warm,
     assert [r.iterations for r in result.reports] == iterations
 
 
-def test_thread_budget(monkeypatch):
-    monkeypatch.delenv(THREADS_ENV, raising=False)
+@pytest.mark.parametrize("kind, extents, shape, fine", [
+    ("interval", (1.0,), (64,), (128,)),
+    ("rectangle", (1.0, 2.0), (15, 31), (30, 62)),
+])
+def test_refinement_doubles_every_axis(theorem3_spec, kind, extents, shape, fine):
+    # the refined_consistent check must run on a grid finer on every axis
+    grid = build_grid(kind, extents, shape)
+    refined = _refined(replace(theorem3_spec, grid=grid)).grid
+    assert refined.shape == fine
+    assert refined.extents == grid.extents
+    assert all(a < b for a, b in zip(refined.spacing, grid.spacing))
+
+
+def test_thread_budget():
     assert 1 <= _thread_budget() <= 4
     assert _thread_budget(7) == 7
     assert _thread_budget(0) == 1
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert _thread_budget() == 3
-    monkeypatch.setenv(THREADS_ENV, "0")
-    assert _thread_budget() == 1
-    monkeypatch.setenv(THREADS_ENV, "junk")
-    assert 1 <= _thread_budget() <= 4
-    # explicit argument wins over the environment
-    monkeypatch.setenv(THREADS_ENV, "3")
-    assert _thread_budget(5) == 5
 
 
 # ----------------------------------------------------------- mass diagnostic

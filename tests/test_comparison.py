@@ -35,6 +35,19 @@ def test_psi_shape_positive_regime(theorem3_spec):
     np.testing.assert_allclose(psi(theorem3_spec.grid, s), expect)
 
 
+def test_psi_is_finite_at_a_zero_node(theorem3_spec):
+    # eps = 0 and a node at s = 0: psi_from_spec floors s, so g(0) = inf
+    # never enters the hypothesis residuals
+    assert theorem3_spec.eps == 0.0
+    grid = theorem3_spec.grid
+    s = np.full(grid.n_total, 0.25)
+    s[0] = 0.0
+    vals = psi_from_spec(theorem3_spec)(grid, s)
+    assert np.all(np.isfinite(vals))
+    flat = theorem3_spec.psi(np.full(grid.n_total, 0.25))
+    np.testing.assert_array_equal(vals[1:], flat[1:])
+
+
 def test_ordered_verdict_on_certified_pair(theorem3_spec):
     probe = build_subsolution_eigen(replace(theorem3_spec, lam=1e5))
     lam = 2.0 * probe.metadata["lambda_threshold"]

@@ -113,12 +113,27 @@ def test_convection_sub_order_two(theorem1_spec):
 
 
 def test_convection_sub_is_a_certified_sub(theorem1_spec):
-    # certificate = p + K g(v) - lambda f(v) must be <= 0 where it
-    # matters; for the canonical instance it vanishes only in sign
+    # certificate = p - psi(v) must be <= 0 where it matters; for the
+    # canonical instance it vanishes only in sign
     spec = with_n(theorem1_spec, 127)
     sub = build_subsolution_convection(spec)
     assert np.all(sub.certificate.values <= 1e-10)
     assert sub.metadata["min_interior"] > 0
+
+
+def test_convection_sub_certificate_is_taken_at_the_spec_eps(theorem1_spec):
+    # an eps stage is certified against its own psi = lambda f - K g(. + eps),
+    # which for K < 0 lies below the eps = 0 one at every node
+    spec = with_n(theorem1_spec, 127)
+    plain = build_subsolution_convection(spec)
+    stage = replace(spec, eps=0.1 * 2.0**-11)
+    sub = build_subsolution_convection(stage)
+    v = sub.field.values
+    np.testing.assert_array_equal(v, plain.field.values)
+    np.testing.assert_array_equal(sub.certificate.values,
+                                  compute_p(stage)[0].values - stage.psi(v))
+    assert np.all(sub.certificate.values > plain.certificate.values)
+    assert np.all(sub.certificate.values <= 0.0)
 
 
 # ---- eigenfunction sub-solution ----

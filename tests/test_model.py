@@ -370,6 +370,20 @@ def test_spec_construction_and_replace_validate(theorem3_spec, change):
         replace(spec, **change)
 
 
+@pytest.mark.parametrize("kval, eps", [(-1.0, 0.0), (1.0, 1e-2), (2.5, 0.1)])
+def test_psi_and_its_slope(kval, eps):
+    grid = build_grid("interval", (1.0,), 9)
+    spec = ProblemSpec(grid, Potential(kval), g_power(0.5), f_power(0.5),
+                       1.0, 3.0, eps, None)
+    s = np.geomspace(0.05, 5.0, 9)
+    np.testing.assert_allclose(spec.psi(s),
+                               3.0 * np.sqrt(s) - kval * (s + eps) ** -0.5,
+                               rtol=1e-14)
+    h = 1e-6 * s
+    slope = (spec.psi(s + h) - spec.psi(s - h)) / (2.0 * h)
+    np.testing.assert_allclose(spec.dpsi(s), slope, rtol=1e-7)
+
+
 def test_compute_p_canonical():
     # K = -1, f = sqrt(s), lambda = 1: both branches equal 1 at s = 1
     g = build_grid("interval", (1.0,), 9)

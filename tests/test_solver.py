@@ -78,6 +78,27 @@ def test_residual_sign_of_each_term():
         r[center] == pytest.approx(expect, rel=1e-12)
 
 
+@pytest.mark.parametrize("kind, n, kval", [
+    ("interval", 41, -1.3), ("interval", 41, 0.7), ("rectangle", 9, -1.3),
+    ("rectangle", 9, 0.7),
+])
+def test_nonlinear_part_is_the_inline_sum_bit_for_bit(kind, n, kval, rng):
+    # N(u) = |grad u|^a - psi(u) - source rounds exactly like the sum
+    # -lambda f + K g(u+eps) + |grad u|^a - source it replaced
+    grid = build_grid(kind, (1.0,), n)
+    src = Field(grid, rng.normal(size=grid.n_total))
+    spec = ProblemSpec(grid, Potential(kval), SingularTerm("power", alpha=0.5),
+                       ReactionTerm("power", p=0.5), 1.5, 2.7, 1e-3, src)
+    for _ in range(5):
+        u = rng.uniform(1e-3, 2.0, grid.n_total)
+        comps = grid.central_differences(u)
+        mag = (np.abs(comps[0]) if len(comps) == 1
+               else np.sqrt(sum(c**2 for c in comps)))
+        inline = (-spec.lam * spec.f_at(u) + spec.k_nodal() * spec.g_at(u + spec.eps)
+                  + mag**spec.conv_a) - src.values
+        assert np.array_equal(nonlinear_part(spec, u), inline)
+
+
 # ---- fixed-point sweep ----
 
 
@@ -123,6 +144,24 @@ def test_fixed_point_reports_exhaustion(poisson):
                                  relax=0.5, tol=tol, max_iter=3)
     assert sweeps == 3
     assert inc >= tol
+
+
+def test_fixed_point_stops_relative_to_a_large_iterate(poisson):
+    # |u|_inf ~ 1e7: the sweep stops at the first increment below
+    # tol |u|_inf, far above the absolute tol
+    grid, c, exact = poisson
+    tol = 1e-10
+
+    def sweep(max_iter):
+        return fixed_point(grid.lu(), lambda v: -1e8 * c, np.zeros(15),
+                           relax=0.5, tol=tol, max_iter=max_iter)
+
+    u, sweeps, inc = sweep(200)
+    scale = float(np.abs(u).max())
+    assert scale > 1e6 and sweeps < 200
+    assert tol < inc < tol * scale
+    u_prev, _, inc_prev = sweep(sweeps - 1)
+    assert inc_prev >= tol * float(np.abs(u_prev).max())
 
 
 def test_fixed_point_stops_at_a_non_finite_nonlinearity(poisson):
