@@ -271,7 +271,7 @@ def _picard_newton(spec, sweeps=400):
     grid = spec.grid
     u, _, _ = fixed_point(grid.lu(), lambda v: nonlinear_part(spec, v),
                           np.full(grid.n_total, 0.1), relax=0.5, floor=1e-12,
-                          max_iter=sweeps)
+                          tol=1e-12, max_iter=sweeps)
     return newton_solve(spec, Field(grid, u))
 
 
@@ -312,7 +312,7 @@ def comparison_suite(seed=None, n_instances=50):
             bump = abs(kval) * g(np.full(grid.n_total, eps))
             w, _, _ = fixed_point(grid.lu(),
                                   lambda s: -(lam * spec.f_at(s) + bump),
-                                  u, floor=u, max_iter=400)
+                                  u, floor=u, tol=1e-12, max_iter=400)
             v = float(rng.uniform(0.3, 0.9)) * u
             report = check_ordering(
                 grid, psi_from_spec(spec), Field(grid, v), Field(grid, w)

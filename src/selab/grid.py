@@ -33,15 +33,15 @@ solves on intervals only never loads either.  `splu`, `dgttrf` and
 made through the one module attribute `splu`, so rebinding it (as a
 tracer does) sees them all.
 
-Every other rectangle matrix is factored on one fill-reducing ordering
-per grid, computed once, when `Grid.factor` first needs its pattern:
-SuperLU's multiple minimum degree on A^T + A, whose column permutation
-becomes the grid's node order (the factor of A that yields it is
-dropped at once).  The pattern `Grid.factor` fills is stored
-symmetrically permuted into that order, so it is factored with no
-reordering at all.  On the five-point pattern its factors hold about
-0.56 times the entries of those on COLAMD, `splu`'s default, which would
-rerun on every call.
+Every other rectangle matrix is factored by `splu` on a fill-reducing
+ordering it computes for that matrix: SuperLU's multiple minimum degree
+on A^T + A (Liu, ACM TOMS 11, 1985), named once, in `_ORDERING`.  On the
+five-point pattern its factors hold about 0.56 times the entries of
+those on COLAMD, `splu`'s default.  The pattern `Grid.factor` fills is
+A's own, in node order, and no ordering is kept between factors:
+computing one costs a tenth to a fifth of the factorization it serves,
+and SuperLU yields one only with a whole factor, which the few exact
+factors of a continuation do not repay.
 
 A rectangle Newton Jacobian is not factored on every iteration.  A
 `LaggedFactor`, carried by the Newton solve and never by the grid, keeps
@@ -68,6 +68,8 @@ from scipy.sparse.linalg import splu
 from .errors import GridError, ShapeError
 
 _KINDS = ("interval", "rectangle")
+# the column ordering of every rectangle factor (see the module docstring)
+_ORDERING = "MMD_AT_PLUS_A"
 # GMRES on a lagged Jacobian factor must reach its target within this
 # many iterations, or the Jacobian is factored afresh; no target is
 # tighter than this relative residual
@@ -91,8 +93,7 @@ class Grid:
     central-difference matrices) are built once on first use and cached;
     they are pure functions of the grid, so the cache does not break
     value-immutability.  So is the pattern behind `factor`: on an
-    interval A's (3, n) band template, on a rectangle A in CSC form,
-    symmetrically permuted into the grid's minimum-degree node order, with
+    interval A's (3, n) band template, on a rectangle A in CSC form with
     the positions of its diagonal and of every D_k entry in its `data`.  The
     caches hold arrays, matrices and factors only, never a Field or
     anything else that points back at the grid, so a dropped grid is
@@ -210,7 +211,7 @@ class Grid:
                 eig = lx[:, None] + ly[None, :]
                 shape = self.shape  # the solve must not point back at the grid
 
-                def solve(rhs):
+                def solve(rhs, rtol, atol):
                     b = dstn(rhs.reshape(shape), type=1, norm="ortho")
                     return idstn(b / eig, type=1, norm="ortho").ravel()
 
@@ -267,9 +268,9 @@ class Grid:
         factorization.  On an interval its three diagonals go straight to
         LAPACK `dgttrf` (Gaussian elimination with partial pivoting): a
         zero pivot raises numpy.linalg.LinAlgError, a ValueError.  On a
-        rectangle the matrix is stored in the grid's minimum-degree
-        order, so `splu` factors it as it stands (NATURAL); a singular
-        matrix raises RuntimeError.
+        rectangle `splu` factors it on its own minimum-degree ordering
+        (`_ORDERING`), one call per factor; a singular matrix raises
+        RuntimeError.
 
         With a `LaggedFactor` (a Newton solve's), a rectangle matrix is
         not factored here: each solve runs GMRES preconditioned by the
@@ -292,18 +293,18 @@ class Grid:
                 raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
             if lagged is not None:
                 lagged.factorizations += 1
-            return Factor(lambda rhs: dgttrs(*lu, rhs)[0])
-        csc, order, diag_pos, entries = self._pattern
+            return Factor(lambda rhs, rtol, atol: dgttrs(*lu, rhs)[0])
+        csc, diag_pos, entries = self._pattern
         data = csc.data.copy()
-        data[diag_pos] += diag[order]
+        data[diag_pos] += diag
         for w, (pos, rows, coef) in zip(weights, entries):
             data[pos] += w[rows] * coef
         _require_finite(data, "matrix")
         matrix = sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape)
         if lagged is not None:
-            return Factor(lambda rhs, rtol, atol: lagged.solve(matrix, rhs, rtol, atol),
-                          order, inexact=True)
-        return Factor(splu(matrix, permc_spec="NATURAL").solve, order)
+            return Factor(lambda rhs, rtol, atol: lagged.solve(matrix, rhs, rtol, atol))
+        superlu = splu(matrix, permc_spec=_ORDERING)
+        return Factor(lambda rhs, rtol, atol: superlu.solve(rhs))
 
     def _factor_pattern(self):
         A = self.neg_laplacian()
@@ -316,11 +317,7 @@ class Grid:
             band[2, :-1] = A.diagonal(-1)
             D, = diffs
             return band, D.diagonal(1), D.diagonal(-1)
-        # the minimum-degree rank of every node; the factor is dropped
-        rank = splu(A.tocsc(), permc_spec="MMD_AT_PLUS_A").perm_c
-        # node order[i] sits at row and column i of the stored matrix
-        order = np.argsort(rank)
-        csc = A[order][:, order].tocsc()
+        csc = A.tocsc()
         csc.sort_indices()
         n = self.n_total
         # column-major keys of the stored entries, ascending in data order
@@ -334,9 +331,8 @@ class Grid:
         entries = []
         for D in diffs:
             coo = D.tocoo()
-            entries.append((positions(rank[coo.row], rank[coo.col]), coo.row,
-                            coo.data))
-        return csc, order, positions(nodes, nodes), tuple(entries)
+            entries.append((positions(coo.row, coo.col), coo.row, coo.data))
+        return csc, positions(nodes, nodes), tuple(entries)
 
     def __repr__(self):
         return f"Grid(kind={self.kind!r}, extents={self.extents}, shape={self.shape})"
@@ -344,32 +340,21 @@ class Grid:
 
 class Factor:
     """A factored matrix of `Grid.factor` or `Grid.lu`: `solve` maps a
-    right-hand side in node order to the solution in node order (through
-    GMRES, where `Grid.factor` was given a `LaggedFactor`, and through
-    sine transforms for A on a rectangle).  Where the factors live in
-    the grid's minimum-degree `order` (a Newton Jacobian or the monotone
-    sweep's matrix on a rectangle), `order[i]` is the node at row and
-    column i; otherwise `order` is None.  An `inexact` factor's solve
-    callable takes the tolerances of `solve` after the right-hand side;
-    an exact one takes the right-hand side alone."""
+    right-hand side to the solution, after checking it is finite.  The
+    callable it wraps takes (rhs, rtol, atol); only GMRES, where
+    `Grid.factor` was given a `LaggedFactor`, reads the tolerances, and
+    the exact solves (LAPACK, SuperLU, sine transforms) ignore them."""
 
-    def __init__(self, solve, order=None, inexact=False):
+    def __init__(self, solve):
         self._solve = solve
-        self.order = order
-        self._inexact = inexact
 
     def solve(self, rhs, rtol=_KRYLOV_RTOL, atol=0.0):
-        """M^-1 rhs in node order; a non-finite rhs raises ValueError.
-        Through GMRES, x is returned once |rhs - M x| <= max(rtol |rhs|,
-        atol) in 2-norm (rtol no tighter than 1e-12); an exact factor
-        ignores both tolerances."""
+        """M^-1 rhs; a non-finite rhs raises ValueError.  Through GMRES,
+        x is returned once |rhs - M x| <= max(rtol |rhs|, atol) in 2-norm
+        (rtol no tighter than 1e-12); an exact factor ignores both
+        tolerances."""
         _require_finite(rhs, "right-hand side")
-        tolerances = (rtol, atol) if self._inexact else ()
-        if self.order is None:
-            return self._solve(rhs, *tolerances)
-        x = np.empty_like(rhs)
-        x[self.order] = self._solve(rhs[self.order], *tolerances)
-        return x
+        return self._solve(rhs, rtol, atol)
 
 
 class LaggedFactor:
@@ -398,7 +383,7 @@ class LaggedFactor:
             if x is not None:
                 return x
             self._superlu = None  # drop the stale factor before the new one
-        self._superlu = splu(matrix, permc_spec="NATURAL")
+        self._superlu = splu(matrix, permc_spec=_ORDERING)
         self.factorizations += 1
         return self._superlu.solve(rhs)
 

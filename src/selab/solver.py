@@ -19,10 +19,9 @@ linear solve here is a `Grid.factor` of the same pattern.  Three layers:
   Its sparsity is that of A, so `Grid.factor` refills the grid's cached
   pattern on every iteration.  On intervals it is a tridiagonal band,
   factored every time by LAPACK `dgttrf`.  On rectangles it is A's CSC
-  data, stored in the grid's one minimum-degree ordering (computed once,
-  when `Grid.factor` first needs it); GMRES solves it, preconditioned by
-  the last exact Jacobian factor, and `splu` factors it without
-  reordering only when GMRES falls short (Newton-Krylov with a lagged factor, see
+  data; GMRES solves it, preconditioned by the last exact Jacobian
+  factor, and `splu` factors it, on its own minimum-degree ordering,
+  only when GMRES falls short (Newton-Krylov with a lagged factor, see
   `grid.LaggedFactor`).  One lagged factor serves a whole continuation.
   GMRES solves each step only as far as Newton's progress calls for: an
   inexact Newton method (Dembo, Eisenstat & Steihaug, SIAM J. Numer.

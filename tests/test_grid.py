@@ -138,19 +138,17 @@ def test_lu_on_a_rectangle_factors_nothing(monkeypatch, rng):
     assert calls == []
 
 
-def test_the_minimum_degree_ordering_is_computed_once(monkeypatch, rng):
-    # the first factor on a rectangle orders the grid (one minimum-degree
-    # splu of A, dropped at once); a later one reuses that ordering and
-    # only factors its own matrix
+def test_each_rectangle_factor_is_one_minimum_degree_splu(monkeypatch, rng):
+    # the grid keeps no ordering: every factor on a rectangle is one
+    # splu call that orders its own matrix by minimum degree
     calls = counted_splu(monkeypatch)
     g = build_grid("rectangle", (1.0, 1.3), (15, 11))
-    g.lu()
     d = 1.0 + rng.uniform(0.0, 1.0, g.n_total)
     g.factor(d, ())
-    assert calls == ["MMD_AT_PLUS_A", "NATURAL"]
+    assert calls == ["MMD_AT_PLUS_A"]
     del calls[:]
     g.factor(2.0 * d, (rng.standard_normal(g.n_total),) * 2)
-    assert calls == ["NATURAL"]
+    assert calls == ["MMD_AT_PLUS_A"]
 
 
 @settings(max_examples=20, deadline=None)

@@ -8,7 +8,8 @@ for a side effect would need a name that is read; there is none today.
 Every linear solve on a grid goes through `Grid.factor` or `Grid.lu`, so
 `splu`, `dgttrf`, `dgttrs`, the Krylov solver `gmres` and the sine
 transforms `dstn` and `idstn` are called in `src/selab/grid.py` alone;
-the tests call `splu` only as a reference.
+the tests call `splu` only as a reference.  Every `splu` call there
+passes the grid's one ordering, `permc_spec=_ORDERING`.
 
 A run loads only the scipy it uses: a fresh interpreter that solves an
 interval problem through the CLI, then builds, classifies and integrates
@@ -85,14 +86,18 @@ FACTORIZERS = {"splu", "dgttrf", "dgttrs", "gmres", "dstn", "idstn"}
 GRID = ROOT / "src/selab/grid.py"
 
 
-def factorizer_calls(source):
-    """(name, line) of every call to a factorizer, by bare or dotted name."""
+def calls(source):
+    """(called name, node) of every call, by bare or dotted name."""
     for node in ast.walk(ast.parse(source)):
         if isinstance(node, ast.Call):
             func = node.func
-            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
-            if name in FACTORIZERS:
-                yield name, node.lineno
+            yield (func.id if isinstance(func, ast.Name)
+                   else getattr(func, "attr", None)), node
+
+
+def factorizer_calls(source):
+    """(name, line) of every call to a factorizer."""
+    return [(name, node.lineno) for name, node in calls(source) if name in FACTORIZERS]
 
 
 @pytest.mark.parametrize("path", [p for p in SOURCES if p.parent.name != "tests"],
@@ -114,6 +119,34 @@ def test_the_factorizer_scan_sees_bare_and_dotted_calls():
         "solve = lu.solve\n"
     )
     assert sorted(factorizer_calls(source)) == [("dgttrf", 4), ("splu", 3)]
+
+
+def splu_orderings(source):
+    """(line, permc_spec) of every `splu` call, the argument as source
+    text, or None where the call leaves it to `splu`'s COLAMD default."""
+    for name, node in calls(source):
+        if name == "splu":
+            spec = [k.value for k in node.keywords if k.arg == "permc_spec"]
+            yield node.lineno, ast.unparse(spec[0]) if spec else None
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "src/selab").rglob("*.py")),
+                         ids=lambda p: p.name)
+def test_every_splu_names_the_grid_ordering(path):
+    # a bare splu(matrix) would order by COLAMD, which fills 1.8 times
+    # more on the five-point pattern than the grid's minimum degree
+    assert [(line, spec) for line, spec in splu_orderings(path.read_text())
+            if spec != "_ORDERING"] == []
+
+
+def test_the_ordering_scan_sees_bare_and_literal_orderings():
+    source = (
+        "lu = splu(a)\n"
+        "lu = scipy.sparse.linalg.splu(a, permc_spec='NATURAL')\n"
+        "lu = splu(a, permc_spec=_ORDERING)\n"
+    )
+    assert list(splu_orderings(source)) == [(1, None), (2, "'NATURAL'"),
+                                            (3, "_ORDERING")]
 
 
 SCIPY_ALLOWED = {

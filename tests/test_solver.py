@@ -545,31 +545,53 @@ def test_forcing_terms_halve_the_gmres_work(theorem1_spec, monkeypatch):
     assert 0 < krylov < 0.6 * tight_krylov
 
 
+def captured_factors(monkeypatch):
+    """(permc_spec, SuperLU) of every `splu` call the grid makes."""
+    factors = []
+
+    def captured(*args, **kwargs):
+        factors.append((kwargs.get("permc_spec"), splu(*args, **kwargs)))
+        return factors[-1][1]
+
+    monkeypatch.setattr(selab.grid, "splu", captured)
+    return factors
+
+
+def assert_minimum_degree_fill(factors, matrix):
+    """The one factor is a minimum-degree splu of `matrix` and holds far
+    fewer entries than COLAMD's (0.57 times for a Jacobian at 63^2)."""
+    (spec, factor), = factors
+    assert spec == "MMD_AT_PLUS_A"
+    colamd = splu(matrix.tocsc())
+    assert factor.L.nnz + factor.U.nnz <= 0.65 * (colamd.L.nnz + colamd.U.nnz)
+
+
 def test_rectangle_factors_use_minimum_degree_fill(theorem3_spec, monkeypatch):
-    # one minimum-degree ordering per grid: the factor of A that yields
-    # it and that of a Newton Jacobian on it hold far fewer entries than
-    # COLAMD's of the same matrix (0.57 times at 63^2); A's own solves
-    # factor nothing
+    # a Newton Jacobian is one splu call on its own minimum-degree
+    # ordering; A's own solves factor nothing
     grid = build_grid("rectangle", (1.0,), 63)
     spec = replace(theorem3_spec, grid=grid, source=None, lam=80.0).with_eps(1e-2)
     x, y = grid.coords().T
     d, w = _linearization(spec, 0.3 * np.sin(np.pi * x) * np.sin(np.pi * y) + 0.01)
-    factors = []
-
-    def captured(*args, **kwargs):
-        factors.append(splu(*args, **kwargs))
-        return factors[-1]
-
-    monkeypatch.setattr(selab.grid, "splu", captured)
-    grid.lu()
+    factors = captured_factors(monkeypatch)
+    grid.lu().solve(np.ones(grid.n_total))
+    assert factors == []
     grid.factor(d, w).solve(np.ones(grid.n_total))
     A = grid.neg_laplacian()
     J = A + sp.diags(d) + sum(sp.diags(wk) @ D for wk, D in zip(w, grid.diff_matrices()))
-    assert len(factors) == 2
-    for factor, matrix in zip(factors, (A, J)):
-        colamd = splu(matrix.tocsc())
-        assert (factor.L.nnz + factor.U.nnz
-                <= 0.65 * (colamd.L.nnz + colamd.U.nnz))
+    assert_minimum_degree_fill(factors, J)
+
+
+def test_every_rectangle_factorization_is_counted(theorem3_spec, monkeypatch):
+    # each splu call of a continuation is one exact Jacobian factor and
+    # shows in its stage's "factorizations"; no factor is made aside
+    spec = replace(theorem3_spec, grid=build_grid("rectangle", (1.0,), 31),
+                   source=None, lam=80.0)
+    calls = counted_splu(monkeypatch)
+    rep = solve_with_continuation(spec)
+    assert rep.diagnostics["verdict"] == "converged"
+    assert len(calls) == sum(s["factorizations"] for s in rep.diagnostics["stages"])
+    assert len(calls) > 0
 
 
 def test_stagnating_newton_gives_up_within_the_line_search_budget(
@@ -744,25 +766,13 @@ def test_monotone_reports_a_shift_that_overflows(theorem1_spec):
 
 
 def test_monotone_factor_uses_minimum_degree_fill(theorem1_spec, monkeypatch):
-    # A + diag(D) goes through Grid.factor, so it is factored on the
-    # grid's minimum-degree ordering, not on COLAMD; the splu that
-    # computes that ordering is not counted
+    # A + diag(D) goes through Grid.factor: one splu call on its own
+    # minimum-degree ordering, not on COLAMD
     spec, sub, sup = theorem1_bracket(theorem1_spec, "rectangle", 63)
-    factors = []
-
-    def captured(*args, **kwargs):
-        if kwargs.get("permc_spec") == "NATURAL":
-            factors.append(splu(*args, **kwargs))
-            return factors[-1]
-        return splu(*args, **kwargs)
-
-    monkeypatch.setattr(selab.grid, "splu", captured)
+    factors = captured_factors(monkeypatch)
     monotone_iterate(spec, sub, sup, max_iter=1)
-    assert len(factors) == 1
     shifted = spec.grid.neg_laplacian() + sp.diags(default_shift(spec, sub, sup))
-    colamd = splu(shifted.tocsc())
-    assert (factors[0].L.nnz + factors[0].U.nnz
-            <= 0.65 * (colamd.L.nnz + colamd.U.nnz))
+    assert_minimum_degree_fill(factors, shifted)
 
 
 # ---- continuation ----
