@@ -7,8 +7,9 @@ works against the solution but its integrable singularity can be paid
 for once lambda f is strong enough: the solvable lambdas form an upper
 ray (lambda*, infinity).  Three artifacts pin the ray down:
 
-  * a bisected bracket [lo, hi] around lambda* from continuation
-    verdicts, cross-checked on a doubled grid,
+  * a bracket [lo, hi] around lambda*, the bisection cell of the fold
+    of the solution branch, confirmed by continuation verdicts at its
+    ends and cross-checked on a doubled grid,
   * the explicit bound lambda_0 = min(1, lambda_1 / 2m) below which no
     solution can exist, and
   * at a lambda comfortably above the bracket, a certified sub/super
@@ -29,8 +30,9 @@ from selab.errors import CertificateError
 spec = bundled_problem("theorem3.cfg")
 
 est = estimate_lambda_star(spec, 0.1, 100.0, iters=10)
-print(f"bisection on n = {est.grid_n}:")
-print(f"  lambda* in [{est.lo:.6f}, {est.hi:.6f}]  ({est.iters} iterations)")
+print(f"threshold bracket on n = {est.grid_n}:")
+print(f"  lambda* in [{est.lo:.6f}, {est.hi:.6f}]  ({est.iters} halvings;"
+      f" fold at {est.fold:.9f})")
 print(f"  doubled-grid bracket agrees: {est.refined_consistent}")
 print(f"  explicit lower bound lambda_0 = {est.lambda0:g}"
       f" (below hi: {est.lambda0_below_hi})")

@@ -4,11 +4,16 @@ nonexistence bound lambda_0, and the mass-divergence diagnostic.
 In the positive-K regime with integrable g the solvable set is an upper
 ray (lambda*, infinity): a solution at lambda_1 seeds a sub-solution at
 every lambda_2 > lambda_1.  Sweeps therefore expect verdicts to form an
-up-set along ascending lambda, and `estimate_lambda_star` bisects the
-verdict predicate.  Nothing here proves nonexistence; failed
-continuation indicates it, and the mass diagnostic checks the indicated
-mechanism (integral of g(u_eps + eps) diverging like the reference
-integral of g(c2 dist + eps)) rather than trusting the solver's word.
+up-set along ascending lambda.  `estimate_lambda_star` returns the cell
+of a bisection of the verdict predicate, but finds it from the branch of
+solutions at the last eps: the verdict flips where that branch folds
+back (`solver.branch_fold`), so the bisection's midpoints are replayed
+against the fold, and two continuation probes at the cell's ends confirm
+it; a cell they refute is bisected probe by probe.  Nothing here proves
+nonexistence; failed continuation indicates it, and the mass diagnostic
+checks the indicated mechanism (integral of g(u_eps + eps) diverging
+like the reference integral of g(c2 dist + eps)) rather than trusting
+the solver's word.
 """
 
 from __future__ import annotations
@@ -25,6 +30,7 @@ from .errors import ModelError, RegimeError
 from .grid import Field, build_grid
 from .mass import halving_rate, mass_integral, mass_trend, reference_mass
 from .solver import (
+    branch_fold,
     default_schedule,
     fixed_point,
     nonlinear_part,
@@ -144,11 +150,19 @@ def _flag_sub_bound_convergence(spec_template, result):
 
 @dataclass
 class LambdaStarEstimate:
-    """Bisection bracket for the existence threshold.
+    """Bracket [lo, hi] of the existence threshold, the dyadic cell of
+    [lambda_min, lambda_max] after `iters` halvings in which the verdict
+    flips.
 
     A sentinel replaces one bracket end when the predicate never flips:
     sentinel "below-range" means even lambda_min converged (lo is None),
-    "above-range" means even lambda_max failed (hi is None).
+    "above-range" means even lambda_max failed (hi is None).  `fold` is
+    the fold lambda_f that the trace of the eps_final branch found, None
+    when it found none in range and for a sentinel; when a confirming
+    probe refutes its cell, the bracket is bisected and need not hold it.
+    `history` lists every verdict probe made on the grid, in order: two
+    endpoints and at most two confirmations when the fold's cell held,
+    and the bisection's probes after them when it did not.
     """
 
     lo: float | None
@@ -160,6 +174,7 @@ class LambdaStarEstimate:
     sentinel: str | None = None
     refined_consistent: bool | None = None
     lambda0_below_hi: bool | None = None
+    fold: float | None = None
 
 
 def _refined(spec):
@@ -169,14 +184,35 @@ def _refined(spec):
     return replace(spec, grid=grid, source=None)
 
 
+def _halvings(lo, hi, iters, converged):
+    """The cell [lo, hi] after `iters` bisections on the predicate
+    `converged`, each at mid = 0.5 (lo + hi)."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if converged(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
 def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
                          schedule=None, tol=1e-10, refine=True):
-    """Bisect the continuation verdict on [lambda_min, lambda_max].
+    """The cell of `iters` bisections of [lambda_min, lambda_max] in which
+    the continuation verdict flips, found from the fold of the branch.
 
     Endpoints are probed first and sentinel estimates returned when the
-    flip lies outside the range.  With refine=True the final bracket is
-    re-run on a grid with doubled n per axis and the agreement recorded
-    (refined_consistent), not enforced.
+    flip lies outside the range.  Otherwise the eps_final branch through
+    lambda_max's solution is traced down to its fold lambda_f
+    (`solver.branch_fold`), the bisection's own midpoints are replayed
+    with "mid >= lambda_f" in place of the verdict, and the cell's ends
+    are probed: its lower end must fail and its upper end converge.
+    Bisection keeps the verdict's flip inside its cell, so while the
+    verdicts form an up-set these two probes give the cell bisection
+    would, without its other iters - 2 continuations.  When no fold is found in range, or a probe disagrees,
+    the verdict is bisected as it is, probe by probe.  With refine=True
+    the final bracket is re-run on a grid with doubled n per axis and the
+    agreement recorded (refined_consistent), not enforced.
     """
     lo, hi = float(lambda_min), float(lambda_max)
     if not 0 < lo < hi:
@@ -184,11 +220,13 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
     if schedule is None:
         schedule = default_schedule()
     n_axis = spec_template.grid.shape[0]
+    history = []
 
-    def converged_at(lam, spec=spec_template):
-        rep = solve_with_continuation(spec.with_lambda(lam), schedule=schedule,
-                                      tol=tol)
-        return rep.converged
+    def probe(lam):
+        rep = solve_with_continuation(spec_template.with_lambda(lam),
+                                      schedule=schedule, tol=tol)
+        history.append((lam, rep.diagnostics["verdict"]))
+        return rep
 
     lambda0 = None
     try:
@@ -197,32 +235,37 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
     except RegimeError:
         lambda0 = None
 
-    history = []
-    if converged_at(lo):
-        history.append((lo, "converged"))
+    if probe(lo).converged:
         return LambdaStarEstimate(lo=None, hi=lo, iters=0, lambda0=lambda0,
                                   grid_n=n_axis, history=history,
                                   sentinel="below-range",
                                   lambda0_below_hi=(lambda0 is None or lambda0 <= lo))
-    history.append((lo, "nonexistence-indicated"))
-    if not converged_at(hi):
-        history.append((hi, "nonexistence-indicated"))
+    top = probe(hi)
+    if not top.converged:
         return LambdaStarEstimate(lo=hi, hi=None, iters=0, lambda0=lambda0,
                                   grid_n=n_axis, history=history,
                                   sentinel="above-range", lambda0_below_hi=None)
-    history.append((hi, "converged"))
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if converged_at(mid):
-            hi = mid
-            history.append((mid, "converged"))
-        else:
-            lo = mid
-            history.append((mid, "nonexistence-indicated"))
+    fold = branch_fold(spec_template.with_lambda(hi).with_eps(schedule[-1]),
+                       top.solution, lo, tol=tol)
+    cell = None
+    if fold is not None:
+        cell = _halvings(lo, hi, iters, lambda mid: mid >= fold)
+        # an end that is still lambda_min or lambda_max was probed above
+        if not ((cell[0] == lo or not probe(cell[0]).converged)
+                and (cell[1] == hi or probe(cell[1]).converged)):
+            cell = None
+    if cell is None:
+        cell = _halvings(lo, hi, iters, lambda mid: probe(mid).converged)
+    lo, hi = cell
     refined = None
     if refine:
         fine = _refined(spec_template)
-        refined = (not converged_at(lo, fine)) and converged_at(hi, fine)
+
+        def converged_at(lam):
+            return solve_with_continuation(fine.with_lambda(lam), schedule=schedule,
+                                           tol=tol).converged
+
+        refined = (not converged_at(lo)) and converged_at(hi)
     below_hi = None if lambda0 is None else bool(lambda0 <= hi)
     if below_hi is False:
         log.warning("explicit bound lambda0=%.6g exceeds bracket hi=%.6g",
@@ -230,7 +273,7 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
     return LambdaStarEstimate(lo=lo, hi=hi, iters=iters, lambda0=lambda0,
                               grid_n=n_axis, history=history,
                               refined_consistent=refined,
-                              lambda0_below_hi=below_hi)
+                              lambda0_below_hi=below_hi, fold=fold)
 
 
 def lambda0_bound(spec_template):

@@ -197,6 +197,7 @@ def _cmd_lambda_star(args):
             "history": est.history,
             "refined_consistent": est.refined_consistent,
             "lambda0_below_hi": est.lambda0_below_hi,
+            "fold": est.fold,
         },
         json_path,
     )
@@ -373,7 +374,7 @@ def build_parser():
     p.set_defaults(fn=_cmd_sweep)
 
     p = sub.add_parser("lambda-star",
-                       help="bisect the existence threshold")
+                       help="bracket the existence threshold")
     _add_config(p)
     _add_common(p)
     p.add_argument("--lambda-min", type=float, default=0.1)

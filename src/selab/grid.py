@@ -394,22 +394,27 @@ def gmres(matrix, precondition, rhs, rtol, atol):
     x = 0 right-preconditioned by `precondition` (an approximate
     matrix^-1), so the residual it minimizes is the true one (Saad &
     Schultz, SIAM J. Sci. Stat. Comput. 7, 1986; Gram-Schmidt twice,
-    Givens rotations).  x is None when _KRYLOV_CAP iterations do not
-    reach the target, or once the last iteration's rate of decrease,
-    kept up over the iterations left, would not."""
+    Givens rotations).  Each preconditioned basis vector z_k is kept, as
+    flexible GMRES keeps them (Saad, SIAM J. Sci. Comput. 14, 1993), and
+    x is their combination, so no solve follows the last iteration.  x
+    is None when _KRYLOV_CAP iterations do not reach the target, or once
+    the last iteration's rate of decrease, kept up over the iterations
+    left, would not."""
     norm = float(np.linalg.norm(rhs))
     if norm == 0.0:
         return np.zeros_like(rhs), 0
     target = max(max(rtol, _KRYLOV_RTOL) * norm, atol)
     basis = np.zeros((_KRYLOV_CAP + 1, rhs.size))
     basis[0] = rhs / norm
+    preconditioned = np.zeros((_KRYLOV_CAP, rhs.size))
     hess = np.zeros((_KRYLOV_CAP + 1, _KRYLOV_CAP))
     # the residual of the projected least-squares problem, rotated
     g = np.zeros(_KRYLOV_CAP + 1)
     g[0] = norm
     rotations = []
     for k in range(_KRYLOV_CAP):
-        w = matrix @ precondition(basis[k])
+        preconditioned[k] = precondition(basis[k])
+        w = matrix @ preconditioned[k]
         for _ in range(2):
             coef = basis[:k + 1] @ w
             w -= coef @ basis[:k + 1]
@@ -432,7 +437,7 @@ def gmres(matrix, precondition, rhs, rtol, atol):
         rho = abs(g[k + 1])
         if rho <= target:
             y = np.linalg.solve(np.triu(hess[:k + 1, :k + 1]), g[:k + 1])
-            return precondition(y @ basis[:k + 1]), k + 1
+            return y @ preconditioned[:k + 1], k + 1
         if k > 0 and rho * abs(s) ** (_KRYLOV_CAP - 1 - k) > target:
             return None, k + 1
     return None, _KRYLOV_CAP
@@ -525,16 +530,28 @@ def integrate(grid, field):
 
 def write_field_csv(field, path):
     """One row per node, its coordinates and value each written as the
-    repr of the float (the shortest text that reads back to it).  Rows
-    are built from plain-float columns and written 1024 at a time, which
-    is as fast as one write and holds a tenth of the text."""
+    repr of the float (the shortest text that reads back to it).  Each
+    axis coordinate is formatted once, not once per row: a rectangle's
+    rows are written one line of x at a time, the leading "x," shared by
+    its rows and the ",y," texts by every line; an interval's 1024 at a
+    time, which is as fast as one write and holds a tenth of the text."""
     grid = field.grid
-    columns = [grid.coords()[:, i] for i in range(grid.dim)] + [field.values]
+    values = list(map(repr, field.values.tolist()))
     with open(path, "w") as fh:
-        fh.write(("x,value" if grid.dim == 1 else "x,y,value") + "\n")
-        for start in range(0, grid.n_total, 1024):
-            rows = zip(*(map(repr, c[start:start + 1024].tolist()) for c in columns))
-            fh.write("\n".join(map(",".join, rows)) + "\n")
+        if grid.dim == 1:
+            fh.write("x,value\n")
+            xs = [x + "," for x in map(repr, grid.axes[0].tolist())]
+            for start in range(0, grid.n_total, 1024):
+                stop = start + 1024
+                fh.write("\n".join(map(str.__add__, xs[start:stop],
+                                       values[start:stop])) + "\n")
+            return
+        fh.write("x,y,value\n")
+        ys = ["," + y + "," for y in map(repr, grid.axes[1].tolist())]
+        ny = len(ys)
+        for i, x in enumerate(map(repr, grid.axes[0].tolist())):
+            line = values[i * ny:(i + 1) * ny]
+            fh.write(x + ("\n" + x).join(map(str.__add__, ys, line)) + "\n")
 
 
 def read_field_csv(grid, path):

@@ -11,7 +11,8 @@ behind the Picard rescue, the mass diagnostic, the comparison suite, the
 super-solution and the convection sub-solution; A^-1 is the grid's
 `Grid.lu` (on a rectangle, sine transforms: nothing is factored), whose
 solves refuse a non-finite N(u), so the sweep stops there.  Every other
-linear solve here is a `Grid.factor` of the same pattern.  Three layers:
+linear solve here is a `Grid.factor` of the same pattern.  Three layers
+decide a verdict:
 
 * `newton_solve` - damped Newton with the analytic Jacobian
   A + diag(-psi'(u)) + sum_k diag(w_k) D_k, where the last sum
@@ -48,6 +49,10 @@ linear solve here is a `Grid.factor` of the same pattern.  Three layers:
   Cauchy tail in eps and an interior minimum clear of eps_final,
   otherwise the run is reported nonexistence-indicated with its mode.
   The eps = 0 singular limit is approached, never evaluated.
+
+`branch_fold` follows the branch of solutions at one eps down in lambda
+to its fold, by Newton on the Jacobian bordered by the lambda-derivative
+and a parametrizing row, each step two solves of one `Grid.factor`.
 """
 
 from __future__ import annotations
@@ -77,6 +82,10 @@ _TRIAL_STEPS = 8
 # the loosest relative residual a Newton step's GMRES solve may stop at
 # (the first step's forcing term); see `newton_solve`
 _FORCING_MAX = 1e-4
+# Newton steps per point of a traced branch, and points per trace and per
+# fold localization; see `branch_fold`
+_CORRECTOR_STEPS = 8
+_TRACE_POINTS = 60
 
 
 @dataclass
@@ -388,7 +397,11 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     stage's warm, Picard and envelope attempts alike.  Each entry of
     diagnostics["stages"] counts, over all of its stage's attempts, the
     exact Jacobian factorizations ("factorizations") and the GMRES
-    iterations ("krylov_iterations") the stage spent.
+    iterations ("krylov_iterations") the stage spent.  It lists converged
+    stages only; diagnostics["failed_stage"] holds the same counts for
+    the stage that failed, with its eps and the initial guesses it tried
+    in order ("initials": "warm", "picard", "envelope"), and is None
+    when every stage converged.
     """
     if schedule is None:
         schedule = default_schedule()
@@ -415,6 +428,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     stage_stats = []
     prev_solution = None
     failure_mode = None
+    failed_stage = None
     last_residual = np.inf
     solution = Field(spec.grid, u)
     try:
@@ -446,8 +460,10 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
         stage = spec.with_eps(eps)
         report = None
         picard_u = None
+        tried = []
         spent = (lagged.factorizations, lagged.krylov_iterations)
         for kind, attempt in stage_initials(stage, u):
+            tried.append(kind)
             if kind == "picard":
                 picard_u = attempt
             try:
@@ -462,6 +478,12 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
             floor_frac = float(np.mean(picard_u <= 0.011 * eps)) \
                 if (eps > 0 and picard_u is not None) else 0.0
             failure_mode = "collapse" if floor_frac > 0 else "stagnation"
+            failed_stage = {
+                "eps": eps,
+                "initials": tried,
+                "factorizations": lagged.factorizations - spent[0],
+                "krylov_iterations": lagged.krylov_iterations - spent[1],
+            }
             log.info("continuation stage eps=%.3e failed (%s): %s",
                      eps, failure_mode, last_error)
             break
@@ -526,9 +548,144 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
             "solution": "stage" if eps_done else "start",
             "increments": increments,
             "stages": stage_stats,
+            "failed_stage": failed_stage,
             "path_tol": path_tol,
             "eps_monotone": eps_monotone,
             "mass_fitted": mass_fitted,
             "mass_factors": mass_factors,
         },
     )
+
+
+def _branch_point(spec, border, sigma, u, lam, tol):
+    """The solution (u, lam) of F(u, lam) = A u + N(u) = 0 at the spec's
+    eps with <border, u> = sigma, by Newton on the bordered system from
+    (u, lam); see `branch_fold`.  Returns (u, lam, x2), x2 = J^-1 f at
+    the solution, or None when a Newton step fails: J singular or not
+    finite, u + eps not positive, lam not positive, or a residual that
+    does not fall."""
+    grid = spec.grid
+    previous = np.inf
+    for _ in range(_CORRECTOR_STEPS):
+        if not 0.0 < lam < np.inf:
+            return None
+        stage = spec.with_lambda(lam)
+        try:
+            Au, r = _residual(stage, u)
+            jacobian = grid.factor(*_linearization(stage, u))
+            x1 = jacobian.solve(-r)
+            x2 = jacobian.solve(stage.f_at(u))
+        except (SingularEvaluationError, RuntimeError, ValueError):
+            return None
+        rnorm = float(np.abs(r).max())
+        if rnorm < tol * max(1.0, float(np.abs(Au).max())):
+            return u, lam, x2
+        if rnorm >= previous:
+            return None
+        previous = rnorm
+        dlam = (sigma - float(border @ (u + x1))) / float(border @ x2)
+        u = u + x1 + dlam * x2
+        lam += dlam
+    return None
+
+
+def branch_fold(spec, initial, lambda_min, tol=1e-10):
+    """lambda at the fold of the branch of solutions at the spec's eps
+    that passes through `initial` at spec.lam, followed down in lambda;
+    None when the branch falls below lambda_min before it turns, or a
+    point of it is not found.
+
+    A point of the branch F(u, lambda) = A u + N(u) = 0 solves F = 0 with
+    one more equation <b, u> = sigma, by Newton on the bordered Jacobian
+    [[J, -f], [b^T, 0]], J = F_u, solved by block elimination (Govaerts,
+    Numerical Methods for Bifurcations of Dynamical Equilibria, SIAM
+    2000, ch. 3): two solves of one `Grid.factor` of J, J x1 = -r and
+    J x2 = f, then dlambda = (sigma - <b, u + x1>) / <b, x2> and
+    du = x1 + dlambda x2.  At a solution x2 = du/dlambda along the
+    branch, dlambda/dsigma = 1 / <b, x2>, and du/dsigma is x2 times that.
+
+    Each step parametrizes the branch by the component of u along the
+    last point's x2, b = x2 / |x2| (a local parametrization, as in
+    Rheinboldt, Numerical Analysis of Parametrized Nonlinear Equations,
+    Wiley 1986): far from the fold x2 is the branch's direction, and
+    near it J^-1 f grows into J's null vector, so sigma stays a regular
+    parameter through the turn.  A fixed row, such as the first
+    eigenfunction's <phi_1, u>_h, turns too sharply where the null vector
+    is unlike it: on a rectangle the null vector sits in the corners, and
+    a trace on <phi_1, u>_h does not get round the fold of theorem3 on
+    31^2.  Steps of sigma go the way lambda falls.  The first is a
+    quarter of sigma, and each found point doubles the step, up to half
+    of sigma.  A point not found quarters it (down to 1e-9 of sigma), and
+    the next point found keeps it: near a sharp turn, doubling straight
+    after a miss mostly misses again.
+
+    The fold is where dlambda/dsigma changes sign (Moore & Spence, SIAM
+    J. Numer. Anal. 17, 1980, solve for it as an extended system; here
+    it is the root of the slope).  With b held at the last point before
+    the turn, a secant on the slope, kept inside the bracket of the two
+    points around the root, picks the next sigma; near the fold
+    lambda(sigma) = lambda_f + slope^2 / (2 curvature) to leading order,
+    and lambda_f is the last point's lambda less that term once the
+    term is below 1e-10 lambda.
+    """
+    u = np.asarray(initial.values if isinstance(initial, Field) else initial,
+                   dtype=float)
+    size = float(np.linalg.norm(u))
+    point = _branch_point(spec, u / size, size, u, spec.lam, tol)
+    if point is None:
+        return None
+    step, growth = 0.25, 2.0
+    for _ in range(_TRACE_POINTS):
+        size = float(np.linalg.norm(point[2]))
+        border = point[2] / size
+        sigma = float(border @ point[0])
+        ds = -step * abs(sigma)
+        slope = 1.0 / size
+        turned = _branch_point(spec, border, sigma + ds,
+                               point[0] + ds * slope * point[2],
+                               point[1] + ds * slope, tol)
+        if turned is None:
+            step *= 0.25
+            if step < 1e-9:
+                return None
+            growth = 1.0
+            continue
+        if turned[1] < lambda_min:
+            return None
+        if float(border @ turned[2]) < 0.0:
+            break
+        point = turned
+        step = min(0.5, growth * step)
+        growth = 2.0
+    else:
+        return None
+
+    def mark(p):
+        return float(border @ p[0]), p, 1.0 / float(border @ p[2])
+
+    before, after = mark(point), mark(turned)
+    last, newest = before, after
+    for _ in range(_TRACE_POINTS):
+        lo, hi = after[0], before[0]
+        curvature = (newest[2] - last[2]) / (newest[0] - last[0])
+        sigma = newest[0] - newest[2] / curvature if curvature > 0.0 else lo
+        if not lo < sigma < hi:
+            sigma = 0.5 * (lo + hi)
+            if not lo < sigma < hi:
+                return None
+        base = min(before, after, key=lambda m: abs(m[0] - sigma))
+        ds = sigma - base[0]
+        p = _branch_point(spec, border, sigma, base[1][0] + ds * base[2] * base[1][2],
+                          base[1][1] + ds * base[2], tol)
+        if p is None:
+            return None
+        last, newest = newest, mark(p)
+        if newest[2] > 0.0:
+            before = newest
+        else:
+            after = newest
+        if curvature > 0.0:
+            drop = 0.5 * newest[2] ** 2 / curvature
+            if drop <= 1e-10 * p[1]:
+                return float(p[1] - drop)
+    return None

@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import selab.bifurcation
 from selab.bifurcation import (
     _refined,
     _thread_budget,
@@ -21,7 +22,7 @@ from selab.model import (
     SingularTerm,
     make_problem,
 )
-from selab.solver import default_schedule
+from selab.solver import default_schedule, solve_with_continuation
 
 
 def coarsen(spec, n):
@@ -142,7 +143,8 @@ def test_estimate_bracket_structure(theorem3_spec):
     assert est.grid_n == 64
     assert 0.1 < est.lo < est.hi < 100.0
     assert est.hi - est.lo == pytest.approx(99.9 / 2**6, rel=1e-12)
-    assert len(est.history) == 2 + 6
+    # two endpoints and the two ends of the fold's cell
+    assert len(est.history) == 2 + 2
     converged = [lam for lam, v in est.history if v == "converged"]
     failed = [lam for lam, v in est.history if v == "nonexistence-indicated"]
     assert est.hi == min(converged)
@@ -158,6 +160,54 @@ def test_estimate_refined_consistency(theorem3_spec):
     assert est.sentinel is None
     assert est.grid_n == 32
     assert est.refined_consistent is True
+
+
+def bisection_cells(spec, lo, hi, halvings):
+    """The cell after each halving of a plain bisection of the verdict,
+    `solve_with_continuation(...).converged`, on [lo, hi]."""
+    cells = [(lo, hi)]
+    for _ in range(halvings):
+        mid = 0.5 * (lo + hi)
+        if solve_with_continuation(spec.with_lambda(mid)).converged:
+            hi = mid
+        else:
+            lo = mid
+        cells.append((lo, hi))
+    return cells
+
+
+@pytest.mark.parametrize("kind,n,halvings", [
+    ("interval", 64, 24), ("interval", 255, 24), ("rectangle", 15, 12)])
+def test_the_fold_guided_bracket_is_the_bisection_bracket(theorem3_spec, kind, n,
+                                                          halvings):
+    # the 12-halving cell from the fold and two confirming probes is the
+    # plain bisection's, float for float (n = 64 is `selab verify`'s
+    # case), and the fold lies in the bisection's last cell
+    spec = replace(theorem3_spec, grid=build_grid(kind, (1.0,), n), source=None)
+    cells = bisection_cells(spec, 0.1, 100.0, halvings)
+    est = estimate_lambda_star(spec, 0.1, 100.0, iters=12, refine=False)
+    assert (est.lo, est.hi) == cells[12]
+    assert len(est.history) == 2 + 2
+    lo, hi = cells[-1]
+    assert lo < est.fold <= hi
+
+
+@pytest.mark.parametrize("located,probes", [(50.0, 1), (2.0, 2), (None, 0)],
+                         ids=["above", "below", "none"])
+def test_a_fold_the_verdicts_refute_falls_back_to_bisection(
+        theorem3_spec, monkeypatch, located, probes):
+    # a wrong fold's cell is refuted by a confirming probe (its lower end
+    # converges, or its upper end fails, and the probes stop there), and
+    # no fold skips them; either way the verdict is bisected, and the
+    # bracket is the one the true fold gives
+    guided = estimate_lambda_star(theorem3_spec, 0.1, 100.0, iters=6, refine=False)
+    monkeypatch.setattr(selab.bifurcation, "branch_fold",
+                        lambda spec, initial, lambda_min, tol: located)
+    est = estimate_lambda_star(theorem3_spec, 0.1, 100.0, iters=6, refine=False)
+    assert (est.lo, est.hi) == (guided.lo, guided.hi)
+    assert est.fold == located
+    assert len(est.history) == 2 + probes + 6
+    assert est.history[:2] == guided.history[:2]
 
 
 def test_estimate_rejects_bad_range(theorem3_spec):

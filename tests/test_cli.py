@@ -142,7 +142,8 @@ def test_lambda_star_json_contract(tmp_path):
     assert code == 0
     est = read_json(out / "lambda_star.json")
     assert set(est) == {"lo", "hi", "iters", "lambda0", "grid_n", "sentinel",
-                        "history", "refined_consistent", "lambda0_below_hi"}
+                        "history", "refined_consistent", "lambda0_below_hi",
+                        "fold"}
     assert est["lambda0"] == 1.0
     assert est["grid_n"] == 64
     assert 0.1 < est["lo"] < est["hi"] < 100.0
@@ -151,6 +152,7 @@ def test_lambda_star_json_contract(tmp_path):
     assert [est["hi"], "converged"] in est["history"]
     assert est["refined_consistent"] is True
     assert est["lambda0_below_hi"] is True
+    assert est["lo"] < est["fold"] <= est["hi"]
 
 
 # ------------------------------------------------------------ eigen / hode

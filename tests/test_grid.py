@@ -210,7 +210,7 @@ def test_field_csv_round_trip(tmp_path):
 @pytest.mark.parametrize("kind,extents,n", [
     ("interval", (1.0,), 255), ("interval", (1.0,), 1024),
     ("interval", (1.0,), 2049), ("rectangle", (1.0, 1.3), (23, 19)),
-    ("rectangle", (1.0, 1.3), (47, 45))])
+    ("rectangle", (1.0, 1.3), (47, 45)), ("rectangle", (0.7, 1.3), (5, 3))])
 def test_field_csv_bytes_are_those_of_one_repr_per_value(kind, extents, n, tmp_path):
     # the file is what writing each row's repr(float(v)) gives, byte for
     # byte, on values of every magnitude and sign, in one block of rows

@@ -485,6 +485,21 @@ def test_gmres_meets_the_looser_of_its_two_targets(rtol, atol, rng):
     assert iterations <= tight
 
 
+def test_gmres_makes_one_preconditioner_solve_per_iteration(rng):
+    # x is the combination of the kept preconditioned basis vectors, so
+    # no solve follows the last iteration
+    matrix, precondition, rhs = krylov_problem(rng, 50.0)
+    calls = []
+
+    def counted(v):
+        calls.append(v)
+        return precondition(v)
+
+    x, iterations = selab.grid.gmres(matrix, counted, rhs, 1e-10, 0.0)
+    assert np.linalg.norm(rhs - matrix @ x) <= 1.01e-10 * np.linalg.norm(rhs)
+    assert len(calls) == iterations >= 2
+
+
 def test_gmres_returns_none_past_its_cap(rng, monkeypatch):
     matrix, precondition, rhs = krylov_problem(rng, 50.0)
     _, needed = selab.grid.gmres(matrix, precondition, rhs, 1e-12, 0.0)
@@ -592,6 +607,23 @@ def test_every_rectangle_factorization_is_counted(theorem3_spec, monkeypatch):
     assert rep.diagnostics["verdict"] == "converged"
     assert len(calls) == sum(s["factorizations"] for s in rep.diagnostics["stages"])
     assert len(calls) > 0
+
+
+def test_a_failed_stage_reports_what_it_spent(theorem1_spec, theorem2_spec,
+                                             monkeypatch):
+    # theorem2 on 47^2 at lambda = 1 fails in its first stage after two
+    # exact factorizations, which no converged stage lists
+    spec = replace(theorem2_spec, grid=build_grid("rectangle", (1.0,), 47),
+                   source=None, lam=1.0)
+    calls = counted_splu(monkeypatch)
+    rep = solve_with_continuation(spec)
+    assert rep.diagnostics["stages"] == []
+    failed = rep.diagnostics["failed_stage"]
+    assert failed["eps"] == 0.1
+    assert failed["initials"] == ["warm", "picard", "envelope"]
+    assert failed["factorizations"] == len(calls) == 2
+    assert failed["krylov_iterations"] > 0
+    assert solve_with_continuation(theorem1_spec).diagnostics["failed_stage"] is None
 
 
 def test_stagnating_newton_gives_up_within_the_line_search_budget(
