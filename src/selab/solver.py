@@ -43,12 +43,16 @@ decide a verdict:
   The convection term is lagged (it has no one-sided structure), which is
   why bracket escape is recorded as a diagnostic instead of assumed away.
 * `solve_with_continuation` - walks eps down a schedule (default
-  0.1 * 2^-k, 12 steps) from 0.5 phi_1 in every regime, warm-starting
-  each stage (a failed one retries after a Picard rescue and, for K > 0,
-  from the gradient-free envelope); "converged" demands a
-  Cauchy tail in eps and an interior minimum clear of eps_final,
-  otherwise the run is reported nonexistence-indicated with its mode.
-  The eps = 0 singular limit is approached, never evaluated.
+  0.1 * 2^-k, 12 steps) from 0.5 phi_1 in every regime.  From the third
+  stage on, Newton starts from a predictor, the polynomial in eps through
+  the last (up to) three stage solutions (`extrapolate`; Allgower &
+  Georg, Numerical Continuation Methods, 1990).  In the first two stages,
+  and where the predictor fails, it starts warm from the last solution,
+  then after a Picard rescue and, for K > 0, from the gradient-free
+  envelope.  "converged" demands a Cauchy tail in eps and an interior
+  minimum clear of eps_final, otherwise the run is reported
+  nonexistence-indicated with its mode.  The eps = 0 singular limit is
+  approached, never evaluated.
 
 `branch_fold` follows the branch of solutions at one eps down in lambda
 to its fold, by Newton on the Jacobian bordered by the lambda-derivative
@@ -188,14 +192,16 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
     Backtracks through at most 8 steps t = 1, 1/2, ..., 2^-7 until the
     residual sup-norm drops below (1 - 1e-4 t) times its current value
     and positivity of u + eps survives; while eps > 0 iterates are
-    clipped at the floor 0.01 eps.  The budget is measured: no solve that
-    succeeds in the test suite, `selab verify`, the benchmark workloads
-    or a fine-grid ladder (interval n up to 8191) accepts a step below
-    t = 1/4, so 2^-7 leaves a factor 32 of room.  The steps tried are a
-    prefix of an unbounded halving, so a solve that succeeds within the
-    budget is unchanged by it; a stage with no solution, about half of
-    every lambda* bracket, gives up after 8 residual evaluations per
-    iteration instead of 31.  `tol` is relative to the stiffness scale
+    clipped at the floor 0.01 eps.  The budget is measured: over the
+    benchmark workloads and a fine-grid ladder (0.25 <= a <= 2), the
+    shortest step a successful solve accepts is t = 1/32, in two
+    first-stage solves of the lambda-axis workload (lambda near 17,
+    n = 72 and 96); after the first iteration it is t = 1/16, in a < 1
+    solves on rectangles.  So 2^-7 leaves a factor 4 of room.  The steps
+    tried are a prefix of an unbounded halving, so a solve that succeeds
+    within the budget is unchanged by it; a stage with no solution, about
+    half of every lambda* bracket, gives up after 8 residual evaluations
+    per iteration instead of 31.  `tol` is relative to the stiffness scale
     max(1, |A u|_inf): assembling the residual of a field of amplitude U
     already carries rounding noise of order U/h^2 times machine epsilon,
     so an absolute target below that is unreachable.  Raises
@@ -370,9 +376,22 @@ def _picard_rescue(spec, u0, sweeps=300, relax=0.5):
     return u
 
 
+def extrapolate(path, eps):
+    """The Lagrange polynomial in eps through the points (eps_j, u_j) of
+    `path`, evaluated at `eps`: the predictor of a continuation stage."""
+    start = 0.0
+    for j, (eps_j, u_j) in enumerate(path):
+        weight = 1.0
+        for m, (eps_m, _) in enumerate(path):
+            if m != j:
+                weight *= (eps - eps_m) / (eps_j - eps_m)
+        start = start + weight * u_j
+    return start
+
+
 def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
                             initial=None, max_iter=60):
-    """Walk eps down the schedule with warm starts; see module docstring.
+    """Walk eps down the schedule; see module docstring.
 
     `tol` is the per-stage Newton residual tolerance.  `path_tol` bounds
     the final consecutive-stage difference (the Cauchy check); the
@@ -393,15 +412,24 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     solution is: "stage", the last converged stage, or "start", the
     initial iterate, when the first stage already failed.
 
+    Each stage tries its initial guesses in turn until Newton converges
+    from one: "predicted", the `extrapolate` of the last three converged
+    stages to the new eps (once two have converged); "warm", the last
+    converged stage (or the start); "picard", the warm start after a
+    Picard rescue; and, in the positive-K regime, "envelope", the
+    gradient-free super-solution.  The predictor removes the first- and
+    second-order parts of the eps-change that a warm start leaves to
+    Newton, so a stage often takes one Newton step fewer.
+
     One `grid.LaggedFactor` serves every Newton solve of the call, each
-    stage's warm, Picard and envelope attempts alike.  Each entry of
-    diagnostics["stages"] counts, over all of its stage's attempts, the
-    exact Jacobian factorizations ("factorizations") and the GMRES
-    iterations ("krylov_iterations") the stage spent.  It lists converged
-    stages only; diagnostics["failed_stage"] holds the same counts for
-    the stage that failed, with its eps and the initial guesses it tried
-    in order ("initials": "warm", "picard", "envelope"), and is None
-    when every stage converged.
+    stage's attempts alike.  Each entry of diagnostics["stages"] names the
+    initial guess that won ("initial") and counts, over all of its
+    stage's attempts, the exact Jacobian factorizations
+    ("factorizations") and the GMRES iterations ("krylov_iterations") the
+    stage spent.  It lists converged stages only;
+    diagnostics["failed_stage"] holds the same counts for the stage that
+    failed, with its eps and the initial guesses it tried in order
+    ("initials"), and is None when every stage converged.
     """
     if schedule is None:
         schedule = default_schedule()
@@ -426,7 +454,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     eps_done = []
     increments = []
     stage_stats = []
-    prev_solution = None
+    path = []  # (eps, solution) of the last three converged stages
     failure_mode = None
     failed_stage = None
     last_residual = np.inf
@@ -440,6 +468,8 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     lagged = LaggedFactor()
 
     def stage_initials(stage, warm):
+        if len(path) >= 2:
+            yield "predicted", extrapolate(path, stage.eps)
         yield "warm", warm
         yield "picard", _picard_rescue(stage, warm)
         # descending from the gradient-free super-solution is in Newton's
@@ -489,19 +519,21 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
             break
         total_iters += report.iterations
         last_residual = report.residual_inf
-        if prev_solution is not None:
+        if path:
+            previous = path[-1][1]
             increments.append(float(np.max(np.abs(
-                report.solution.values - prev_solution))))
+                report.solution.values - previous))))
             if positive_regime:
                 # shrinking eps strengthens K g(u+eps), so stages descend
                 eps_monotone &= bool(np.all(
-                    report.solution.values <= prev_solution + 1e-8))
-        prev_solution = report.solution.values.copy()
+                    report.solution.values <= previous + 1e-8))
+        path = path[-2:] + [(eps, report.solution.values)]
         u = report.solution.values.copy()
         solution = report.solution
         eps_done.append(eps)
         stage = {
             "eps": eps,
+            "initial": kind,
             "min": float(u.min()),
             "max": float(u.max()),
             "iterations": report.iterations,

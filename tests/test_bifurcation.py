@@ -258,8 +258,8 @@ def test_sweep_parallel_matches_warm(theorem3_spec, coarse_sweep):
 
 
 @pytest.mark.parametrize("warm,iterations", [
-    (True, [0] * 7 + [32, 18, 18, 15, 15]),
-    (False, [0] * 7 + [32, 18, 14, 11, 11]),
+    (True, [0] * 7 + [24, 12, 13, 10, 8]),
+    (False, [0] * 7 + [24, 12, 9, 6, 4]),
 ])
 def test_sweep_verdicts_and_iterations_are_pinned(theorem3_spec, warm,
                                                   iterations):

@@ -1,5 +1,6 @@
 import gc
 import itertools
+import json
 import weakref
 from dataclasses import replace
 
@@ -428,18 +429,28 @@ def test_newton_reports_a_singular_jacobian_behind_a_lagged_factor(
 @pytest.mark.parametrize("n", [39, 47])
 def test_lagged_continuation_matches_the_exact_one(config, lam, n, request,
                                                    monkeypatch):
-    # the lagged factor changes rounding only: verdict, mode, eps path and
-    # every stage's Newton iterations are those of a run that factors
-    # every Jacobian (a cap of 0 GMRES iterations), with far fewer
-    # factorizations; it lives in the call, so a rerun on the same grid
-    # gives the same bits
+    # the lagged factor changes the stage solutions only within Newton's
+    # tolerance: verdict, mode, eps path and each stage's initial guess are
+    # those of a run that factors every Jacobian (a cap of 0 GMRES
+    # iterations), with far fewer factorizations; it lives in the call, so
+    # a rerun on the same grid gives the same bits.  The Newton steps per
+    # stage may differ: a predicted start is close enough to the solution
+    # that differences at the tolerance decide whether one more step is
+    # taken (theorem3 takes 2 against 1 in stage 3 on 39^2 and stage 4 on
+    # 47^2).  theorem3's first stage, where the warm start fails, factors
+    # alike in both runs (8 times on 39^2); the stages after it factor once
+    # in all against 10 times
     spec = request.getfixturevalue(f"{config}_spec")
     spec = replace(spec, grid=build_grid("rectangle", (1.0,), n), source=None,
                    lam=lam)
 
     def fingerprint(rep):
         return (rep.diagnostics["verdict"], rep.diagnostics["mode"], rep.eps_path,
-                [s["iterations"] for s in rep.diagnostics["stages"]])
+                [s["initial"] for s in rep.diagnostics["stages"]])
+
+    def assert_agree(a, b):
+        scale = max(1.0, float(np.abs(b).max()))
+        np.testing.assert_allclose(a, b, rtol=0.0, atol=1e-10 * scale)
 
     calls = counted_splu(monkeypatch)
     first = solve_with_continuation(spec)
@@ -448,12 +459,23 @@ def test_lagged_continuation_matches_the_exact_one(config, lam, n, request,
     np.testing.assert_array_equal(again.solution.values, first.solution.values)
     assert again.residual_inf == first.residual_inf
     assert fingerprint(again) == fingerprint(first)
+    assert [s["iterations"] for s in again.diagnostics["stages"]] == \
+        [s["iterations"] for s in first.diagnostics["stages"]]
     del calls[:]
     monkeypatch.setattr(selab.grid, "_KRYLOV_CAP", 0)
     exact = solve_with_continuation(spec)
     assert fingerprint(first) == fingerprint(exact)
     assert exact.diagnostics["verdict"] == "converged"
-    assert 2 * factored < len(calls)
+    for key in ("min", "max"):
+        assert_agree([s[key] for s in first.diagnostics["stages"]],
+                     [s[key] for s in exact.diagnostics["stages"]])
+    assert_agree(first.solution.values, exact.solution.values)
+    assert factored < len(calls)
+
+    def later(rep):
+        return sum(s["factorizations"] for s in rep.diagnostics["stages"][1:])
+
+    assert 2 * later(first) < later(exact)
 
 
 # ---- inexact Newton: each step's GMRES target (forcing terms) ----
@@ -531,11 +553,13 @@ def test_an_interval_jacobian_counts_as_one_factorization(theorem1_spec):
 
 
 def test_forcing_terms_halve_the_gmres_work(theorem1_spec, monkeypatch):
-    # theorem1 on 39^2 at lambda = 1 (33 Newton steps): GMRES run to
-    # 1e-12 on every step, as before forcing terms, takes 251 iterations;
-    # the forcing terms take 114 (and the forcing terms held at their
-    # 1e-12 floor, the absolute target alone, 176), for the same
-    # verdict, eps path and Newton steps
+    # theorem1 on 39^2 at lambda = 1, every stage started warm (33 Newton
+    # steps): GMRES run to 1e-12 on every step, as before forcing terms,
+    # takes 251 iterations; the forcing terms take 114 (and the forcing
+    # terms held at their 1e-12 floor, the absolute target alone, 176),
+    # for the same verdict, eps path and Newton steps.  Predicted starts
+    # (25 Newton steps) leave fewer steps far from the solution, where
+    # forcing terms save most: 89 against 122 and 185
     spec = replace(theorem1_spec, grid=build_grid("rectangle", (1.0,), 39),
                    source=None, lam=1.0)
 
@@ -546,18 +570,31 @@ def test_forcing_terms_halve_the_gmres_work(theorem1_spec, monkeypatch):
                 sum(s["krylov_iterations"] for s in stages),
                 sum(s["factorizations"] for s in stages))
 
-    forced, krylov, factored = outcome(solve_with_continuation(spec))
-    assert forced[0] == "converged" and factored >= 1
-    monkeypatch.setattr(selab.solver, "_FORCING_MAX", 1e-12)
-    floored, floored_krylov, _ = outcome(solve_with_continuation(spec))
-    assert floored == forced
+    def runs():
+        """(forced, floored, tight) GMRES iterations of one way to start."""
+        with monkeypatch.context() as patch:
+            forced, krylov, factored = outcome(solve_with_continuation(spec))
+            assert forced[0] == "converged" and factored >= 1
+            patch.setattr(selab.solver, "_FORCING_MAX", 1e-12)
+            floored, floored_krylov, _ = outcome(solve_with_continuation(spec))
+            assert floored == forced
+            patch.undo()
+            gmres = selab.grid.gmres
+            patch.setattr(selab.grid, "gmres", lambda matrix, precondition, rhs,
+                          rtol, atol: gmres(matrix, precondition, rhs, 1e-12, 0.0))
+            tight, tight_krylov, _ = outcome(solve_with_continuation(spec))
+            assert tight == forced
+        return krylov, floored_krylov, tight_krylov
+
+    predicted, predicted_floored, predicted_tight = runs()
+    assert 0 < predicted < predicted_floored
+    assert predicted < 0.6 * predicted_tight
+    # the zeroth-order predictor: each stage starts from the last solution
+    monkeypatch.setattr(selab.solver, "extrapolate", lambda path, eps: path[-1][1])
+    krylov, floored_krylov, tight_krylov = runs()
     assert krylov < 0.7 * floored_krylov
-    gmres = selab.grid.gmres
-    monkeypatch.setattr(selab.grid, "gmres", lambda matrix, precondition, rhs,
-                        rtol, atol: gmres(matrix, precondition, rhs, 1e-12, 0.0))
-    tight, tight_krylov, _ = outcome(solve_with_continuation(spec))
-    assert tight == forced
     assert 0 < krylov < 0.6 * tight_krylov
+    assert predicted < krylov
 
 
 def captured_factors(monkeypatch):
@@ -624,6 +661,91 @@ def test_a_failed_stage_reports_what_it_spent(theorem1_spec, theorem2_spec,
     assert failed["factorizations"] == len(calls) == 2
     assert failed["krylov_iterations"] > 0
     assert solve_with_continuation(theorem1_spec).diagnostics["failed_stage"] is None
+
+
+def test_each_stage_reports_the_initial_guess_that_won(theorem1_spec, tmp_path):
+    # the first two stages have no path to extrapolate and start warm; the
+    # rest start from the predictor; report.json carries the same entries
+    from selab.cli import main
+
+    rep = solve_with_continuation(theorem1_spec)
+    assert [s["initial"] for s in rep.diagnostics["stages"]] == \
+        ["warm"] * 2 + ["predicted"] * 10
+    out = tmp_path / "run"
+    assert main(["solve", "--config", "theorem1.cfg", "--out", str(out)]) == 0
+    with open(out / "report.json") as fh:
+        stages = json.load(fh)["diagnostics"]["stages"]
+    assert [s["initial"] for s in stages] == [s["initial"] for s in
+                                              rep.diagnostics["stages"]]
+
+
+def test_a_failed_stage_lists_the_predicted_start_it_tried(theorem3_spec):
+    # theorem3 on n = 64 just below lambda* (about 10.40) converges seven
+    # stages and fails the eighth from every initial guess in turn
+    rep = solve_with_continuation(replace(theorem3_spec, lam=10.39))
+    assert (rep.diagnostics["verdict"], rep.diagnostics["mode"]) == \
+        ("nonexistence-indicated", "collapse")
+    assert len(rep.eps_path) == 7
+    failed = rep.diagnostics["failed_stage"]
+    assert failed["eps"] == default_schedule()[7]
+    assert failed["initials"] == ["predicted", "warm", "picard", "envelope"]
+
+
+@pytest.mark.parametrize("a,lam", [(0.25, 1.0), (0.5, 1.0), (0.5, 10.0)])
+def test_predicted_starts_carry_theorem1_below_a_1(theorem1_spec, a, lam):
+    # theorem1 has a solution for every lambda; on n = 511 warm starts
+    # stagnated after 8, 3 and 7 stages, where |grad u|^a is not Lipschitz
+    spec = replace(with_n(theorem1_spec, 511), conv_a=a, lam=lam)
+    rep = solve_with_continuation(spec)
+    assert (rep.diagnostics["verdict"], rep.diagnostics["mode"]) == ("converged", None)
+    assert rep.eps_path == default_schedule()
+
+
+def test_extrapolation_reproduces_a_quadratic_path(rng):
+    # the Lagrange polynomial through three points of a path quadratic in
+    # eps is that path; through two points of a linear one, that line
+    c0, c1, c2 = rng.uniform(-1.0, 1.0, (3, 50))
+    schedule = default_schedule()
+
+    def quadratic(eps):
+        return c0 + c1 * eps + c2 * eps**2
+
+    for k in range(3, len(schedule)):
+        path = [(e, quadratic(e)) for e in schedule[k - 3:k]]
+        np.testing.assert_allclose(selab.solver.extrapolate(path, schedule[k]),
+                                   quadratic(schedule[k]), rtol=0.0, atol=1e-15)
+    line = [(e, c0 + c1 * e) for e in schedule[:2]]
+    np.testing.assert_allclose(selab.solver.extrapolate(line, schedule[2]),
+                               c0 + c1 * schedule[2], rtol=0.0, atol=1e-15)
+
+
+def test_the_predictor_extrapolates_through_the_last_three_stages(theorem1_spec,
+                                                                  monkeypatch):
+    calls = []
+    extrapolate = selab.solver.extrapolate
+
+    def recorded(path, eps):
+        calls.append(([e for e, _ in path], eps))
+        return extrapolate(path, eps)
+
+    monkeypatch.setattr(selab.solver, "extrapolate", recorded)
+    schedule = default_schedule()
+    solve_with_continuation(theorem1_spec)
+    assert calls == [(schedule[max(0, k - 3):k], schedule[k])
+                     for k in range(2, len(schedule))]
+
+
+def test_a_rejected_prediction_falls_back_to_the_warm_start(theorem1_spec,
+                                                            monkeypatch):
+    # Newton refuses a predicted start that is not finite, and every
+    # stage converges from its warm start as before
+    monkeypatch.setattr(selab.solver, "extrapolate",
+                        lambda path, eps: np.full_like(path[-1][1], np.nan))
+    rep = solve_with_continuation(theorem1_spec)
+    assert (rep.diagnostics["verdict"], rep.diagnostics["mode"]) == ("converged", None)
+    assert rep.eps_path == default_schedule()
+    assert [s["initial"] for s in rep.diagnostics["stages"]] == ["warm"] * 12
+    assert rep.diagnostics["failed_stage"] is None
 
 
 def test_stagnating_newton_gives_up_within_the_line_search_budget(
@@ -843,8 +965,8 @@ def test_continuation_is_deterministic(theorem1_spec):
 
 
 @pytest.mark.parametrize("config,n,lam,verdict,mode,stages", [
-    ("theorem1", 39, 1.0, "converged", None, [4, 3, 3, 3, 3, 3, 3, 3, 2, 2, 2, 2]),
-    ("theorem3", 39, 80.0, "converged", None, [0, 2, 2, 2, 2, 1, 1, 1, 1, 1, 1, 1]),
+    ("theorem1", 39, 1.0, "converged", None, [4, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1, 1]),
+    ("theorem3", 39, 80.0, "converged", None, [0, 2, 2, 1, 1, 1, 1, 1, 1, 1, 0, 0]),
     ("theorem2", 47, 1.0, "nonexistence-indicated", "collapse", []),
 ], ids=["theorem1-39", "theorem3-39", "theorem2-47"])
 def test_rectangle_continuation_is_pinned(config, n, lam, verdict, mode, stages,
