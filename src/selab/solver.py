@@ -46,13 +46,13 @@ decide a verdict:
   0.1 * 2^-k, 12 steps) from 0.5 phi_1 in every regime.  From the third
   stage on, Newton starts from a predictor, the polynomial in eps through
   the last (up to) three stage solutions (`extrapolate`; Allgower &
-  Georg, Numerical Continuation Methods, 1990).  In the first two stages,
-  and where the predictor fails, it starts warm from the last solution,
-  then after a Picard rescue and, for K > 0, from the gradient-free
-  envelope.  "converged" demands a Cauchy tail in eps and an interior
-  minimum clear of eps_final, otherwise the run is reported
-  nonexistence-indicated with its mode.  The eps = 0 singular limit is
-  approached, never evaluated.
+  Georg, Numerical Continuation Methods, 1990), given a corrector's
+  budget of Newton steps.  In the first two stages, and where the
+  predictor fails, it starts warm from the last solution, then after a
+  Picard rescue and, for K > 0, from the gradient-free envelope.
+  "converged" demands a Cauchy tail in eps and an interior minimum clear
+  of eps_final, otherwise the run is reported nonexistence-indicated with
+  its mode.  The eps = 0 singular limit is approached, never evaluated.
 
 `branch_fold` follows the branch of solutions at one eps down in lambda
 to its fold, by Newton on the Jacobian bordered by the lambda-derivative
@@ -86,8 +86,9 @@ _TRIAL_STEPS = 8
 # the loosest relative residual a Newton step's GMRES solve may stop at
 # (the first step's forcing term); see `newton_solve`
 _FORCING_MAX = 1e-4
-# Newton steps per point of a traced branch, and points per trace and per
-# fold localization; see `branch_fold`
+# Newton steps per point of a traced branch (see `branch_fold`) and from a
+# predicted continuation stage (see `solve_with_continuation`), and points
+# per trace and per fold localization
 _CORRECTOR_STEPS = 8
 _TRACE_POINTS = 60
 
@@ -419,7 +420,12 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     Picard rescue; and, in the positive-K regime, "envelope", the
     gradient-free super-solution.  The predictor removes the first- and
     second-order parts of the eps-change that a warm start leaves to
-    Newton, so a stage often takes one Newton step fewer.
+    Newton, so a stage often takes one Newton step fewer.  Newton gets
+    _CORRECTOR_STEPS steps from it, not max_iter: for a < 1 a prediction
+    can be far closer to the solution than the warm start and still take
+    tens of steps, and its residual does not tell which (theorem1, a =
+    0.25, lambda = 10 on 31^2, last stage: residual 2e-5 against 2e-2,
+    and 40 steps against 4).
 
     One `grid.LaggedFactor` serves every Newton solve of the call, each
     stage's attempts alike.  Each entry of diagnostics["stages"] names the
@@ -496,9 +502,11 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
             tried.append(kind)
             if kind == "picard":
                 picard_u = attempt
+            budget = min(max_iter, _CORRECTOR_STEPS) if kind == "predicted" \
+                else max_iter
             try:
                 report = newton_solve(stage, Field(spec.grid, attempt), tol=tol,
-                                      max_iter=max_iter, lagged=lagged)
+                                      max_iter=budget, lagged=lagged)
                 break
             except ConvergenceError as exc:
                 # the message, not the exception: its traceback holds this

@@ -439,7 +439,8 @@ def test_lagged_continuation_matches_the_exact_one(config, lam, n, request,
     # taken (theorem3 takes 2 against 1 in stage 3 on 39^2 and stage 4 on
     # 47^2).  theorem3's first stage, where the warm start fails, factors
     # alike in both runs (8 times on 39^2); the stages after it factor once
-    # in all against 10 times
+    # in all against 10 times.  In all, theorem3 on 39^2 factors 9 times
+    # against 18 (against 23 when every stage started warm)
     spec = request.getfixturevalue(f"{config}_spec")
     spec = replace(spec, grid=build_grid("rectangle", (1.0,), n), source=None,
                    lam=lam)
@@ -470,12 +471,7 @@ def test_lagged_continuation_matches_the_exact_one(config, lam, n, request,
         assert_agree([s[key] for s in first.diagnostics["stages"]],
                      [s[key] for s in exact.diagnostics["stages"]])
     assert_agree(first.solution.values, exact.solution.values)
-    assert factored < len(calls)
-
-    def later(rep):
-        return sum(s["factorizations"] for s in rep.diagnostics["stages"][1:])
-
-    assert 2 * later(first) < later(exact)
+    assert 2 * factored <= len(calls)
 
 
 # ---- inexact Newton: each step's GMRES target (forcing terms) ----
@@ -553,13 +549,15 @@ def test_an_interval_jacobian_counts_as_one_factorization(theorem1_spec):
 
 
 def test_forcing_terms_halve_the_gmres_work(theorem1_spec, monkeypatch):
-    # theorem1 on 39^2 at lambda = 1, every stage started warm (33 Newton
-    # steps): GMRES run to 1e-12 on every step, as before forcing terms,
-    # takes 251 iterations; the forcing terms take 114 (and the forcing
-    # terms held at their 1e-12 floor, the absolute target alone, 176),
-    # for the same verdict, eps path and Newton steps.  Predicted starts
-    # (25 Newton steps) leave fewer steps far from the solution, where
-    # forcing terms save most: 89 against 122 and 185
+    # theorem1 on 39^2 at lambda = 1 (25 Newton steps): the forcing terms
+    # take 89 GMRES iterations, against 185 with GMRES run to 1e-12 on
+    # every step, as before forcing terms, and 122 with the forcing terms
+    # held at their 1e-12 floor, the absolute target alone, for the same
+    # verdict, eps path and Newton steps.  Against the absolute target
+    # alone they save 27% here, short of the 0.7 bound: a predicted start
+    # leaves few Newton steps far from the solution, where forcing terms
+    # save most.  With every stage started warm (33 Newton steps) they
+    # take 114 against 251 and 176, inside both bounds
     spec = replace(theorem1_spec, grid=build_grid("rectangle", (1.0,), 39),
                    source=None, lam=1.0)
 
@@ -746,6 +744,27 @@ def test_a_rejected_prediction_falls_back_to_the_warm_start(theorem1_spec,
     assert rep.eps_path == default_schedule()
     assert [s["initial"] for s in rep.diagnostics["stages"]] == ["warm"] * 12
     assert rep.diagnostics["failed_stage"] is None
+
+
+def test_a_prediction_gets_a_corrector_budget(theorem1_spec, monkeypatch):
+    # theorem1 with a = 0.25 at lambda = 10 on 31^2: Newton from the
+    # prediction took 35 and 27 steps in stages 11 and 12 (115 in all,
+    # against 63 from warm starts alone); a prediction Newton does not
+    # finish within _CORRECTOR_STEPS gives way to the warm start, and the
+    # run takes 49
+    spec = replace(theorem1_spec, grid=build_grid("rectangle", (1.0,), 31),
+                   source=None, lam=10.0, conv_a=0.25)
+    rep = solve_with_continuation(spec)
+    assert (rep.diagnostics["verdict"], rep.diagnostics["mode"]) == ("converged", None)
+    stages = rep.diagnostics["stages"]
+    assert "warm" in [s["initial"] for s in stages[2:]]
+    assert all(s["iterations"] <= selab.solver._CORRECTOR_STEPS
+               for s in stages if s["initial"] == "predicted")
+    assert rep.iterations < 63
+    monkeypatch.setattr(selab.solver, "_CORRECTOR_STEPS", 60)
+    unbudgeted = solve_with_continuation(spec)
+    assert unbudgeted.diagnostics["verdict"] == "converged"
+    assert unbudgeted.iterations > 100
 
 
 def test_stagnating_newton_gives_up_within_the_line_search_budget(
