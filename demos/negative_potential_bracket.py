@@ -8,18 +8,18 @@ it to zero, and continuation in the regularization parameter eps
 converges no matter how small or large lambda is.
 
 The second half certifies one instance by bracketing: a convection-aware
-sub-solution below, a Picard fixed point of the gradient-free majorant
-above, the ordering lemma on the pair, and a monotone sweep that pinches
-the bracket onto the same solution Newton found.
+sub-solution below, the library super-solution above, the ordering lemma
+on the pair, and a monotone sweep that pinches the bracket onto the same
+solution Newton found.
 """
 
 import numpy as np
 
 from selab import (
-    Field,
     boundary_distance,
     build_h_profile,
     build_subsolution_convection,
+    build_supersolution,
     bundled_problem,
     check_ordering,
     default_shift,
@@ -58,27 +58,17 @@ rep = solve_with_continuation(spec0.with_lambda(lam))
 stage = spec0.with_lambda(lam).with_eps(rep.eps_path[-1])
 sub = build_subsolution_convection(stage)
 
-# upper barrier: fixed point of A w = lambda f(w) + |K| g(eps).  The map
-# is monotone and the solution satisfies A u <= lambda f(u) + |K| g(eps),
-# so the fixed point sits above u wherever the iteration starts.
-lu = grid.lu()
-K = stage.k_nodal()
-g_eps = stage.g_at(np.full(grid.n_total, stage.eps))
-w = sub.field.values.copy()
-for _ in range(500):
-    w_next = lu.solve(stage.lam * stage.f_at(w) - K * g_eps)
-    if float(np.max(np.abs(w_next - w))) < 1e-13:
-        w = w_next
-        break
-    w = w_next
-upper = Field(grid, w)
+# upper barrier: the library super-solution, the fixed point of
+# A w = lambda f(w) + |K| g(eps).  g is nonincreasing, so |K| g(eps)
+# bounds -K g(w + eps) from above and w is a super-solution of the stage.
+upper = build_supersolution(stage).field
 
 u = rep.solution.values
 print(f"bracket at lambda = {lam:g} (eps = {stage.eps:.3e}):")
 print(f"  sub certificate max residual {sub.metadata['residual_max']:.3e}"
       f" (nonpositive up to solver tolerance)")
 print(f"  max(sub - u)  = {np.max(sub.field.values - u):+.3e}  (<= 0)")
-print(f"  max(u - upper) = {np.max(u - w):+.3e}  (<= 0)")
+print(f"  max(u - upper) = {np.max(u - upper.values):+.3e}  (<= 0)")
 
 report = check_ordering(grid, psi_from_spec(stage), sub.field, upper)
 print(f"  ordering lemma on (sub, upper): {report.verdict}")

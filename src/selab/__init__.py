@@ -10,7 +10,7 @@ solver, certified sub- and super-solution constructions, the discrete
 comparison check, and the threshold estimators, all at desk scale.
 """
 
-from .acceptance import bundled_config_text, bundled_problem, run_battery
+from .acceptance import run_battery
 from .bifurcation import (
     LambdaStarEstimate,
     NonexistenceReport,
@@ -61,6 +61,8 @@ from .model import (
     ProblemSpec,
     ReactionTerm,
     SingularTerm,
+    bundled_config_text,
+    bundled_problem,
     classify_singularity,
     compute_p,
     make_problem,

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, replace
-from importlib import resources
 
 import numpy as np
 
@@ -31,27 +30,12 @@ from .model import (
     ProblemSpec,
     ReactionTerm,
     SingularTerm,
-    problem_from_config,
+    bundled_problem,
 )
-from .solver import (
-    fixed_point,
-    newton_solve,
-    nonlinear_part,
-    solve_with_continuation,
-)
+from .solver import _picard_rescue, newton_solve, solve_with_continuation
 from .spectral import first_eigenpair
 
 DEFAULT_SEED = 20260823
-
-
-def bundled_config_text(name):
-    """Read one of the shipped .cfg files by bare name."""
-    return (resources.files("selab") / "configs" / name).read_text()
-
-
-def bundled_problem(name):
-    _, spec = problem_from_config(bundled_config_text(name))
-    return spec
 
 
 @dataclass
@@ -265,24 +249,22 @@ def check_threshold_regime():
     return ok, "; ".join(msgs)
 
 
-def _picard_newton(spec, sweeps=400):
+def _picard_newton(spec):
     """Deterministic small-instance solve of the fixed-eps problem:
-    damped Picard to enter the Newton basin, then a polish."""
-    grid = spec.grid
-    u, _, _ = fixed_point(grid.lu(), lambda v: nonlinear_part(spec, v),
-                          np.full(grid.n_total, 0.1), relax=0.5, floor=1e-12,
-                          tol=1e-12, max_iter=sweeps)
-    return newton_solve(spec, Field(grid, u))
+    the continuation's damped Picard rescue from 0.1 to enter the Newton
+    basin, then a polish."""
+    u0 = np.full(spec.grid.n_total, 0.1)
+    return newton_solve(spec, Field(spec.grid, _picard_rescue(spec, u0)))
 
 
 def comparison_suite(seed=None, n_instances=50):
-    """Randomized admissible bracket instances; returns (reports, specs).
+    """Randomized admissible bracket instances; returns a list of
+    (report, spec, tag) triples, report None when the solve failed.
 
     Negative-potential draws pair a scaled-down fixed-eps solution (the
     scaling preserves the sub inequality for sublinear f and
-    nonincreasing g) with the fixed point of w -> A^-1(lambda f(w) +
-    |K| g(eps)) iterated upward from the solution, which dominates it
-    nodewise by construction.  Positive-potential draws pair the
+    nonincreasing g) with `build_supersolution`, the fixed point of
+    A w = lambda f(w) + |K| g(eps).  Positive-potential draws pair the
     certified eigen sub-solution with the gradient-free envelope.
     """
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
@@ -300,50 +282,33 @@ def comparison_suite(seed=None, n_instances=50):
             kval = -float(rng.uniform(0.2, 2.0))
             a = float(rng.uniform(0.8, 2.0))
             eps = float(rng.uniform(1e-3, 3e-3))
-            spec = ProblemSpec(
-                grid, Potential(kval), g, f,
-                a, lam, eps, None,
-            )
+            spec = ProblemSpec(grid, Potential(kval), g, f, a, lam, eps)
             rep = _picard_newton(spec)
             if not rep.converged:
                 out.append((None, spec, "solve failed"))
                 continue
-            u = rep.solution.values
-            bump = abs(kval) * g(np.full(grid.n_total, eps))
-            w, _, _ = fixed_point(grid.lu(),
-                                  lambda s: -(lam * spec.f_at(s) + bump),
-                                  u, floor=u, tol=1e-12, max_iter=400)
-            v = float(rng.uniform(0.3, 0.9)) * u
-            report = check_ordering(
-                grid, psi_from_spec(spec), Field(grid, v), Field(grid, w)
-            )
-            out.append((report, spec, "scaled-vs-dominating"))
+            v = Field(grid, float(rng.uniform(0.3, 0.9)) * rep.solution.values)
+            w = build_supersolution(spec).field
+            tag = "scaled-vs-dominating"
         else:
-            lam_seed = ProblemSpec(
-                grid, Potential(1.0), g, f,
-                1.0, 1e4, 0.0, None,
-            )
-            probe = build_subsolution_eigen(lam_seed)
-            thr = probe.metadata["lambda_threshold"]
+            lam_seed = ProblemSpec(grid, Potential(1.0), g, f, 1.0, 1e4)
+            thr = build_subsolution_eigen(lam_seed).metadata["lambda_threshold"]
             lam = float(rng.uniform(2.0, 4.0)) * thr
             # psi(s)/s is decreasing only above the crossover
             # ((alpha+1)/(lambda(1-p)))^(1/(p+alpha)); push lambda up
             # until the crossover sits below the pair's smallest value,
             # otherwise the drawn instance is simply not admissible.
-            sub = sup = None
             for _ in range(3):
                 spec = replace(lam_seed, lam=lam)
-                sub = build_subsolution_eigen(spec)
-                sup = build_supersolution(spec)
-                s_lo = min(sub.field.min(), sup.field.min())
+                v = build_subsolution_eigen(spec).field
+                w = build_supersolution(spec).field
+                s_lo = min(v.min(), w.min())
                 lam_dec = (1.0 + alpha) / ((1.0 - p) * s_lo ** (p + alpha))
                 if lam >= 1.3 * lam_dec:
                     break
                 lam = 1.3 * lam_dec
-            report = check_ordering(
-                grid, psi_from_spec(spec), sub.field, sup.field
-            )
-            out.append((report, spec, "eigen-vs-envelope"))
+            tag = "eigen-vs-envelope"
+        out.append((check_ordering(grid, psi_from_spec(spec), v, w), spec, tag))
     return out
 
 
@@ -370,12 +335,8 @@ def check_comparison_suite(seed=None):
     grid = build_grid("interval", (1.0,), 31)
     g = SingularTerm(family="power", alpha=0.5)
     f = ReactionTerm(family="power", p=0.5)
-    spec = ProblemSpec(
-        grid, Potential(-1.0), g, f,
-        1.0, 1.0, 1e-3, None,
-    )
-    rep = _picard_newton(spec)
-    w = rep.solution.values
+    spec = ProblemSpec(grid, Potential(-1.0), g, f, 1.0, 1.0, 1e-3)
+    w = _picard_newton(spec).solution.values
     viol = check_ordering(
         grid, psi_from_spec(spec), Field(grid, 2.0 * w), Field(grid, w)
     )

@@ -55,6 +55,7 @@ class SweepResult:
     verdicts: list
     stats: list
     mode: str
+    reports: list = dataclass_field(default_factory=list)
 
     def verdicts_form_upset(self):
         """True iff "converged" entries occupy an upper ray of the sweep."""
@@ -121,8 +122,8 @@ def lambda_sweep(spec_template, lambdas, schedule=None, tol=1e-10,
         verdicts = [r.diagnostics["verdict"] for r in reports]
         stats = [stats_of(r) for r in reports]
         mode = f"parallel-{budget}"
-    result = SweepResult(lambdas=lambdas, verdicts=verdicts, stats=stats, mode=mode)
-    result.reports = reports
+    result = SweepResult(lambdas=lambdas, verdicts=verdicts, stats=stats,
+                         mode=mode, reports=reports)
     _flag_sub_bound_convergence(spec_template, result)
     return result
 
@@ -184,12 +185,16 @@ def _refined(spec):
     return replace(spec, grid=grid, source=None)
 
 
-def _halvings(lo, hi, iters, converged):
-    """The cell [lo, hi] after `iters` bisections on the predicate
-    `converged`, each at mid = 0.5 (lo + hi)."""
+def _halvings(lo, hi, iters, moves_hi):
+    """The cell [lo, hi] after at most `iters` bisections, each at
+    mid = 0.5 (lo + hi): mid becomes hi where `moves_hi(mid)`, lo
+    elsewhere.  A mid equal to an end stops the bisection early (float
+    resolution: every further step would leave both ends in place)."""
     for _ in range(iters):
         mid = 0.5 * (lo + hi)
-        if converged(mid):
+        if mid == lo or mid == hi:
+            break
+        if moves_hi(mid):
             hi = mid
         else:
             lo = mid
@@ -306,18 +311,8 @@ def lambda0_bound(spec_template):
     if margin(s_hi) < 0:
         c = s_hi  # f - K g stays negative as far as we look; bound saturates
     else:
-        lo_b, hi_b = s_lo, s_hi
-        for _ in range(200):
-            mid = 0.5 * (lo_b + hi_b)
-            if mid == lo_b or mid == hi_b:
-                # float resolution: margin(lo_b) < 0 <= margin(hi_b), so
-                # every further step would leave both ends where they are
-                break
-            if margin(mid) < 0:
-                lo_b = mid
-            else:
-                hi_b = mid
-        c = lo_b
+        # a NaN margin moves hi, as "not < 0" says
+        c, _ = _halvings(s_lo, s_hi, 200, lambda mid: not margin(mid) < 0)
     cv = np.full(spec.grid.n_total, c)
     m = float(np.max(spec.f_at(cv))) / c
     return min(1.0, first_eigenpair(spec.grid).lambda1 / (2.0 * m))

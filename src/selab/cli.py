@@ -14,7 +14,6 @@ import json
 import os
 import sys
 from dataclasses import replace
-from importlib import resources
 
 import numpy as np
 
@@ -25,10 +24,10 @@ from .constructions import (
     build_subsolution_eigen,
     build_supersolution,
 )
-from .errors import ConvergenceError, SelabError
+from .errors import ConfigError, ConvergenceError, SelabError
 from .grid import read_field_csv, write_field_csv
 from .hprofile import build_h_profile
-from .model import SingularTerm, problem_from_config
+from .model import SingularTerm, bundled_config_text, problem_from_config
 from .solver import solve_with_continuation
 from .spectral import first_eigenpair
 
@@ -52,12 +51,12 @@ def _load_config_text(path):
     if os.path.exists(path):
         with open(path) as fh:
             return fh.read()
-    bundled = resources.files("selab") / "configs" / os.path.basename(path)
-    if bundled.is_file():
-        return bundled.read_text()
-    raise SelabError(
-        f"config {path!r} not found on disk or among bundled configs"
-    )
+    try:
+        return bundled_config_text(os.path.basename(path))
+    except ConfigError:
+        raise SelabError(
+            f"config {path!r} not found on disk or among bundled configs"
+        ) from None
 
 
 def _load_spec(args):

@@ -11,8 +11,11 @@ thresholds, iteration counts).  Certificates are evaluated with the same
 stencils the solver uses, so "certified" means certified on this grid.
 
 * Super-solution U: the solution of the gradient-free sublinear problem
-  -Lap(U) = lambda f(x, U), by fixed point U_{k+1} = (-Lap)^{-1}(lambda
-  f(., U_k)) from phi_1.  The extremal ratios c1 = min U/dist,
+  -Lap(U) = lambda f(x, U) + K^-(x) g(eps), K^- = max(-K, 0), by fixed
+  point from phi_1.  g is nonincreasing, so K^- g(eps) >= -K g(U + eps)
+  for U >= 0 and U is a super-solution of the eps problem in both sign
+  regimes (for K > 0, K^- = 0: the gradient-free envelope).  Its
+  certificate is A U - (lambda f(U) + K^- g(eps)); c1 = min U/dist and
   c2 = max U/dist witness the two-sided distance bounds.
 
 * Convection sub-solution v (negative-K regime): solves
@@ -42,6 +45,7 @@ from .errors import (
     CertificateError,
     ConvergenceError,
     DegenerateSolutionError,
+    ModelError,
     PositivityError,
     RegimeError,
 )
@@ -63,14 +67,29 @@ class Construction:
 
 
 def build_supersolution(spec, tol=1e-11, max_iter=2000):
-    """Fixed-point solve of -Lap(U) = lambda f(x, U) starting from phi_1:
-    `solver.fixed_point` with N(U) = -lambda f(x, U).
+    """Fixed-point solve of -Lap(U) = lambda f(x, U) + K^-(x) g(eps) from
+    phi_1: `solver.fixed_point` with N(U) = -(lambda f(x, U) + lift), the
+    lift K^- g(eps) = -K g(eps) formed only when K < 0.
 
+    On K < 0, eps = 0 or a g(eps) that is not finite raises ModelError.
     Stagnation or a non-finite lambda f(x, U) raises ConvergenceError,
     collapse onto zero DegenerateSolutionError.
     """
     grid = spec.grid
-    u, it, inc = fixed_point(grid.lu(), lambda v: -spec.lam * spec.f_at(v),
+    lift = None
+    if spec.regime() == "negative":
+        g_eps = float(spec.g_at(spec.eps)) if spec.eps > 0 else np.inf
+        if not np.isfinite(g_eps):
+            raise ModelError(
+                "the K < 0 super-solution lifts by K^- g(epsilon), which needs "
+                f"epsilon > 0 and a finite g(epsilon); got epsilon = {spec.eps:g}")
+        lift = -spec.k_nodal() * g_eps
+
+    def forcing(v):
+        rhs = spec.lam * spec.f_at(v)
+        return rhs if lift is None else rhs + lift
+
+    u, it, inc = fixed_point(grid.lu(), lambda v: -forcing(v),
                              first_eigenpair(grid).phi1.values,
                              tol=tol, max_iter=max_iter)
     if not settled(u, inc, tol):
@@ -81,7 +100,7 @@ def build_supersolution(spec, tol=1e-11, max_iter=2000):
         raise DegenerateSolutionError("super-solution collapsed onto zero")
     dist = boundary_distance(grid).values
     ratios = u / dist
-    res = grid.neg_laplacian() @ u - spec.lam * spec.f_at(u)
+    res = grid.neg_laplacian() @ u - forcing(u)
     return Construction(
         kind="super",
         field=Field(grid, u),

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass, field as dataclass_field, replace
+from importlib import resources
 
 import numpy as np
 
@@ -575,3 +576,15 @@ def problem_from_config(text):
     except ModelError as exc:
         raise ConfigError(str(exc)) from exc
     return grid, spec
+
+
+def bundled_config_text(name):
+    """Read one of the shipped .cfg files by bare name (ConfigError if none)."""
+    path = resources.files("selab") / "configs" / name
+    if not path.is_file():
+        raise ConfigError(f"no bundled config {name!r}")
+    return path.read_text()
+
+
+def bundled_problem(name):
+    return problem_from_config(bundled_config_text(name))[1]

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from selab.acceptance import bundled_problem
+from selab.model import bundled_problem
 
 
 @pytest.fixture(scope="session")

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from selab.cli import main
+from selab.model import bundled_config_text
 
 T1 = "theorem1.cfg"
 T2 = "theorem2.cfg"
@@ -72,8 +73,6 @@ def test_solve_says_when_the_first_stage_fails(tmp_path):
     # theorem1 on n = 4095 at lambda = 10 collapses in its first stage
     # (a grid-dependent floor, see ROADMAP); the report says the field in
     # u.csv is the start, which is still written
-    from selab.acceptance import bundled_config_text
-
     config = tmp_path / "fine.cfg"
     config.write_text(bundled_config_text(T1).replace("domain.n = 127",
                                                       "domain.n = 4095"))
@@ -211,6 +210,16 @@ def test_construct_json_keys(tmp_path):
     assert sup["lambda_threshold"] is None
 
 
+def test_construct_super_with_negative_k_needs_epsilon(tmp_path, capsys):
+    # theorem1 has K < 0 and epsilon = 0: the lift K^- g(epsilon) is infinite
+    argv = ["construct", "--kind", "super", "--out", str(tmp_path), "--config"]
+    assert main(argv + [T1]) == 1
+    assert "epsilon" in capsys.readouterr().err
+    config = tmp_path / "eps.cfg"
+    config.write_text(bundled_config_text(T1) + "epsilon = 1e-3\n")
+    assert main(argv + [str(config)]) == 0
+
+
 def test_construct_below_threshold_exits_one(tmp_path, capsys):
     code = main(["construct", "--config", T3, "--kind", "sub-eigen",
                  "--lambda", "5", "--out", str(tmp_path)])
@@ -269,8 +278,6 @@ def test_identical_runs_are_byte_identical(tmp_path):
 
 def test_disk_config_wins_over_bundled(tmp_path, capsys):
     # a local file with the same basename must shadow the bundled config
-    from selab.acceptance import bundled_config_text
-
     text = bundled_config_text(T3).replace("domain.n = 64", "domain.n = 16")
     local = tmp_path / T3
     local.write_text(text)

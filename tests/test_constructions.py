@@ -15,9 +15,9 @@ from selab.constructions import (
     build_subsolution_eigen,
     build_supersolution,
 )
-from selab.errors import CertificateError, RegimeError
+from selab.errors import CertificateError, ModelError, RegimeError
 from selab.grid import build_grid, boundary_distance
-from selab.model import compute_p
+from selab.model import SingularTerm, compute_p
 from selab.solver import residual
 from selab.spectral import first_eigenpair
 
@@ -68,6 +68,27 @@ def test_envelope_distance_sandwich(theorem3_spec):
     assert 0 < c1 <= c2
     assert np.all(sup.field.values >= c1 * dist - 1e-12)
     assert np.all(sup.field.values <= c2 * dist + 1e-12)
+
+
+# ---- negative-K super-solution ----
+
+
+@pytest.mark.parametrize("eps", [1e-3, 4.8828125e-5])
+@pytest.mark.parametrize("kind,n", [("interval", 127), ("rectangle", 31)])
+def test_negative_super_is_a_super_solution(theorem1_spec, kind, n, eps):
+    # A U + |grad U|^a - psi(U) >= 0 at every node, and U above the sub
+    spec = replace(with_n(theorem1_spec, n, kind), eps=eps)
+    sup = build_supersolution(spec).field
+    assert np.all(residual(spec, sup).values >= 0)
+    assert np.all(sup.values >= build_subsolution_convection(spec).field.values)
+
+
+# g(0) = inf; exp(1/s) - 1 overflows below s ~ 1/709
+@pytest.mark.parametrize("change", [
+    {"eps": 0.0}, {"eps": 1e-4, "singular": SingularTerm("shifted-exp")}])
+def test_negative_super_needs_a_finite_lift(theorem1_spec, change):
+    with pytest.raises(ModelError, match="epsilon"):
+        build_supersolution(replace(with_n(theorem1_spec, 31), **change))
 
 
 # ---- convection floor sub-solution ----
