@@ -30,6 +30,7 @@ from .errors import ModelError, RegimeError
 from .grid import Field, build_grid
 from .mass import halving_rate, mass_integral, mass_trend, reference_mass
 from .solver import (
+    _halvings,
     branch_fold,
     default_schedule,
     fixed_point,
@@ -183,22 +184,6 @@ def _refined(spec):
     grid = build_grid(spec.grid.kind, spec.grid.extents,
                       tuple(2 * n for n in spec.grid.shape))
     return replace(spec, grid=grid, source=None)
-
-
-def _halvings(lo, hi, iters, moves_hi):
-    """The cell [lo, hi] after at most `iters` bisections, each at
-    mid = 0.5 (lo + hi): mid becomes hi where `moves_hi(mid)`, lo
-    elsewhere.  A mid equal to an end stops the bisection early (float
-    resolution: every further step would leave both ends in place)."""
-    for _ in range(iters):
-        mid = 0.5 * (lo + hi)
-        if mid == lo or mid == hi:
-            break
-        if moves_hi(mid):
-            hi = mid
-        else:
-            lo = mid
-    return lo, hi
 
 
 def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,

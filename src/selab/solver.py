@@ -43,13 +43,16 @@ decide a verdict:
   The convection term is lagged (it has no one-sided structure), which is
   why bracket escape is recorded as a diagnostic instead of assumed away.
 * `solve_with_continuation` - walks eps down a schedule (default
-  0.1 * 2^-k, 12 steps) from 0.5 phi_1 in every regime.  From the third
-  stage on, Newton starts from a predictor, the polynomial in eps through
-  the last (up to) three stage solutions (`extrapolate`; Allgower &
-  Georg, Numerical Continuation Methods, 1990), given a corrector's
-  budget of Newton steps.  In the first two stages, and where the
-  predictor fails, it starts warm from the last solution, then after a
-  Picard rescue and, for K > 0, from the gradient-free envelope.
+  0.1 * 2^-k, 12 steps) from c phi_1: for K > 0, c is where the
+  projection of the equation onto phi_1 turns from negative to
+  nonnegative (`opening_amplitude`), and 0.5 where it does not or K < 0.
+  From the third stage on, Newton starts from a predictor, the
+  polynomial in eps through the last (up to) three stage solutions
+  (`extrapolate`; Allgower & Georg, Numerical Continuation Methods,
+  1990), given a corrector's budget of Newton steps.  In the first two
+  stages, and where the predictor fails, it starts warm from the last
+  solution, then after a Picard rescue and, for K > 0, from the
+  gradient-free envelope.
   "converged" demands a Cauchy tail in eps and an interior minimum clear
   of eps_final, otherwise the run is reported nonexistence-indicated with
   its mode.  The eps = 0 singular limit is approached, never evaluated.
@@ -91,6 +94,9 @@ _FORCING_MAX = 1e-4
 # per trace and per fold localization
 _CORRECTOR_STEPS = 8
 _TRACE_POINTS = 60
+# nodal values per psi call of the opening amplitude's scan (see
+# `opening_amplitude`): 16 KB a temporary
+_SCAN_VALUES = 2048
 
 
 @dataclass
@@ -377,6 +383,70 @@ def _picard_rescue(spec, u0, sweeps=300, relax=0.5):
     return u
 
 
+def _halvings(lo, hi, iters, moves_hi):
+    """The cell [lo, hi] after at most `iters` bisections, each at
+    mid = 0.5 (lo + hi): mid becomes hi where `moves_hi(mid)`, lo
+    elsewhere.  A mid equal to an end stops the bisection early (float
+    resolution: every further step would leave both ends in place)."""
+    for _ in range(iters):
+        mid = 0.5 * (lo + hi)
+        if mid == lo or mid == hi:
+            break
+        if moves_hi(mid):
+            hi = mid
+        else:
+            lo = mid
+    return lo, hi
+
+
+def opening_amplitude(stage, pair):
+    """The amplitude c at which a positive-K continuation opens, c phi_1,
+    or None.  `stage` is the spec at the first eps, `pair` its grid's
+    `first_eigenpair`.
+
+    c is the largest c > 0 at which the one-mode projection of the
+    equation onto phi_1 (the integral-of-u-phi_1 test of the
+    nonexistence results) turns from negative to nonnegative:
+
+        F(c) = <phi_1, A(c phi_1) + |grad(c phi_1)|^a - psi(c phi_1) - source>
+             = c lambda_1 <phi_1, phi_1> + c^a <phi_1, |grad phi_1|^a>
+               - <phi_1, psi(c phi_1) + source>,
+
+    since A phi_1 = lambda_1 phi_1, so each F(c) is one psi.  There
+    F'(c) >= 0: the projected Jacobian is not negative, as at the maximal
+    solution, where 0.5 phi_1 can sit where lambda f'(u) > lambda_1 and
+    Newton's Jacobian is indefinite.  The scan runs down c = 2^20, 2^19,
+    ..., 2^-10 to the first F(c) < 0, then 8 bisections of [c, 2c] give
+    the end at which F >= 0 (a NaN F counts as nonnegative).  None when
+    no scanned F is negative (no one-mode solution) or the first one is,
+    at 2^20.  The scan takes as many c at once as fit in _SCAN_VALUES
+    nodal values: a sweep's small grids in one or two psi calls, a fine
+    grid or a rectangle one c at a time.
+    """
+    phi = pair.phi1.values
+    linear = pair.lambda1 * float(phi @ phi)
+    convection = float(phi @ magnitude(
+        stage.grid.central_differences(phi))**stage.conv_a)
+    source = 0.0 if stage.source is None else float(phi @ stage.source.values)
+
+    def projection(c):
+        # F at each amplitude of the 1-d array c
+        return c * linear + c**stage.conv_a * convection \
+            - stage.psi(np.multiply.outer(c, phi)) @ phi - source
+
+    scan = 2.0 ** np.arange(20, -11, -1)
+    block = max(1, _SCAN_VALUES // phi.size)
+    for start in range(0, scan.size, block):
+        negative = np.flatnonzero(projection(scan[start:start + block]) < 0.0)
+        if negative.size:
+            k = start + negative[0]
+            if k == 0:
+                return None
+            return _halvings(scan[k], scan[k - 1], 8,
+                             lambda mid: not projection(np.array([mid]))[0] < 0.0)[1]
+    return None
+
+
 def extrapolate(path, eps):
     """The Lagrange polynomial in eps through the points (eps_j, u_j) of
     `path`, evaluated at `eps`: the predictor of a continuation stage."""
@@ -412,6 +482,17 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     never proved.  diagnostics["solution"] says what the report's
     solution is: "stage", the last converged stage, or "start", the
     initial iterate, when the first stage already failed.
+
+    Without a caller's `initial` the run opens at c phi_1
+    (diagnostics["initial"] is "phi1-scaled").  In the positive-K regime
+    c is `opening_amplitude` at the first eps.  At lambda well above
+    lambda*, 0.5 phi_1 sits where lambda f'(u) > lambda_1, and the first
+    stage's warm Newton from it stagnates: on theorem3, 39^2, lambda = 80,
+    it spends 8 exact factorizations and 15 GMRES iterations before a
+    Picard rescue of 80 sweeps, where from c phi_1 Newton converges in 3
+    steps on one factorization.  c is 0.5 where the projection has no
+    crossing, and for K < 0.  diagnostics["opening_amplitude"] holds c,
+    and is None when the caller gave `initial`.
 
     Each stage tries its initial guesses in turn until Newton converges
     from one: "predicted", the `extrapolate` of the last three converged
@@ -449,12 +530,22 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     if path_tol is None:
         path_tol = 5.0 * np.sqrt(eps_final)
 
+    try:
+        positive_regime = spec.regime() == "positive"
+    except RegimeError:
+        positive_regime = False
     if initial is not None:
         u, init_kind = np.asarray(
             initial.values if isinstance(initial, Field) else initial,
             dtype=float).copy(), "caller"
+        amplitude = None
     else:
-        u, init_kind = 0.5 * first_eigenpair(spec.grid).phi1.values, "phi1-scaled"
+        pair = first_eigenpair(spec.grid)
+        amplitude = opening_amplitude(spec.with_eps(schedule[0]), pair) \
+            if positive_regime else None
+        if amplitude is None:
+            amplitude = 0.5
+        u, init_kind = amplitude * pair.phi1.values, "phi1-scaled"
 
     total_iters = 0
     eps_done = []
@@ -465,10 +556,6 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     failed_stage = None
     last_residual = np.inf
     solution = Field(spec.grid, u)
-    try:
-        positive_regime = spec.regime() == "positive"
-    except RegimeError:
-        positive_regime = False
     eps_monotone = True if positive_regime else None
     envelope = None
     lagged = LaggedFactor()
@@ -585,6 +672,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
             "verdict": verdict,
             "mode": mode,
             "initial": init_kind,
+            "opening_amplitude": amplitude,
             "solution": "stage" if eps_done else "start",
             "increments": increments,
             "stages": stage_stats,

@@ -225,17 +225,43 @@ print(json.dumps(seen))
 """ % (ON_DEMAND,)
 
 
-def test_an_interval_run_loads_only_the_scipy_it_uses(tmp_path):
+def run_probe(probe, *args):
+    """The last stdout line of `probe` run in a fresh interpreter, as JSON."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", PROBE, str(tmp_path)],
+    proc = subprocess.run([sys.executable, "-c", probe, *map(str, args)],
                           capture_output=True, text=True, env=env, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    seen = json.loads(proc.stdout.strip().splitlines()[-1])
+    return json.loads(proc.stdout.strip().splitlines()[-1])
+
+
+def test_an_interval_run_loads_only_the_scipy_it_uses(tmp_path):
+    seen = run_probe(PROBE, tmp_path)
     for step in ("interval solve", "table g", "table classify",
                  "table primitive", "table profile"):
         assert seen[step] == [], step
     # the probe is not vacuous: each on-demand import does load its module
     assert seen["shifted-exp primitive"] == ["scipy.special"]
     assert "scipy.fft" in seen["rectangle A"]
+
+
+OPENING_PROBE = """
+import json, sys
+import selab.cli
+
+assert selab.cli.main(["solve", "--config", "theorem3.cfg", "--lambda", "50",
+                       "--out", sys.argv[1]]) == 0
+with open(sys.argv[1] + "/report.json") as fh:
+    opening = json.load(fh)["diagnostics"]["opening_amplitude"]
+print(json.dumps([opening, [m for m in ("scipy.optimize", "scipy.fft")
+                            if m in sys.modules]]))
+"""
+
+
+def test_a_positive_interval_opening_loads_no_root_finder(tmp_path):
+    # the K > 0 opening amplitude is found by selab's own scan and
+    # bisection: neither scipy.optimize nor scipy.fft is imported
+    opening, loaded = run_probe(OPENING_PROBE, tmp_path)
+    assert opening > 0.5
+    assert loaded == []

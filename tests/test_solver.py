@@ -436,11 +436,8 @@ def test_lagged_continuation_matches_the_exact_one(config, lam, n, request,
     # a rerun on the same grid gives the same bits.  The Newton steps per
     # stage may differ: a predicted start is close enough to the solution
     # that differences at the tolerance decide whether one more step is
-    # taken (theorem3 takes 2 against 1 in stage 3 on 39^2 and stage 4 on
-    # 47^2).  theorem3's first stage, where the warm start fails, factors
-    # alike in both runs (8 times on 39^2); the stages after it factor once
-    # in all against 10 times.  In all, theorem3 on 39^2 factors 9 times
-    # against 18 (against 23 when every stage started warm)
+    # taken (theorem3 takes 2 against 1 in stage 3 on 39^2).  In all,
+    # theorem3 on 39^2 factors once against 13 times
     spec = request.getfixturevalue(f"{config}_spec")
     spec = replace(spec, grid=build_grid("rectangle", (1.0,), n), source=None,
                    lam=lam)
@@ -970,7 +967,7 @@ def test_continuation_is_deterministic(theorem1_spec):
 
 @pytest.mark.parametrize("config,n,lam,verdict,mode,stages", [
     ("theorem1", 39, 1.0, "converged", None, [4, 3, 3, 2, 2, 2, 2, 2, 2, 1, 1, 1]),
-    ("theorem3", 39, 80.0, "converged", None, [0, 2, 2, 1, 1, 1, 1, 1, 1, 1, 0, 0]),
+    ("theorem3", 39, 80.0, "converged", None, [3, 2, 2, 1, 1, 1, 1, 1, 1, 1, 0, 0]),
     ("theorem2", 47, 1.0, "nonexistence-indicated", "collapse", []),
 ], ids=["theorem1-39", "theorem3-39", "theorem2-47"])
 def test_rectangle_continuation_is_pinned(config, n, lam, verdict, mode, stages,
@@ -1034,6 +1031,81 @@ def test_continuation_caller_initial(theorem1_spec):
                                     initial=warm.solution.values)
     assert again.converged
     assert again.diagnostics["initial"] == "caller"
+    assert again.diagnostics["opening_amplitude"] is None
+
+
+def half_phi1(spec):
+    return 0.5 * first_eigenpair(spec.grid).phi1.values
+
+
+@pytest.mark.parametrize("kind,n,lam", [("rectangle", 39, 80.0),
+                                        ("interval", 511, 50.0)])
+def test_a_positive_continuation_opens_at_the_projected_amplitude(
+        theorem3_spec, kind, n, lam, monkeypatch):
+    # from 0.5 phi_1 the first stage's warm Newton stagnates and a Picard
+    # rescue solves it; from c* phi_1 Newton converges warm, to the same
+    # stage solutions and verdict
+    spec = replace(theorem3_spec, grid=build_grid(kind, (1.0,), n),
+                   source=None, lam=lam)
+    half = solve_with_continuation(spec, initial=half_phi1(spec))
+    assert half.diagnostics["stages"][0]["initial"] == "picard"
+
+    def refused(stage, u0):
+        raise AssertionError(f"Picard rescue at eps = {stage.eps}")
+
+    monkeypatch.setattr(selab.solver, "_picard_rescue", refused)
+    rep = solve_with_continuation(spec)
+    assert rep.diagnostics["stages"][0]["initial"] == "warm"
+    assert rep.diagnostics["opening_amplitude"] > 0.5
+    assert (rep.diagnostics["verdict"], rep.diagnostics["mode"], rep.eps_path) == \
+        (half.diagnostics["verdict"], half.diagnostics["mode"], half.eps_path)
+    assert rep.diagnostics["verdict"] == "converged"
+    np.testing.assert_allclose(rep.solution.values, half.solution.values,
+                               rtol=1e-12, atol=0.0)
+
+
+def test_the_projected_amplitude_is_a_sign_change(theorem3_spec):
+    # F(c) < 0 just below c* and F(c*) >= 0, F the one-mode projection
+    stage = replace(theorem3_spec, lam=80.0, eps=0.1)
+    pair = first_eigenpair(stage.grid)
+    phi = pair.phi1.values
+
+    def projection(c):
+        return float(phi @ (pair.lambda1 * c * phi
+                            + nonlinear_part(stage, c * phi)))
+
+    c = selab.solver.opening_amplitude(stage, pair)
+    assert projection(c) >= 0.0 > projection(c * (1.0 - 2.0**-8))
+    assert all(projection(c * 2.0**k) >= 0.0 for k in range(1, 20))
+
+
+@pytest.mark.parametrize("config,n,lam", [("theorem2", 127, 1.0),
+                                          ("theorem3", 48, 0.5),
+                                          ("theorem1", 127, 1.0)])
+def test_an_opening_without_a_crossing_keeps_half_phi1(config, n, lam, request):
+    # where the projection onto phi_1 has no sign change,
+    # and for K < 0, the run is bitwise the one from 0.5 phi_1
+    spec = replace(with_n(request.getfixturevalue(f"{config}_spec"), n), lam=lam)
+    rep = solve_with_continuation(spec)
+    half = solve_with_continuation(spec, initial=half_phi1(spec))
+    assert rep.diagnostics["opening_amplitude"] == 0.5
+    np.testing.assert_array_equal(rep.solution.values, half.solution.values)
+    assert (rep.iterations, rep.residual_inf, rep.eps_path, rep.min_interior) == \
+        (half.iterations, half.residual_inf, half.eps_path, half.min_interior)
+    for key in ("initial", "opening_amplitude"):
+        del rep.diagnostics[key], half.diagnostics[key]
+    assert rep.diagnostics == half.diagnostics
+
+
+@pytest.mark.parametrize("n,lam", [(255, 80.0), (511, 20.0), (511, 80.0)])
+def test_theorem3_at_a_0_1_converges_from_the_projected_amplitude(
+        theorem3_spec, n, lam):
+    # from 0.5 phi_1 these stagnated, n = 255 after 3 stages and n = 511
+    # in the first
+    rep = solve_with_continuation(replace(with_n(theorem3_spec, n), conv_a=0.1,
+                                          lam=lam))
+    assert (rep.diagnostics["verdict"], rep.diagnostics["mode"]) == ("converged", None)
+    assert rep.eps_path == default_schedule()
 
 
 def test_continuation_stage_stats_carry_mass(theorem3_spec):
