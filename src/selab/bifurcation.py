@@ -41,6 +41,11 @@ from .spectral import first_eigenpair
 
 log = logging.getLogger(__name__)
 
+# the mass diagnostic's descending sweep per eps: at most 800 sweeps,
+# stopped at an increment below 1e-11 max(1, |u|_inf)
+_DESCENT_SWEEPS = 800
+_DESCENT_TOL = 1e-11
+
 
 def _thread_budget(threads=None):
     if threads is not None:
@@ -68,31 +73,31 @@ class SweepResult:
             yield (lam, verdict, st["max_u"], st["min_u"], st["mass_integral"])
 
 
-def _run_one(spec, lam, schedule, tol, initial):
+def _run_one(spec, lam, initial):
     run_spec = spec.with_lambda(lam)
-    report = solve_with_continuation(run_spec, schedule=schedule, tol=tol,
-                                     initial=initial)
+    report = solve_with_continuation(run_spec, initial=initial)
     if not report.converged and initial is not None:
         # a stale warm start must not flip a solvable lambda
-        report = solve_with_continuation(run_spec, schedule=schedule, tol=tol)
+        report = solve_with_continuation(run_spec)
     return report
 
 
-def lambda_sweep(spec_template, lambdas, schedule=None, tol=1e-10,
-                 warm_start=True, threads=None):
-    """Continuation verdicts along ascending lambda values.
+def lambda_sweep(spec_template, lambdas, warm_start=True, threads=None):
+    """Continuation verdicts along ascending lambda values, each on the
+    default eps schedule.
 
     Warm-started (default): sequential, each lambda seeded with the
     previous converged solution.  With warm_start=False the entries are
     independent and run on a pool of `threads` threads (default
-    min(4, cpu count)).
+    min(4, cpu count)).  An empty or not strictly ascending list of
+    lambdas raises ModelError.
     """
     lambdas = [float(l) for l in lambdas]
+    if not lambdas:
+        raise ModelError("a sweep needs at least one lambda")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ModelError("lambda values must be strictly ascending")
-    if schedule is None:
-        schedule = default_schedule()
-    eps_final = schedule[-1]
+    eps_final = default_schedule()[-1]
     singular = spec_template.singular
 
     def stats_of(report):
@@ -108,7 +113,7 @@ def lambda_sweep(spec_template, lambdas, schedule=None, tol=1e-10,
     if warm_start:
         prev = None
         for lam in lambdas:
-            report = _run_one(spec_template, lam, schedule, tol, prev)
+            report = _run_one(spec_template, lam, prev)
             prev = report.solution if report.converged else None
             verdicts.append(report.diagnostics["verdict"])
             stats.append(stats_of(report))
@@ -118,7 +123,7 @@ def lambda_sweep(spec_template, lambdas, schedule=None, tol=1e-10,
         budget = _thread_budget(threads)
         with ThreadPoolExecutor(max_workers=budget) as pool:
             reports = list(pool.map(
-                lambda lam: _run_one(spec_template, lam, schedule, tol, None),
+                lambda lam: _run_one(spec_template, lam, None),
                 lambdas))
         verdicts = [r.diagnostics["verdict"] for r in reports]
         stats = [stats_of(r) for r in reports]
@@ -187,7 +192,7 @@ def _refined(spec):
 
 
 def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
-                         schedule=None, tol=1e-10, refine=True):
+                         refine=True):
     """The cell of `iters` bisections of [lambda_min, lambda_max] in which
     the continuation verdict flips, found from the fold of the branch.
 
@@ -199,22 +204,24 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
     are probed: its lower end must fail and its upper end converge.
     Bisection keeps the verdict's flip inside its cell, so while the
     verdicts form an up-set these two probes give the cell bisection
-    would, without its other iters - 2 continuations.  When no fold is found in range, or a probe disagrees,
-    the verdict is bisected as it is, probe by probe.  With refine=True
-    the final bracket is re-run on a grid with doubled n per axis and the
-    agreement recorded (refined_consistent), not enforced.
+    would, without its other iters - 2 continuations.  When no fold is
+    found in range, or a probe disagrees, the verdict is bisected as it
+    is, probe by probe.  With refine=True the final bracket is re-run on
+    a grid with doubled n per axis and the agreement recorded
+    (refined_consistent), not enforced.  Every verdict
+    is a continuation on the default eps schedule.  Raises ModelError
+    unless 0 < lambda_min < lambda_max and iters >= 0.
     """
     lo, hi = float(lambda_min), float(lambda_max)
     if not 0 < lo < hi:
         raise ModelError(f"need 0 < lambda_min < lambda_max, got {lo}, {hi}")
-    if schedule is None:
-        schedule = default_schedule()
+    if iters < 0:
+        raise ModelError(f"need iters >= 0, got {iters}")
     n_axis = spec_template.grid.shape[0]
     history = []
 
     def probe(lam):
-        rep = solve_with_continuation(spec_template.with_lambda(lam),
-                                      schedule=schedule, tol=tol)
+        rep = solve_with_continuation(spec_template.with_lambda(lam))
         history.append((lam, rep.diagnostics["verdict"]))
         return rep
 
@@ -235,8 +242,8 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
         return LambdaStarEstimate(lo=hi, hi=None, iters=0, lambda0=lambda0,
                                   grid_n=n_axis, history=history,
                                   sentinel="above-range", lambda0_below_hi=None)
-    fold = branch_fold(spec_template.with_lambda(hi).with_eps(schedule[-1]),
-                       top.solution, lo, tol=tol)
+    last = spec_template.with_lambda(hi).with_eps(default_schedule()[-1])
+    fold = branch_fold(last, top.solution, lo)
     cell = None
     if fold is not None:
         cell = _halvings(lo, hi, iters, lambda mid: mid >= fold)
@@ -252,8 +259,7 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
         fine = _refined(spec_template)
 
         def converged_at(lam):
-            return solve_with_continuation(fine.with_lambda(lam), schedule=schedule,
-                                           tol=tol).converged
+            return solve_with_continuation(fine.with_lambda(lam)).converged
 
         refined = (not converged_at(lo)) and converged_at(hi)
     below_hi = None if lambda0 is None else bool(lambda0 <= hi)
@@ -319,8 +325,7 @@ class NonexistenceReport:
     collapsed: list
 
 
-def nonexistence_diagnostic(spec_template, eps_schedule=None, sweeps=800,
-                            tol=1e-11):
+def nonexistence_diagnostic(spec_template, eps_schedule=None):
     """Track I(eps) = integral of g(u_eps + eps) down an eps schedule.
 
     For each eps the candidate u_eps is sought by a clipped descending
@@ -367,7 +372,7 @@ def nonexistence_diagnostic(spec_template, eps_schedule=None, sweeps=800,
         stage = spec.with_eps(eps)
         u, _, _ = fixed_point(lu, lambda v: nonlinear_part(stage, v),
                               envelope if prev is None else prev,
-                              floor=0.0, tol=tol, max_iter=sweeps)
+                              floor=0.0, tol=_DESCENT_TOL, max_iter=_DESCENT_SWEEPS)
         if float(u.max()) > 0.0:
             sources.append("descent")
             prev = u

@@ -120,12 +120,8 @@ def _parse_floats(text):
 def _cmd_solve(args):
     spec = _load_spec(args)
     schedule = _parse_floats(args.eps_schedule) if args.eps_schedule else None
-    rep = solve_with_continuation(
-        spec, schedule=schedule, tol=args.tol, max_iter=args.max_iter
-    )
+    rep = solve_with_continuation(spec, schedule=schedule)
     csv_path, json_path = _out_paths(args.out, "u.csv", "report.json")
-    if args.report:
-        json_path = args.report
     write_field_csv(rep.solution, csv_path)
     _write_json(
         {
@@ -159,7 +155,6 @@ def _cmd_sweep(args):
     result = lambda_sweep(
         spec,
         lambdas,
-        tol=args.tol,
         warm_start=not args.no_warm,
         threads=args.threads,
     )
@@ -182,7 +177,7 @@ def _cmd_sweep(args):
 def _cmd_lambda_star(args):
     spec = _load_spec(args)
     est = estimate_lambda_star(
-        spec, args.lambda_min, args.lambda_max, iters=args.iters, tol=args.tol
+        spec, args.lambda_min, args.lambda_max, iters=args.iters
     )
     _, json_path = _out_paths(args.out, "lambda_star.csv", "lambda_star.json")
     _write_json(
@@ -275,7 +270,7 @@ def _cmd_compare(args):
     grid = spec.grid
     v = read_field_csv(grid, args.sub_csv)
     w = read_field_csv(grid, args.super_csv)
-    rep = check_ordering(grid, psi_from_spec(spec), v, w, tol=args.tol)
+    rep = check_ordering(grid, psi_from_spec(spec), v, w)
     _, json_path = _out_paths(args.out, "compare.csv", "compare.json")
     _write_json(
         {
@@ -330,12 +325,9 @@ def _add_config(p):
 
 
 def _add_out(p):
-    p.add_argument("--out", default=None, help="output file or directory")
-
-
-def _add_common(p, tol=1e-10):
-    p.add_argument("--tol", type=float, default=tol, help="solver tolerance")
-    _add_out(p)
+    p.add_argument("--out", default=None,
+                   help="output directory, or a .csv or .json path (the "
+                   "other file goes next to it)")
 
 
 def build_parser():
@@ -348,19 +340,16 @@ def build_parser():
 
     p = sub.add_parser("solve", help="continuation solve of one instance")
     _add_config(p)
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="override the config lambda")
     p.add_argument("--eps-schedule", default=None,
                    help="comma-separated decreasing eps values")
-    p.add_argument("--max-iter", type=int, default=60,
-                   help="Newton iterations per stage")
-    p.add_argument("--report", default=None, help="JSON report path")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("sweep", help="verdicts over a ladder of lambdas")
     _add_config(p)
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--lambdas", default=None,
                    help="comma-separated lambda values (ascending)")
     p.add_argument("--lambda-min", type=float, default=0.5)
@@ -375,7 +364,7 @@ def build_parser():
     p = sub.add_parser("lambda-star",
                        help="bracket the existence threshold")
     _add_config(p)
-    _add_common(p)
+    _add_out(p)
     p.add_argument("--lambda-min", type=float, default=0.1)
     p.add_argument("--lambda-max", type=float, default=100.0)
     p.add_argument("--iters", type=int, default=12)
@@ -406,7 +395,7 @@ def build_parser():
 
     p = sub.add_parser("compare", help="order two saved fields")
     _add_config(p)
-    _add_common(p, tol=1e-8)
+    _add_out(p)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="override the config lambda")
     p.add_argument("sub_csv", help="candidate lower field CSV")

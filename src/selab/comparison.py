@@ -32,6 +32,9 @@ import numpy as np
 
 from .grid import Field
 
+# the band of the hypothesis residuals and of the conclusion margin
+_TOL = 1e-8
+
 
 @dataclass
 class ComparisonReport:
@@ -75,11 +78,12 @@ def psi_from_spec(spec):
     return psi
 
 
-def check_ordering(grid, psi, v, w, tol=1e-8):
+def check_ordering(grid, psi, v, w):
     """Grade the pair (v, w) for -Lap(u) = psi(grid, u); see module doc.
 
-    psi(grid, s_values) returns nodal values.  `tol` is used both for the
-    hypothesis residuals and the conclusion margin.  The strict-decrease
+    psi(grid, s_values) returns nodal values.  One tolerance, 1e-8
+    (details["tol"]), bands both the hypothesis residuals, relative to
+    max(1, |psi(w)|_inf), and the conclusion margin.  The strict-decrease
     probe samples psi(x, s)/s on a log grid spanning the pair's positive
     values.
     """
@@ -90,8 +94,8 @@ def check_ordering(grid, psi, v, w, tol=1e-8):
     sub_res = psi(grid, vv) - A @ vv          # want >= 0 (Lap v + Psi >= 0)
     super_res = psi(grid, wv) - A @ wv        # want <= 0
     scale = max(1.0, float(np.max(np.abs(psi(grid, wv)))))
-    sub_share = float(np.mean(sub_res >= -tol * scale))
-    super_share = float(np.mean(super_res <= tol * scale))
+    sub_share = float(np.mean(sub_res >= -_TOL * scale))
+    super_share = float(np.mean(super_res <= _TOL * scale))
     boundary_ok = True  # both traces are the Dirichlet 0
 
     lo = max(min(float(vv[vv > 0].min()) if np.any(vv > 0) else 1e-3,
@@ -110,7 +114,7 @@ def check_ordering(grid, psi, v, w, tol=1e-8):
     max_violation = float(np.max(vv - wv))
     if not hypotheses_ok:
         verdict = "hypotheses-not-met"
-    elif max_violation <= tol:
+    elif max_violation <= _TOL:
         verdict = "ordered"
     else:
         verdict = "violated"
@@ -127,6 +131,6 @@ def check_ordering(grid, psi, v, w, tol=1e-8):
             "worst_sub_residual": float(sub_res.min()),
             "worst_super_residual": float(super_res.max()),
             "s_probe_range": (float(s[0]), float(s[-1])),
-            "tol": tol,
+            "tol": _TOL,
         },
     )

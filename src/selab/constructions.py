@@ -55,6 +55,13 @@ from .model import compute_p
 from .solver import fixed_point, residual, settled
 from .spectral import default_collar_width, first_eigenpair, hopf_collar
 
+# the fixed points' stop (`solver.settled`) and sweep caps, and the
+# residual above which a node violates the eigen sub-solution certificate
+_FIXED_POINT_TOL = 1e-11
+_SUPER_SWEEPS = 2000
+_SUBCONV_SWEEPS = 5000
+_CERTIFICATE_TOL = 1e-9
+
 
 @dataclass
 class Construction:
@@ -66,7 +73,7 @@ class Construction:
     metadata: dict = dataclass_field(default_factory=dict)
 
 
-def build_supersolution(spec, tol=1e-11, max_iter=2000):
+def build_supersolution(spec):
     """Fixed-point solve of -Lap(U) = lambda f(x, U) + K^-(x) g(eps) from
     phi_1: `solver.fixed_point` with N(U) = -(lambda f(x, U) + lift), the
     lift K^- g(eps) = -K g(eps) formed only when K < 0.
@@ -91,8 +98,8 @@ def build_supersolution(spec, tol=1e-11, max_iter=2000):
 
     u, it, inc = fixed_point(grid.lu(), lambda v: -forcing(v),
                              first_eigenpair(grid).phi1.values,
-                             tol=tol, max_iter=max_iter)
-    if not settled(u, inc, tol):
+                             tol=_FIXED_POINT_TOL, max_iter=_SUPER_SWEEPS)
+    if not settled(u, inc, _FIXED_POINT_TOL):
         why = "stagnated" if np.isfinite(inc) else "met a lambda f that is not finite"
         raise ConvergenceError(f"super-solution fixed point {why}",
                                residual=inc, iterations=it)
@@ -114,7 +121,7 @@ def build_supersolution(spec, tol=1e-11, max_iter=2000):
     )
 
 
-def build_subsolution_convection(spec, tol=1e-11, max_iter=5000):
+def build_subsolution_convection(spec):
     """Picard solve of -Lap(v) + |grad v|^a = p(x) with lagged gradient.
 
     Requires the forcing floor p to be positive everywhere (the
@@ -133,10 +140,10 @@ def build_subsolution_convection(spec, tol=1e-11, max_iter=5000):
         return gradient_magnitude(grid, Field(grid, v)).values**spec.conv_a - p.values
 
     v, it, inc = fixed_point(grid.lu(), nonlinear, np.zeros(grid.n_total),
-                             tol=tol, max_iter=max_iter)
-    if not settled(v, inc, tol):
+                             tol=_FIXED_POINT_TOL, max_iter=_SUBCONV_SWEEPS)
+    if not settled(v, inc, _FIXED_POINT_TOL):
         raise ConvergenceError("convection sub-solution Picard stagnated",
-                               residual=inc, iterations=max_iter)
+                               residual=inc, iterations=_SUBCONV_SWEEPS)
     if float(v.min()) <= 0.0:
         raise PositivityError(
             "convection sub-solution lost interior positivity; refine the grid"
@@ -158,7 +165,7 @@ def build_subsolution_convection(spec, tol=1e-11, max_iter=5000):
     )
 
 
-def build_subsolution_eigen(spec, tol=1e-9):
+def build_subsolution_eigen(spec):
     """Assemble M h(phi_1) and certify it at spec.lam.
 
     The collar is four grid spacings wide.  Raises RegimeError outside the
@@ -228,6 +235,6 @@ def build_subsolution_eigen(spec, tol=1e-9):
             "lambda_cond_core": lam_cond2,
             "collar_width": collar.width,
             "residual_max": float(np.max(cert)),
-            "certificate_violations": int(np.sum(cert > tol)),
+            "certificate_violations": int(np.sum(cert > _CERTIFICATE_TOL)),
         },
     )

@@ -33,6 +33,9 @@ import numpy as np
 from .errors import KellerOssermanError, ModelError
 from .model import _Pchip, classify_singularity
 
+# the slack of `verify_h_bound`'s ratio test
+_BOUND_TOL = 1e-9
+
 
 @dataclass
 class HProfile:
@@ -83,10 +86,11 @@ def _cumulative_trapezoid(y, x):
     return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
-def _t_grid(T, n_uniform=160, n_geometric=48):
-    """[0, T] with geometric refinement near 0 (profile has a power cusp)."""
-    geo = T * np.geomspace(1e-10, 0.1, n_geometric)
-    uni = np.linspace(0.1 * T, T, n_uniform)
+def _t_grid(T):
+    """[0, T]: 48 geometric points from 1e-10 T to 0.1 T (the profile has
+    a power cusp at 0), then 160 uniform ones to T."""
+    geo = T * np.geomspace(1e-10, 0.1, 48)
+    uni = np.linspace(0.1 * T, T, 160)
     return np.concatenate([[0.0], geo, uni[1:]])
 
 
@@ -97,12 +101,13 @@ def build_h_profile(g, T=1.0):
     primitive, then quadrature of t(h) = integral dy/sqrt(2 G(y)) and
     monotone inversion.
     Raises KellerOssermanError for non-integrable g and ModelError for
-    T <= 0, an indeterminate table classification, a primitive G whose
-    double is not finite, or a t(h) map that is not finite and strictly
-    increasing.
+    a T that is not positive and finite, an indeterminate table
+    classification, a primitive G whose double is not finite, or a t(h)
+    map that is not finite and strictly increasing.
     """
-    if T <= 0:
-        raise ModelError(f"profile domain cap T must be positive, got {T}")
+    if not 0 < T < np.inf:
+        raise ModelError(f"profile domain cap T must be positive and finite, "
+                         f"got {T}")
     verdict = classify_singularity(g)
     if verdict == "non-integrable":
         raise KellerOssermanError(
@@ -168,8 +173,9 @@ class HBoundReport:
     tol: float
 
 
-def verify_h_bound(profile, tol=1e-9):
-    """Check the growth bound t h'(t) <= 2 h(t) at every table point.
+def verify_h_bound(profile):
+    """Check the growth bound t h'(t) <= 2 h(t) at every table point, to
+    within a ratio of 1 + 1e-9 (the report's `tol`).
 
     The ratio t h' / (2 h) is reported; for power-family profiles it is
     identically 1/(alpha+1) < 1.  An empty or single-point table passes
@@ -177,7 +183,8 @@ def verify_h_bound(profile, tol=1e-9):
     """
     mask = profile.t > 0
     if not np.any(mask):
-        return HBoundReport(max_ratio=0.0, argmax_t=0.0, passed=True, tol=tol)
+        return HBoundReport(max_ratio=0.0, argmax_t=0.0, passed=True,
+                            tol=_BOUND_TOL)
     t = profile.t[mask]
     h = profile.h[mask]
     dh = profile.dh[mask]
@@ -186,6 +193,6 @@ def verify_h_bound(profile, tol=1e-9):
     return HBoundReport(
         max_ratio=float(ratio[k]),
         argmax_t=float(t[k]),
-        passed=bool(ratio[k] <= 1.0 + tol),
-        tol=tol,
+        passed=bool(ratio[k] <= 1.0 + _BOUND_TOL),
+        tol=_BOUND_TOL,
     )

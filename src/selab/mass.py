@@ -15,6 +15,9 @@ from __future__ import annotations
 
 import numpy as np
 
+# points of the mass tail that `halving_rate` fits
+_RATE_TAIL = 6
+
 
 def mass_integral(g, field, eps):
     """Integral of g(u + eps) over the support of u, with u piecewise
@@ -72,11 +75,11 @@ def reference_mass(grid, g, c2, eps):
     return float(val)
 
 
-def halving_rate(eps_values, masses, tail=6):
+def halving_rate(eps_values, masses):
     """Fitted per-halving growth factor 2^(-slope) of log I vs log eps
-    over the last `tail` points; None if fewer than two points or if one
-    of them is not finite (an overflowed mass has no rate)."""
-    k = min(tail, len(masses))
+    over the last 6 points; None if fewer than two points or if one of
+    them is not finite (an overflowed mass has no rate)."""
+    k = min(_RATE_TAIL, len(masses))
     if k < 2 or not np.all(np.isfinite(masses[-k:])):
         return None
     le = np.log(np.asarray(eps_values[-k:], dtype=float))

@@ -399,7 +399,8 @@ class ProblemSpec:
     Construction validates the terms and the parameters, so direct
     construction, `make_problem` and `dataclasses.replace` agree: a
     singular or reaction term that is not a catalog term, a not in
-    (0, 2], lambda <= 0 or eps < 0 raises ModelError.
+    (0, 2], lambda not in (0, inf) or eps not in [0, inf) raises
+    ModelError (a NaN lies in neither).
     """
 
     grid: Grid
@@ -421,10 +422,11 @@ class ProblemSpec:
         if not 0.0 < self.conv_a <= 2.0:
             raise ModelError(
                 f"convection exponent a must lie in (0, 2], got {self.conv_a}")
-        if not self.lam > 0:
-            raise ModelError(f"lambda must be positive, got {self.lam}")
-        if self.eps < 0:
-            raise ModelError(f"epsilon must be nonnegative, got {self.eps}")
+        if not 0.0 < self.lam < np.inf:
+            raise ModelError(f"lambda must be positive and finite, got {self.lam}")
+        if not 0.0 <= self.eps < np.inf:
+            raise ModelError(
+                f"epsilon must be nonnegative and finite, got {self.eps}")
 
     def k_nodal(self):
         return self.potential.nodal(self.grid)

@@ -11,7 +11,7 @@ behind the Picard rescue, the mass diagnostic, the comparison suite, the
 super-solution and the convection sub-solution; A^-1 is the grid's
 `Grid.lu` (on a rectangle, sine transforms: nothing is factored), whose
 solves refuse a non-finite N(u), so the sweep stops there.  Every other
-linear solve here is a `Grid.factor` of the same pattern.  Three layers
+linear solve here is a `Grid.factor` of the same pattern.  Two layers
 decide a verdict:
 
 * `newton_solve` - damped Newton with the analytic Jacobian
@@ -31,17 +31,8 @@ decide a verdict:
   Backtracking line search on the residual sup-norm, steps clipped so
   u stays >= 0.01 eps while eps > 0, and at most 8 trial steps per
   iteration before a stagnating solve gives up (see `newton_solve`).
-* `monotone_iterate` - the globalizer: with a per-node shift D_i bounding
-  the slope -psi'(x_i, s) from above on node i's own range
-  [sub_i, super_i] (the sector condition of the monotone scheme:
-  Sattinger, Indiana Univ. Math. J. 21, 1972; Pao, Nonlinear Parabolic and
-  Elliptic Equations, 1992, ch. 3), each sweep solves
-  (A + diag(D)) u_{k+1} = D u_k - N(u_k) on one `Grid.factor` of the
-  M-matrix A + diag(D); from a sub-solution the iterates ascend.  D is
-  large only where sub is near 0, next to the boundary, so the sweep
-  count does not grow with the grid.
-  The convection term is lagged (it has no one-sided structure), which is
-  why bracket escape is recorded as a diagnostic instead of assumed away.
+  Every Newton solve, and every point of `branch_fold`, stops at one
+  rule, |r|_inf < 1e-10 max(1, |A u|_inf) (`_newton_targets`).
 * `solve_with_continuation` - walks eps down a schedule (default
   0.1 * 2^-k, 12 steps) from c phi_1: for K > 0, c is where the
   projection of the equation onto phi_1 turns from negative to
@@ -56,6 +47,20 @@ decide a verdict:
   "converged" demands a Cauchy tail in eps and an interior minimum clear
   of eps_final, otherwise the run is reported nonexistence-indicated with
   its mode.  The eps = 0 singular limit is approached, never evaluated.
+
+`monotone_iterate` is on no verdict path: it pinches an ordered
+sub/super pair into a solution (the K < 0 brackets of
+demos/negative_potential_bracket.py and of verdictbench's certify
+workload).  With a per-node shift D_i bounding the slope -psi'(x_i, s)
+from above on node i's own range [sub_i, super_i] (the sector condition
+of the monotone scheme: Sattinger, Indiana Univ. Math. J. 21, 1972; Pao,
+Nonlinear Parabolic and Elliptic Equations, 1992, ch. 3), each sweep
+solves (A + diag(D)) u_{k+1} = D u_k - N(u_k) on one `Grid.factor` of the
+M-matrix A + diag(D); from a sub-solution the iterates ascend.  D is
+large only where sub is near 0, next to the boundary, so the sweep count
+does not grow with the grid.  The convection term is lagged (it has no
+one-sided structure), which is why bracket escape is recorded as a
+diagnostic instead of assumed away.
 
 `branch_fold` follows the branch of solutions at one eps down in lambda
 to its fold, by Newton on the Jacobian bordered by the lambda-derivative
@@ -83,6 +88,12 @@ from .spectral import first_eigenpair
 log = logging.getLogger(__name__)
 
 _GRAD_FLOOR = 1e-14
+# Newton's stopping rule: see `_newton_targets`
+_NEWTON_TOL = 1e-10
+# Newton steps of a solve, and the residual at which a monotone sweep's
+# report counts as converged
+_NEWTON_STEPS = 60
+_MONOTONE_RES_TOL = 1e-8
 # line-search trial steps per Newton iteration, t = 1, 1/2, ..., 2^-7;
 # the reason for 8 is in `newton_solve`
 _TRIAL_STEPS = 8
@@ -94,6 +105,8 @@ _FORCING_MAX = 1e-4
 # per trace and per fold localization
 _CORRECTOR_STEPS = 8
 _TRACE_POINTS = 60
+# the first eps of the default continuation ladder
+_EPS_START = 0.1
 # nodal values per psi call of the opening amplitude's scan (see
 # `opening_amplitude`): 16 KB a temporary
 _SCAN_VALUES = 2048
@@ -102,7 +115,7 @@ _SCAN_VALUES = 2048
 @dataclass
 class SolveReport:
     """Outcome of a solve; `converged` implies residual_inf below the
-    caller's tolerance and a strictly positive interior minimum."""
+    solver's tolerance and a strictly positive interior minimum."""
 
     solution: Field
     converged: bool
@@ -193,7 +206,19 @@ def _linearization(spec, u):
                                     0.0) for comp in comps]
 
 
-def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
+def _newton_targets(Au):
+    """(stop, krylov) for a Newton iterate u with stencil A u: a Newton
+    solve is done once |r|_inf < stop = _NEWTON_TOL max(1, |A u|_inf),
+    and a step's GMRES may stop at an absolute 2-norm residual of
+    krylov, a tenth of it.  The tolerance is relative to the stiffness
+    scale max(1, |A u|_inf): assembling the residual of a field of
+    amplitude U already carries rounding noise of order U/h^2 times
+    machine epsilon, so an absolute target below that is unreachable."""
+    scale = max(1.0, float(np.abs(Au).max()))
+    return _NEWTON_TOL * scale, 0.1 * _NEWTON_TOL * scale
+
+
+def newton_solve(spec, initial, max_iter=_NEWTON_STEPS, lagged=None):
     """Damped Newton from `initial`; returns a SolveReport.
 
     Backtracks through at most 8 steps t = 1, 1/2, ..., 2^-7 until the
@@ -208,19 +233,17 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
     tried are a prefix of an unbounded halving, so a solve that succeeds
     within the budget is unchanged by it; a stage with no solution, about
     half of every lambda* bracket, gives up after 8 residual evaluations
-    per iteration instead of 31.  `tol` is relative to the stiffness scale
-    max(1, |A u|_inf): assembling the residual of a field of amplitude U
-    already carries rounding noise of order U/h^2 times machine epsilon,
-    so an absolute target below that is unreachable.  Raises
-    ConvergenceError on stagnation or a singular Jacobian.
+    per iteration instead of 31.  The solve stops at the residual of
+    `_newton_targets`.  Raises ConvergenceError on stagnation or a
+    singular Jacobian.
 
     On a rectangle each step's Jacobian is solved by GMRES on the last
     exact Jacobian factor, `lagged`, and factored afresh only when GMRES
     falls short (see `grid.LaggedFactor`); a continuation passes one
     along its stages, and by default each solve starts its own.  GMRES
     stops at the relative residual eta_k (the forcing term) or at a
-    tenth of the stopping target, 0.1 tol max(1, |A u|_inf), whichever
-    is looser: eta_0 = 1e-4, then eta_k = min(1e-4, 0.9 (|r_k|_inf /
+    tenth of the stopping target (`_newton_targets`), whichever is
+    looser: eta_0 = 1e-4, then eta_k = min(1e-4, 0.9 (|r_k|_inf /
     |r_k-1|_inf)^2), Eisenstat & Walker's choice 2 with gamma = 0.9 and
     alpha = 2, never below 1e-12.  Their usual cap of 0.1 in place of
     1e-4 adds Newton steps on rectangles and saves no time.  Interval
@@ -237,8 +260,8 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
     rnorm = float(np.abs(r).max())
     forcing = _FORCING_MAX
     for it in range(1, max_iter + 1):
-        scale = max(1.0, float(np.abs(Au).max()))
-        if rnorm < tol * scale:
+        stop, krylov = _newton_targets(Au)
+        if rnorm < stop:
             sol = Field(spec.grid, u)
             return SolveReport(
                 solution=sol, converged=True, iterations=it - 1,
@@ -247,7 +270,7 @@ def newton_solve(spec, initial, tol=1e-10, max_iter=60, lagged=None):
             )
         try:
             step = spec.grid.factor(*_linearization(spec, u), lagged).solve(
-                -r, forcing, 0.1 * tol * scale)
+                -r, forcing, krylov)
         except (RuntimeError, ValueError) as exc:  # see Grid.factor
             raise ConvergenceError(
                 f"Jacobian factorization failed: {exc}",
@@ -299,14 +322,15 @@ def default_shift(spec, sub, super_):
 
 
 def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
-                     res_tol=1e-8, from_super=False):
+                     from_super=False):
     """Shifted fixed-point sweep between an ordered sub/super pair.
 
     Starts from `sub` (or `super_` with from_super=True), stops when the
     sup-norm increment falls below `tol`, and reports convergence when
-    the equation residual is below `res_tol`.  Iterate monotonicity and
-    staying inside the bracket are recorded in diagnostics, not enforced:
-    the lagged convection term can break both, and that is worth seeing.
+    the equation residual is below _MONOTONE_RES_TOL = 1e-8.  Iterate
+    monotonicity and staying inside the bracket are recorded in
+    diagnostics, not enforced: the lagged convection term can break both,
+    and that is worth seeing.
     Where g overflows on the bracket (shifted-exp g near s = 0) the shift
     or a sweep is not finite; the sweep stops there and the report is not
     converged.  Raises OrderingError if sub > super anywhere.
@@ -344,7 +368,7 @@ def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
                     break
                 res_now = float(np.max(np.abs(
                     residual(spec, Field(grid, u)).values)))
-                if res_now < res_tol or inc < 1e-15 * max(
+                if res_now < _MONOTONE_RES_TOL or inc < 1e-15 * max(
                         1.0, float(np.max(np.abs(u)))):
                     break
     except ValueError:
@@ -354,7 +378,7 @@ def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
     res = float(np.max(np.abs(residual(spec, sol).values))) if positive else np.inf
     return SolveReport(
         solution=sol,
-        converged=bool(res < res_tol and positive),
+        converged=bool(res < _MONOTONE_RES_TOL and positive),
         iterations=it,
         residual_inf=res,
         eps_path=[spec.eps],
@@ -368,18 +392,18 @@ def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
     )
 
 
-def default_schedule(steps=12, eps0=0.1):
-    """The continuation ladder eps_k = eps0 * 2^-k."""
-    return [eps0 * 2.0**-k for k in range(steps)]
+def default_schedule(steps=12):
+    """The continuation ladder eps_k = 0.1 * 2^-k, k < steps."""
+    return [_EPS_START * 2.0**-k for k in range(steps)]
 
 
-def _picard_rescue(spec, u0, sweeps=300, relax=0.5):
-    """Relaxed Poisson sweeps with a positivity floor; used to coax a
-    warm start into Newton's basin after a failed stage."""
+def _picard_rescue(spec, u0):
+    """300 Poisson sweeps relaxed by 1/2, with a positivity floor; used to
+    coax a warm start into Newton's basin after a failed stage."""
     floor = 0.01 * spec.eps if spec.eps > 0 else 1e-12
     u, _, _ = fixed_point(spec.grid.lu(), lambda v: nonlinear_part(spec, v),
                           np.maximum(np.asarray(u0, dtype=float), floor),
-                          relax=relax, floor=floor, tol=1e-12, max_iter=sweeps)
+                          relax=0.5, floor=floor, tol=1e-12, max_iter=300)
     return u
 
 
@@ -460,14 +484,14 @@ def extrapolate(path, eps):
     return start
 
 
-def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
-                            initial=None, max_iter=60):
-    """Walk eps down the schedule; see module docstring.
+def solve_with_continuation(spec, schedule=None, initial=None):
+    """Walk eps down the schedule (default `default_schedule()`); see
+    module docstring.
 
-    `tol` is the per-stage Newton residual tolerance.  `path_tol` bounds
-    the final consecutive-stage difference (the Cauchy check); the
-    default 5 sqrt(eps_final) tracks the physical eps-sensitivity of the
-    boundary layer, which dwarfs solver tolerances.
+    Each stage is a `newton_solve`.  The Cauchy check bounds the final
+    consecutive-stage difference by 5 sqrt(eps_final) (diagnostics
+    ["path_tol"]): that bound tracks the physical eps-sensitivity of the
+    boundary layer, which dwarfs the solver's tolerance.
 
     The report's verdict lives in diagnostics["verdict"]:
     "converged" or "nonexistence-indicated" with a mode among
@@ -502,11 +526,11 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     gradient-free super-solution.  The predictor removes the first- and
     second-order parts of the eps-change that a warm start leaves to
     Newton, so a stage often takes one Newton step fewer.  Newton gets
-    _CORRECTOR_STEPS steps from it, not max_iter: for a < 1 a prediction
-    can be far closer to the solution than the warm start and still take
-    tens of steps, and its residual does not tell which (theorem1, a =
-    0.25, lambda = 10 on 31^2, last stage: residual 2e-5 against 2e-2,
-    and 40 steps against 4).
+    _CORRECTOR_STEPS steps from it, not _NEWTON_STEPS: for a < 1 a
+    prediction can be far closer to the solution than the warm start and
+    still take tens of steps, and its residual does not tell which
+    (theorem1, a = 0.25, lambda = 10 on 31^2, last stage: residual 2e-5
+    against 2e-2, and 40 steps against 4).
 
     One `grid.LaggedFactor` serves every Newton solve of the call, each
     stage's attempts alike.  Each entry of diagnostics["stages"] names the
@@ -521,14 +545,13 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     if schedule is None:
         schedule = default_schedule()
     schedule = [float(e) for e in schedule]
-    if not schedule or any(e <= 0 for e in schedule) or any(
+    if not schedule or not all(0 < e < np.inf for e in schedule) or any(
         b >= a for a, b in zip(schedule, schedule[1:])
     ):
-        raise ValueError("schedule must be nonempty, positive and strictly "
-                         "decreasing")
+        raise ValueError("schedule must be nonempty, positive, finite and "
+                         "strictly decreasing")
     eps_final = schedule[-1]
-    if path_tol is None:
-        path_tol = 5.0 * np.sqrt(eps_final)
+    path_tol = 5.0 * np.sqrt(eps_final)
 
     try:
         positive_regime = spec.regime() == "positive"
@@ -589,10 +612,9 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
             tried.append(kind)
             if kind == "picard":
                 picard_u = attempt
-            budget = min(max_iter, _CORRECTOR_STEPS) if kind == "predicted" \
-                else max_iter
+            budget = _CORRECTOR_STEPS if kind == "predicted" else _NEWTON_STEPS
             try:
-                report = newton_solve(stage, Field(spec.grid, attempt), tol=tol,
+                report = newton_solve(stage, Field(spec.grid, attempt),
                                       max_iter=budget, lagged=lagged)
                 break
             except ConvergenceError as exc:
@@ -685,7 +707,7 @@ def solve_with_continuation(spec, schedule=None, tol=1e-10, path_tol=None,
     )
 
 
-def _branch_point(spec, border, sigma, u, lam, tol):
+def _branch_point(spec, border, sigma, u, lam):
     """The solution (u, lam) of F(u, lam) = A u + N(u) = 0 at the spec's
     eps with <border, u> = sigma, by Newton on the bordered system from
     (u, lam); see `branch_fold`.  Returns (u, lam, x2), x2 = J^-1 f at
@@ -706,7 +728,7 @@ def _branch_point(spec, border, sigma, u, lam, tol):
         except (SingularEvaluationError, RuntimeError, ValueError):
             return None
         rnorm = float(np.abs(r).max())
-        if rnorm < tol * max(1.0, float(np.abs(Au).max())):
+        if rnorm < _newton_targets(Au)[0]:
             return u, lam, x2
         if rnorm >= previous:
             return None
@@ -717,7 +739,7 @@ def _branch_point(spec, border, sigma, u, lam, tol):
     return None
 
 
-def branch_fold(spec, initial, lambda_min, tol=1e-10):
+def branch_fold(spec, initial, lambda_min):
     """lambda at the fold of the branch of solutions at the spec's eps
     that passes through `initial` at spec.lam, followed down in lambda;
     None when the branch falls below lambda_min before it turns, or a
@@ -759,7 +781,7 @@ def branch_fold(spec, initial, lambda_min, tol=1e-10):
     u = np.asarray(initial.values if isinstance(initial, Field) else initial,
                    dtype=float)
     size = float(np.linalg.norm(u))
-    point = _branch_point(spec, u / size, size, u, spec.lam, tol)
+    point = _branch_point(spec, u / size, size, u, spec.lam)
     if point is None:
         return None
     step, growth = 0.25, 2.0
@@ -771,7 +793,7 @@ def branch_fold(spec, initial, lambda_min, tol=1e-10):
         slope = 1.0 / size
         turned = _branch_point(spec, border, sigma + ds,
                                point[0] + ds * slope * point[2],
-                               point[1] + ds * slope, tol)
+                               point[1] + ds * slope)
         if turned is None:
             step *= 0.25
             if step < 1e-9:
@@ -804,7 +826,7 @@ def branch_fold(spec, initial, lambda_min, tol=1e-10):
         base = min(before, after, key=lambda m: abs(m[0] - sigma))
         ds = sigma - base[0]
         p = _branch_point(spec, border, sigma, base[1][0] + ds * base[2] * base[1][2],
-                          base[1][1] + ds * base[2], tol)
+                          base[1][1] + ds * base[2])
         if p is None:
             return None
         last, newest = newest, mark(p)

@@ -202,7 +202,7 @@ def test_a_fold_the_verdicts_refute_falls_back_to_bisection(
     # bracket is the one the true fold gives
     guided = estimate_lambda_star(theorem3_spec, 0.1, 100.0, iters=6, refine=False)
     monkeypatch.setattr(selab.bifurcation, "branch_fold",
-                        lambda spec, initial, lambda_min, tol: located)
+                        lambda spec, initial, lambda_min: located)
     est = estimate_lambda_star(theorem3_spec, 0.1, 100.0, iters=6, refine=False)
     assert (est.lo, est.hi) == (guided.lo, guided.hi)
     assert est.fold == located
@@ -217,6 +217,11 @@ def test_estimate_rejects_bad_range(theorem3_spec):
         estimate_lambda_star(theorem3_spec, 0.0, 10.0)
 
 
+def test_estimate_rejects_negative_iters(theorem3_spec):
+    with pytest.raises(ModelError, match="iters"):
+        estimate_lambda_star(theorem3_spec, 0.1, 100.0, iters=-3)
+
+
 # ---------------------------------------------------------------- sweeps
 
 
@@ -225,6 +230,11 @@ def test_sweep_requires_ascending(theorem3_spec):
         lambda_sweep(theorem3_spec, [1.0, 0.5])
     with pytest.raises(ModelError):
         lambda_sweep(theorem3_spec, [1.0, 1.0])
+
+
+def test_sweep_rejects_no_lambdas(theorem3_spec):
+    with pytest.raises(ModelError, match="at least one"):
+        lambda_sweep(theorem3_spec, [])
 
 
 @pytest.fixture(scope="module")

@@ -94,13 +94,12 @@ def test_solve_nonexistence_exits_two(tmp_path):
 
 
 def test_solve_custom_paths_and_overrides(tmp_path):
-    csv = tmp_path / "custom" / "field.csv"
     report = tmp_path / "custom" / "r.json"
     code = main(["solve", "--config", T1, "--lambda", "0.5",
-                 "--eps-schedule", SHORT_SCHEDULE,
-                 "--out", str(csv), "--report", str(report)])
+                 "--eps-schedule", SHORT_SCHEDULE, "--out", str(report)])
     assert code == 0
-    assert csv.exists()
+    # a JSON --out names the report; the field goes next to it
+    assert (tmp_path / "custom" / "u.csv").exists()
     rep = read_json(report)
     assert rep["eps_path"] == [0.01, 0.001, 0.0001]
 
@@ -110,6 +109,23 @@ def test_solve_rejects_bad_schedule(tmp_path, capsys):
                  "--eps-schedule", "0.1,0.2", "--out", str(tmp_path)])
     assert code == 3
     assert "decreasing" in capsys.readouterr().err
+
+
+def test_solve_rejects_a_nan_in_the_schedule(tmp_path, capsys):
+    code = main(["solve", "--config", T1,
+                 "--eps-schedule", "0.1,nan", "--out", str(tmp_path)])
+    assert code == 3
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
+@pytest.mark.parametrize("lam", ["inf", "nan"])
+def test_solve_refuses_a_lambda_that_is_not_finite(tmp_path, capsys, lam):
+    code = main(["solve", "--config", T3, "--lambda", lam,
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "lambda" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
 
 
 # ------------------------------------------------------------ sweep
@@ -154,6 +170,22 @@ def test_lambda_star_json_contract(tmp_path):
     assert est["lo"] < est["fold"] <= est["hi"]
 
 
+def test_lambda_star_refuses_negative_iters(tmp_path, capsys):
+    code = main(["lambda-star", "--config", T3, "--iters", "-3",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "iters" in capsys.readouterr().err
+    assert not (tmp_path / "lambda_star.json").exists()
+
+
+def test_sweep_refuses_zero_points(tmp_path, capsys):
+    code = main(["sweep", "--config", T3, "--points", "0",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "at least one" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # ------------------------------------------------------------ eigen / hode
 
 
@@ -176,6 +208,15 @@ def test_hode_tabulates_profile(tmp_path):
     h_vals = [float(line.split(",")[1]) for line in lines[1:]]
     assert len(h_vals) > 10
     assert all(b >= a for a, b in zip(h_vals, h_vals[1:]))
+
+
+@pytest.mark.parametrize("T", ["nan", "inf", "0"])
+def test_hode_refuses_a_cap_that_is_not_positive_and_finite(tmp_path, capsys, T):
+    code = main(["hode", "--config", T3, "--alpha", "0.5", "--T", T,
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "T must be positive and finite" in capsys.readouterr().err
+    assert not (tmp_path / "hprofile.csv").exists()
 
 
 def test_hode_nonintegrable_exits_one(tmp_path, capsys):

@@ -102,7 +102,7 @@ def test_violated_verdict_reachable_within_tolerance():
 
     v = Field(grid, 0.8 * phi)
     w = Field(grid, 0.4 * phi)
-    rep = check_ordering(grid, psi, v, w, tol=1e-8)
+    rep = check_ordering(grid, psi, v, w)
     assert rep.sub_share == 1.0 and rep.super_share == 1.0
     assert rep.strict_decrease_ok
     assert rep.verdict == "violated"

@@ -18,7 +18,10 @@ rectangles or shifted-exp g need.  Each module of the package imports
 only the scipy names on its allowlist.
 """
 
+import argparse
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -26,6 +29,8 @@ import sys
 from pathlib import Path
 
 import pytest
+
+from selab.cli import build_parser
 
 ROOT = Path(__file__).resolve().parents[1]
 SOURCES = sorted(p for d in ("src/selab", "demos", "tests")
@@ -265,3 +270,61 @@ def test_a_positive_interval_opening_loads_no_root_finder(tmp_path):
     opening, loaded = run_probe(OPENING_PROBE, tmp_path)
     assert opening > 0.5
     assert loaded == []
+
+
+# Every setting of the CLI and of the library's entry points is listed
+# here: a value that every caller leaves at its default is a named
+# constant in the module that uses it, not an option or a parameter, so
+# a new knob needs an edit of these lists.
+SUBCOMMAND_OPTIONS = {
+    "solve": {"--config", "--out", "--lambda", "--eps-schedule"},
+    "sweep": {"--config", "--out", "--lambdas", "--lambda-min", "--lambda-max",
+              "--points", "--no-warm", "--threads"},
+    "lambda-star": {"--config", "--out", "--lambda-min", "--lambda-max",
+                    "--iters"},
+    "eigen": {"--config", "--out"},
+    "hode": {"--config", "--out", "--alpha", "--T"},
+    "construct": {"--config", "--out", "--kind", "--lambda"},
+    "compare": {"--config", "--out", "--lambda", "sub_csv", "super_csv"},
+    "verify": {"--only", "--seed"},
+}
+
+ENTRY_POINT_PARAMETERS = {
+    "solver.newton_solve": ("spec", "initial", "max_iter", "lagged"),
+    "solver.solve_with_continuation": ("spec", "schedule", "initial"),
+    "solver.monotone_iterate": ("spec", "sub", "super_", "tol", "max_iter",
+                                "from_super"),
+    "solver.branch_fold": ("spec", "initial", "lambda_min"),
+    "solver.default_schedule": ("steps",),
+    "bifurcation.lambda_sweep": ("spec_template", "lambdas", "warm_start",
+                                 "threads"),
+    "bifurcation.estimate_lambda_star": ("spec_template", "lambda_min",
+                                         "lambda_max", "iters", "refine"),
+    "bifurcation.nonexistence_diagnostic": ("spec_template", "eps_schedule"),
+    "constructions.build_supersolution": ("spec",),
+    "constructions.build_subsolution_convection": ("spec",),
+    "constructions.build_subsolution_eigen": ("spec",),
+    "comparison.check_ordering": ("grid", "psi", "v", "w"),
+    "hprofile.verify_h_bound": ("profile",),
+    "mass.halving_rate": ("eps_values", "masses"),
+}
+
+
+def subcommand_options():
+    """{subcommand: its option strings and positional names}, help aside."""
+    actions = build_parser()._subparsers._group_actions[0]
+    return {name: {opt for action in parser._actions
+                   if not isinstance(action, argparse._HelpAction)
+                   for opt in (action.option_strings or [action.dest])}
+            for name, parser in actions.choices.items()}
+
+
+def test_the_cli_has_only_its_listed_options():
+    assert subcommand_options() == SUBCOMMAND_OPTIONS
+
+
+@pytest.mark.parametrize("name", sorted(ENTRY_POINT_PARAMETERS))
+def test_an_entry_point_takes_only_its_listed_parameters(name):
+    module, function = name.split(".")
+    fn = getattr(importlib.import_module(f"selab.{module}"), function)
+    assert tuple(inspect.signature(fn).parameters) == ENTRY_POINT_PARAMETERS[name]

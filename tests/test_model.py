@@ -358,7 +358,9 @@ def test_make_problem_validates():
 
 
 @pytest.mark.parametrize(
-    "change", [{"singular": None}, {"conv_a": 0.0}, {"conv_a": 2.5}])
+    "change", [{"singular": None}, {"conv_a": 0.0}, {"conv_a": 2.5},
+               {"lam": np.inf}, {"lam": np.nan}, {"eps": np.inf},
+               {"eps": np.nan}])
 def test_spec_construction_and_replace_validate(theorem3_spec, change):
     spec = theorem3_spec
     fields = dict(grid=spec.grid, potential=spec.potential,

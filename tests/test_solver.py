@@ -1134,6 +1134,15 @@ def test_continuation_empty_schedule_rejected(theorem1_spec):
         solve_with_continuation(theorem1_spec, schedule=[])
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_continuation_schedule_must_be_finite(theorem1_spec, bad):
+    # a NaN passes every comparison of the positivity and decrease checks
+    with pytest.raises(ValueError, match="finite"):
+        solve_with_continuation(theorem1_spec, schedule=[0.1, bad])
+    with pytest.raises(ValueError, match="finite"):
+        solve_with_continuation(theorem1_spec, schedule=[bad, 0.1])
+
+
 def test_failed_stage_leaves_no_reference_cycle(theorem3_spec):
     # a failed Newton attempt must not keep its exception (whose traceback
     # holds the continuation frame) and with it the grid's LU and matrices
