@@ -21,17 +21,17 @@ the pattern is a tridiagonal band factored by LAPACK `dgttrf`; on
 rectangles a refilled copy of A's CSC data for `splu`.
 
 A itself is never factored on a rectangle.  It is the Kronecker sum of
-two 3-point stencils, whose eigenvectors are the sine modes, so the 2-d
-type-I discrete sine transform S (orthonormal, its own inverse)
-diagonalizes it: A^-1 b = S Lambda^-1 S b, with Lambda[j, k] the sum of
-the per-axis eigenvalues `Grid.sine_eigenvalues` (the fast Poisson
-solver: Hockney, J. ACM 12, 1965; Swarztrauber, SIAM Review 19, 1977).
-`Grid.lu` imports `scipy.fft` (which loads `scipy.special`) on a
-rectangle's first solve of A, not with this module, so a process that
-solves on intervals only never loads either.  `splu`, `dgttrf` and
-`dgttrs` stay module-level: every path needs them, and every factor is
-made through the one module attribute `splu`, so rebinding it (as a
-tracer does) sees them all.
+two 3-point stencils, whose eigenvectors are the sine modes, so the
+orthonormal type-I sine matrices S_x and S_y of the two axes (each
+symmetric and its own inverse) diagonalize it:
+A^-1 b = S_x ((S_x B S_y) / Lambda) S_y, with B the right-hand side as an
+nx x ny array and Lambda[j, k] the sum of the per-axis eigenvalues
+`Grid.sine_eigenvalues` (the fast Poisson solver: Hockney, J. ACM 12,
+1965; Swarztrauber, SIAM Review 19, 1977).  Each transform is two small
+matrix products (see `Grid.lu`), so no FFT module is loaded.  `splu`,
+`dgttrf` and `dgttrs` are module attributes, and every factor is made
+through the one attribute `splu`, so rebinding it (as a tracer does)
+sees them all.
 
 Every other rectangle matrix is factored by `splu` on a fill-reducing
 ordering it computes for that matrix: SuperLU's multiple minimum degree
@@ -43,17 +43,21 @@ computing one costs a tenth to a fifth of the factorization it serves,
 and SuperLU yields one only with a whole factor, which the few exact
 factors of a continuation do not repay.
 
-A rectangle Newton Jacobian is not factored on every iteration.  A
-`LaggedFactor`, carried by the Newton solve and never by the grid, keeps
-the last exact Jacobian factor; GMRES preconditioned by it solves the
-next Jacobians to the tolerance the Newton step asks for (its forcing
-term, see `solver.newton_solve`; never below 1e-12 relative), and the
-Jacobian is factored afresh, becoming the new lagged factor, only when
-GMRES would need more than 12 iterations.  The monotone sweep's
-A + diag(D), solved many times, stays exact, and so does every interval
-matrix.  A `LaggedFactor` counts the exact factorizations and GMRES
-iterations it spends, and an interval Jacobian factored for it counts
-as one factorization, so the counts mean the same on both kinds.
+A rectangle Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k is A plus
+lower-order terms, so A^-1 preconditions it well (Concus & Golub, SIAM
+J. Numer. Anal. 10, 1973; Elman & Schultz, SIAM J. Numer. Anal. 23,
+1986), and it is rarely factored.  A `LaggedFactor`, carried by the
+Newton solve and never by the grid, holds the preconditioner of one
+chain: A^-1 (`Grid.lu`) first, and, once GMRES on it falls short, the
+last exact Jacobian factor.  GMRES solves each Jacobian to the tolerance
+the Newton step asks for (its forcing term, see `solver.newton_solve`;
+never below 1e-12 relative), and the Jacobian is factored, becoming the
+lagged factor, only when GMRES would need more than 12 iterations.  The
+monotone sweep's A + diag(D), solved many times, stays exact, and so do
+`solver.branch_fold`'s bordered solves and every interval matrix.  A
+`LaggedFactor` counts the exact factorizations and GMRES iterations it
+spends, and an interval Jacobian factored for it counts as one
+factorization, so the counts mean the same on both kinds.
 """
 
 from __future__ import annotations
@@ -70,9 +74,9 @@ from .errors import GridError, ShapeError
 _KINDS = ("interval", "rectangle")
 # the column ordering of every rectangle factor (see the module docstring)
 _ORDERING = "MMD_AT_PLUS_A"
-# GMRES on a lagged Jacobian factor must reach its target within this
-# many iterations, or the Jacobian is factored afresh; no target is
-# tighter than this relative residual
+# GMRES on A^-1 or on a lagged Jacobian factor must reach its target
+# within this many iterations, or the Jacobian is factored afresh; no
+# target is tighter than this relative residual
 _KRYLOV_RTOL = 1e-12
 _KRYLOV_CAP = 12
 
@@ -199,21 +203,28 @@ class Grid:
     def lu(self):
         """The -Laplacian A as a `Factor`, computed once and reused.  On an
         interval it is `factor(0, ())`.  On a rectangle nothing is
-        factored: a solve is two orthonormal type-I sine transforms
-        around a division by A's eigenvalues."""
+        factored: a solve is S_x ((S_x B S_y) / Lambda) S_y, the sine
+        transform, a division by A's eigenvalues and the transform back,
+        with the sine matrices of `_sine_matrix` built once.  That is
+        4 nx ny (nx + ny) flops per solve, O(n^3) on an n x n grid, where
+        an FFT takes O(n^2 log n).  On n x n grids one transform's two
+        products take 6, 18, 52 and 167 us at n = 39, 63, 95 and 127,
+        against 26, 49, 95 and 229 us for an FFT sine transform, which
+        overtakes them at about n = 150 and takes 0.9 against 1.5 ms at
+        n = 255 (one BLAS thread on a 2-vCPU x86-64 machine).  The grid
+        ladder selab's performance is measured on stops at 127^2."""
         if self._lu is None:
             if self.dim == 1:
                 self._lu = self.factor(0.0, ())
             else:
-                from scipy.fft import dstn, idstn
-
+                sx, sy = (_sine_matrix(n) for n in self.shape)
                 lx, ly = self.sine_eigenvalues()
                 eig = lx[:, None] + ly[None, :]
                 shape = self.shape  # the solve must not point back at the grid
 
                 def solve(rhs, rtol, atol):
-                    b = dstn(rhs.reshape(shape), type=1, norm="ortho")
-                    return idstn(b / eig, type=1, norm="ortho").ravel()
+                    b = sx @ rhs.reshape(shape) @ sy
+                    return (sx @ (b / eig) @ sy).ravel()
 
                 self._lu = Factor(solve)
         return self._lu
@@ -273,9 +284,10 @@ class Grid:
         RuntimeError.
 
         With a `LaggedFactor` (a Newton solve's), a rectangle matrix is
-        not factored here: each solve runs GMRES preconditioned by the
-        lagged factor, and factors the matrix only when GMRES falls short
-        (see `LaggedFactor.solve`), raising RuntimeError then if it is
+        not factored here: each solve runs GMRES preconditioned by A^-1
+        (`lu`) or, once one has been made, by the last exact factor, and
+        factors the matrix only when GMRES falls short (see
+        `LaggedFactor.solve`), raising RuntimeError then if it is
         singular.  An interval matrix is factored as ever and counted in
         `lagged.factorizations`."""
         if self._pattern is None:
@@ -302,7 +314,9 @@ class Grid:
         _require_finite(data, "matrix")
         matrix = sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape)
         if lagged is not None:
-            return Factor(lambda rhs, rtol, atol: lagged.solve(matrix, rhs, rtol, atol))
+            poisson = self.lu()
+            return Factor(lambda rhs, rtol, atol:
+                          lagged.solve(matrix, poisson, rhs, rtol, atol))
         superlu = splu(matrix, permc_spec=_ORDERING)
         return Factor(lambda rhs, rtol, atol: superlu.solve(rhs))
 
@@ -358,12 +372,13 @@ class Factor:
 
 
 class LaggedFactor:
-    """The last exact factor of a run of rectangle Newton Jacobians,
-    which preconditions GMRES on the ones after it (Knoll & Keyes,
-    J. Comput. Phys. 193, 2004, on frozen preconditioners).  A Newton
-    solve carries one from step to step, and a continuation from stage
-    to stage; the grid never holds one, so a solve does not depend on
-    what ran on its grid before.  It keeps at most one factor alive.
+    """The preconditioner of a run of rectangle Newton Jacobians: the
+    grid's A^-1 until GMRES on it falls short, then the last exact
+    Jacobian factor, which preconditions the ones after it (Knoll &
+    Keyes, J. Comput. Phys. 193, 2004, on frozen preconditioners).  A
+    Newton solve carries one from step to step, and a continuation from
+    stage to stage; the grid never holds one, so a solve does not depend
+    on what ran on its grid before.  It keeps at most one factor alive.
     `factorizations` and `krylov_iterations` count the exact factors
     made for it and the GMRES iterations run on it."""
 
@@ -372,17 +387,18 @@ class LaggedFactor:
         self.factorizations = 0
         self.krylov_iterations = 0
 
-    def solve(self, matrix, rhs, rtol, atol):
+    def solve(self, matrix, poisson, rhs, rtol, atol):
         """matrix^-1 rhs for a matrix stored like `Grid.factor`'s: GMRES
-        on the lagged factor while it reaches max(rtol |rhs|, atol),
+        on the lagged factor, or on `poisson` (the grid's A^-1 `Factor`)
+        while there is none, when it reaches max(rtol |rhs|, atol);
         otherwise an exact factor of `matrix`, which becomes the lagged
         one."""
-        if self._superlu is not None:
-            x, iterations = gmres(matrix, self._superlu.solve, rhs, rtol, atol)
-            self.krylov_iterations += iterations
-            if x is not None:
-                return x
-            self._superlu = None  # drop the stale factor before the new one
+        precondition = poisson.solve if self._superlu is None else self._superlu.solve
+        x, iterations = gmres(matrix, precondition, rhs, rtol, atol)
+        self.krylov_iterations += iterations
+        if x is not None:
+            return x
+        self._superlu = None  # drop the stale factor before the new one
         self._superlu = splu(matrix, permc_spec=_ORDERING)
         self.factorizations += 1
         return self._superlu.solve(rhs)
@@ -441,6 +457,17 @@ def gmres(matrix, precondition, rhs, rtol, atol):
         if k > 0 and rho * abs(s) ** (_KRYLOV_CAP - 1 - k) > target:
             return None, k + 1
     return None, _KRYLOV_CAP
+
+
+def _sine_matrix(n):
+    """The orthonormal type-I sine matrix, S[j, k] = sqrt(2 / (n + 1))
+    sin(pi (j + 1)(k + 1) / (n + 1)): symmetric, S S = I.  The angle's
+    integer factor is reduced mod 2(n + 1) first, so sin never sees an
+    argument beyond 2 pi; unreduced, S S - I reaches 1.1e-14 at n = 255,
+    reduced 8.9e-16."""
+    k = np.arange(1, n + 1)
+    return np.sqrt(2.0 / (n + 1)) * np.sin(np.outer(k, k) % (2 * (n + 1))
+                                           * (np.pi / (n + 1)))
 
 
 def _require_finite(values, what):

@@ -102,8 +102,10 @@ def build_h_profile(g, T=1.0):
     monotone inversion.
     Raises KellerOssermanError for non-integrable g and ModelError for
     a T that is not positive and finite, an indeterminate table
-    classification, a primitive G whose double is not finite, or a t(h)
-    map that is not finite and strictly increasing.
+    classification, a primitive G whose double is not finite, a t(h)
+    map that is not finite and strictly increasing, or a table whose h
+    or h' is not finite (the closed form overflows for T above about
+    1e231 at alpha = 1/2).
     """
     if not 0 < T < np.inf:
         raise ModelError(f"profile domain cap T must be positive and finite, "
@@ -121,10 +123,11 @@ def build_h_profile(g, T=1.0):
         alpha = g.alpha
         expo = 2.0 / (alpha + 1.0)
         coeff = ((alpha + 1.0) / 2.0 * np.sqrt(2.0 / (1.0 - alpha))) ** expo
-        h = coeff * t**expo
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
+            h = coeff * t**expo
             dh = coeff * expo * t ** (expo - 1.0)
         dh[0] = 0.0
+        _require_finite_table(h, dh, T)
         return HProfile(t=t, h=h, dh=dh, T=float(T), coeff=float(coeff),
                         exponent=float(expo))
 
@@ -160,7 +163,14 @@ def build_h_profile(g, T=1.0):
     h = inv(np.minimum(np.maximum(t, 0.0), ty[-1]))
     dh = np.sqrt(2.0 * np.interp(h, y, G))
     dh[0] = 0.0
+    _require_finite_table(h, dh, T)
     return HProfile(t=t, h=h, dh=dh, T=float(T))
+
+
+def _require_finite_table(h, dh, T):
+    if not (np.isfinite(h).all() and np.isfinite(dh).all()):
+        raise ModelError(f"the profile table on [0, T] with T = {T:g} is not "
+                         "finite: h or h' leaves the float range")
 
 
 @dataclass

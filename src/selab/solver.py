@@ -20,10 +20,13 @@ decide a verdict:
   Its sparsity is that of A, so `Grid.factor` refills the grid's cached
   pattern on every iteration.  On intervals it is a tridiagonal band,
   factored every time by LAPACK `dgttrf`.  On rectangles it is A's CSC
-  data; GMRES solves it, preconditioned by the last exact Jacobian
-  factor, and `splu` factors it, on its own minimum-degree ordering,
-  only when GMRES falls short (Newton-Krylov with a lagged factor, see
-  `grid.LaggedFactor`).  One lagged factor serves a whole continuation.
+  data, and GMRES solves it, preconditioned by A^-1 (`Grid.lu`, the fast
+  Poisson solve: the Jacobian is A plus lower-order terms).  Only when
+  GMRES on A^-1 falls short does `splu` factor the Jacobian, on its own
+  minimum-degree ordering, and that factor then preconditions the
+  Jacobians after it until GMRES on it falls short in turn (Newton-Krylov
+  with a lagged factor, see `grid.LaggedFactor`).  One such chain serves
+  a whole continuation.
   GMRES solves each step only as far as Newton's progress calls for: an
   inexact Newton method (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
   Anal. 19, 1982) whose forcing terms follow the residual's observed
@@ -237,13 +240,14 @@ def newton_solve(spec, initial, max_iter=_NEWTON_STEPS, lagged=None):
     `_newton_targets`.  Raises ConvergenceError on stagnation or a
     singular Jacobian.
 
-    On a rectangle each step's Jacobian is solved by GMRES on the last
-    exact Jacobian factor, `lagged`, and factored afresh only when GMRES
-    falls short (see `grid.LaggedFactor`); a continuation passes one
-    along its stages, and by default each solve starts its own.  GMRES
-    stops at the relative residual eta_k (the forcing term) or at a
-    tenth of the stopping target (`_newton_targets`), whichever is
-    looser: eta_0 = 1e-4, then eta_k = min(1e-4, 0.9 (|r_k|_inf /
+    On a rectangle each step's Jacobian is solved by GMRES preconditioned
+    by `lagged`: A^-1 until GMRES on it falls short, then the last exact
+    Jacobian factor, made only when GMRES falls short and made afresh
+    each time it does again (see `grid.LaggedFactor`).  A continuation
+    passes one along its stages, and by default each solve starts its
+    own.  GMRES stops at the relative residual eta_k (the forcing term)
+    or at a tenth of the stopping target (`_newton_targets`), whichever
+    is looser: eta_0 = 1e-4, then eta_k = min(1e-4, 0.9 (|r_k|_inf /
     |r_k-1|_inf)^2), Eisenstat & Walker's choice 2 with gamma = 0.9 and
     alpha = 2, never below 1e-12.  Their usual cap of 0.1 in place of
     1e-4 adds Newton steps on rectangles and saves no time.  Interval
@@ -512,11 +516,12 @@ def solve_with_continuation(spec, schedule=None, initial=None):
     c is `opening_amplitude` at the first eps.  At lambda well above
     lambda*, 0.5 phi_1 sits where lambda f'(u) > lambda_1, and the first
     stage's warm Newton from it stagnates: on theorem3, 39^2, lambda = 80,
-    it spends 8 exact factorizations and 15 GMRES iterations before a
+    it spends 8 exact factorizations and 17 GMRES iterations before a
     Picard rescue of 80 sweeps, where from c phi_1 Newton converges in 3
-    steps on one factorization.  c is 0.5 where the projection has no
-    crossing, and for K < 0.  diagnostics["opening_amplitude"] holds c,
-    and is None when the caller gave `initial`.
+    steps on 13 GMRES iterations and no factorization.  c is 0.5 where
+    the projection has no crossing, and for K < 0.
+    diagnostics["opening_amplitude"] holds c, and is None when the
+    caller gave `initial`.
 
     Each stage tries its initial guesses in turn until Newton converges
     from one: "predicted", the `extrapolate` of the last three converged

@@ -219,6 +219,15 @@ def test_hode_refuses_a_cap_that_is_not_positive_and_finite(tmp_path, capsys, T)
     assert not (tmp_path / "hprofile.csv").exists()
 
 
+def test_hode_refuses_a_profile_that_overflows(tmp_path, capsys):
+    # T = 1e308 is finite, but h = c t^(4/3) at alpha = 1/2 is not
+    code = main(["hode", "--config", T3, "--alpha", "0.5", "--T", "1e308",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "T = 1e+308" in capsys.readouterr().err
+    assert not (tmp_path / "hprofile.csv").exists()
+
+
 def test_hode_nonintegrable_exits_one(tmp_path, capsys):
     code = main(["hode", "--config", T3, "--alpha", "1.5",
                  "--out", str(tmp_path)])

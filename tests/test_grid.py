@@ -119,6 +119,22 @@ def test_lu_solves_an_uneven_rectangle_by_sine_transforms(rng):
     assert np.linalg.norm(got - x) <= 1e-12 * np.linalg.norm(x)
 
 
+@pytest.mark.parametrize("extents,shape", [(1.0, (3, 3)), ((1.0, 2.0), (31, 47))])
+def test_lu_on_a_rectangle_agrees_with_splu(extents, shape, rng):
+    # the sine-matrix products against a SuperLU factor of A itself
+    g = build_grid("rectangle", extents, shape)
+    b = rng.standard_normal(g.n_total)
+    want = splu(g.neg_laplacian().tocsc()).solve(b)
+    assert np.linalg.norm(g.lu().solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+
+
+@pytest.mark.parametrize("n", [3, 39, 127, 255])
+def test_the_sine_matrix_is_symmetric_and_its_own_inverse(n):
+    S = selab.grid._sine_matrix(n)
+    np.testing.assert_array_equal(S, S.T)
+    assert np.abs(S @ S - np.eye(n)).max() <= 1e-14
+
+
 def counted_splu(monkeypatch):
     """The `permc_spec` of every `splu` call the grid makes."""
     calls = []

@@ -6,16 +6,17 @@ and `from __future__ import annotations` is exempt.  An import kept only
 for a side effect would need a name that is read; there is none today.
 
 Every linear solve on a grid goes through `Grid.factor` or `Grid.lu`, so
-`splu`, `dgttrf`, `dgttrs`, the Krylov solver `gmres` and the sine
-transforms `dstn` and `idstn` are called in `src/selab/grid.py` alone;
-the tests call `splu` only as a reference.  Every `splu` call there
-passes the grid's one ordering, `permc_spec=_ORDERING`.
+`splu`, `dgttrf`, `dgttrs` and the Krylov solver `gmres` are called in
+`src/selab/grid.py` alone; the tests call `splu` only as a reference.
+Every `splu` call there passes the grid's one ordering,
+`permc_spec=_ORDERING`.
 
 A run loads only the scipy it uses: a fresh interpreter that solves an
-interval problem through the CLI, then builds, classifies and integrates
-a tabulated g and its h-profile, holds none of the subpackages that only
-rectangles or shifted-exp g need.  Each module of the package imports
-only the scipy names on its allowlist.
+interval problem through the CLI, builds, classifies and integrates a
+tabulated g and its h-profile, and solves A and a continuation on a
+rectangle holds none of the subpackages that only shifted-exp g or a
+rectangle's reference mass need, and no FFT at all.  Each module of the
+package imports only the scipy names on its allowlist.
 """
 
 import argparse
@@ -87,7 +88,7 @@ def test_the_scan_sees_unused_and_exempt_names():
     assert unused_imports(source) == [("os", 2), ("pi", 4), ("dumps", 7)]
 
 
-FACTORIZERS = {"splu", "dgttrf", "dgttrs", "gmres", "dstn", "idstn"}
+FACTORIZERS = {"splu", "dgttrf", "dgttrs", "gmres"}
 GRID = ROOT / "src/selab/grid.py"
 
 
@@ -156,7 +157,7 @@ def test_the_ordering_scan_sees_bare_and_literal_orderings():
 
 SCIPY_ALLOWED = {
     "grid.py": {"sparse", "sparse.linalg.splu", "linalg.lapack.dgttrf",
-                "linalg.lapack.dgttrs", "fft.dstn", "fft.idstn"},
+                "linalg.lapack.dgttrs"},
     "model.py": {"special.expi"},
     "mass.py": {"integrate.quad"},
 }
@@ -199,11 +200,13 @@ ON_DEMAND = ("scipy.fft", "scipy.special", "scipy.integrate",
              "scipy.interpolate", "scipy.optimize", "scipy.spatial")
 PROBE = """
 import json, sys
+from dataclasses import replace
 import numpy as np
 import selab, selab.cli
 from selab.grid import build_grid
 from selab.hprofile import build_h_profile
-from selab.model import SingularTerm, classify_singularity
+from selab.model import SingularTerm, bundled_problem, classify_singularity
+from selab.solver import solve_with_continuation
 
 def loaded():
     return [m for m in %r if m in sys.modules]
@@ -222,10 +225,14 @@ profile = build_h_profile(g)
 profile.h_at(np.linspace(0.0, 1.0, 9))
 profile.dh_at(np.linspace(0.0, 1.0, 9))
 seen["table profile"] = loaded()
-SingularTerm("shifted-exp").primitive(np.array([0.5, 1.0]))
-seen["shifted-exp primitive"] = loaded()
 build_grid("rectangle", 1.0, 7).lu().solve(np.ones(49))
 seen["rectangle A"] = loaded()
+spec = replace(bundled_problem("theorem3.cfg"), lam=80.0,
+               grid=build_grid("rectangle", 1.0, 15))
+assert solve_with_continuation(spec).diagnostics["verdict"] == "converged"
+seen["rectangle continuation"] = loaded()
+SingularTerm("shifted-exp").primitive(np.array([0.5, 1.0]))
+seen["shifted-exp primitive"] = loaded()
 print(json.dumps(seen))
 """ % (ON_DEMAND,)
 
@@ -244,11 +251,11 @@ def run_probe(probe, *args):
 def test_an_interval_run_loads_only_the_scipy_it_uses(tmp_path):
     seen = run_probe(PROBE, tmp_path)
     for step in ("interval solve", "table g", "table classify",
-                 "table primitive", "table profile"):
+                 "table primitive", "table profile", "rectangle A",
+                 "rectangle continuation"):
         assert seen[step] == [], step
-    # the probe is not vacuous: each on-demand import does load its module
+    # the probe is not vacuous: an on-demand import does load its module
     assert seen["shifted-exp primitive"] == ["scipy.special"]
-    assert "scipy.fft" in seen["rectangle A"]
 
 
 OPENING_PROBE = """
