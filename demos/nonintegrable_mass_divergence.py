@@ -9,9 +9,9 @@ h'' = g(h), and for non-integrable g no such profile leaves zero
 
   * continuation stalls or collapses at every lambda, and
   * the singular mass I(eps) = integral of g(u_eps + eps) grows like
-    eps^(-1/2) as the regularization is removed, a factor sqrt(2) per
-    halving of eps, instead of settling to the finite integral a true
-    solution would have.
+    eps^(-1/2) as the regularization is removed, its increments by a
+    factor sqrt(2) per halving of eps, instead of settling to the finite
+    integral a true solution would have.
 """
 
 import numpy as np
@@ -31,14 +31,15 @@ rep = nonexistence_diagnostic(spec)
 print("eps ladder for the singular mass I(eps), candidate from a clipped")
 print("descending sweep (envelope when the sweep collapses to zero):")
 print()
-print("      eps       I(eps)     factor   reference  source")
+print("      eps       I(eps)      ratio   reference  source")
 for k, (eps, mass, ref, src) in enumerate(
     zip(rep.eps, rep.mass, rep.mass_reference, rep.sources)
 ):
-    factor = "" if k == 0 else f"{rep.factors[k - 1]:.4f}"
-    print(f"{eps:10.3e}  {mass:9.4f}   {factor:>6}  {ref:9.4f}   {src}")
+    ratio = "" if k < 2 else f"{rep.factors[k - 2]:.4f}"
+    print(f"{eps:10.3e}  {mass:9.4f}   {ratio:>6}  {ref:9.4f}   {src}")
 print()
-print(f"fitted per-halving factor   {rep.fitted_factor:.4f}")
-print(f"reference integral's factor {rep.reference_factor:.4f}")
+print("ratio: the increment of I into this row over the one into the row above")
+print(f"last increment ratio        {rep.fitted_factor:.4f}")
+print(f"reference integral's ratio  {rep.reference_factor:.4f}")
 print(f"exact rate for alpha = 3/2  {np.sqrt(2.0):.4f}")
 print(f"verdict: {rep.verdict}")

@@ -55,7 +55,7 @@ from .grid import (
     write_field_csv,
 )
 from .hprofile import HBoundReport, HProfile, build_h_profile, verify_h_bound
-from .mass import halving_rate, mass_integral, reference_mass
+from .mass import mass_integral, reference_mass, tail_trend
 from .model import (
     Potential,
     ProblemSpec,
@@ -130,7 +130,6 @@ __all__ = [
     "first_eigenpair",
     "gradient_components",
     "gradient_magnitude",
-    "halving_rate",
     "hopf_collar",
     "integrate",
     "lambda0_bound",
@@ -148,6 +147,7 @@ __all__ = [
     "residual",
     "run_battery",
     "solve_with_continuation",
+    "tail_trend",
     "verify_h_bound",
     "write_field_csv",
 ]

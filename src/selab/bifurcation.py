@@ -28,7 +28,7 @@ import numpy as np
 from .constructions import build_supersolution
 from .errors import ModelError, RegimeError
 from .grid import Field, build_grid
-from .mass import halving_rate, mass_integral, mass_trend, reference_mass
+from .mass import mass_integral, reference_mass, tail_trend
 from .solver import (
     _halvings,
     branch_fold,
@@ -319,14 +319,16 @@ class NonexistenceReport:
     factors: list
     fitted_factor: float | None
     reference_factor: float | None
+    mass_tail: float | None
     verdict: str
     c2: float
     sources: list
     collapsed: list
 
 
-def nonexistence_diagnostic(spec_template, eps_schedule=None):
-    """Track I(eps) = integral of g(u_eps + eps) down an eps schedule.
+def nonexistence_diagnostic(spec_template):
+    """Track I(eps) = integral of g(u_eps + eps) down 20 halvings of eps
+    from 0.1 (`default_schedule(20)`).
 
     For each eps the candidate u_eps is sought by a clipped descending
     sweep from the super-solution envelope U of -Lap(U) = lambda f(x, U)
@@ -338,14 +340,16 @@ def nonexistence_diagnostic(spec_template, eps_schedule=None):
 
     I(eps) is the support-restricted piecewise-linear mass (see
     mass_integral), compared against the reference integral of
-    g(c2 dist + eps).  Verdict "mass-divergent" when the fitted
-    per-halving factor shows sustained growth or the mass overflows
-    (then fitted_factor is None; see mass_trend), "mass-bounded" when
-    the tail is Cauchy, "no-trend" for schedules that do not decrease.
-    A spec with a source term raises ModelError.  The default
-    schedule has 20 halvings from 0.1, deeper than the continuation
-    default because the eps-rate is only clean once eps falls well below
-    u at the first interior node.
+    g(c2 dist + eps).  `mass.tail_trend` decides the tail of the masses:
+    `factors` are its increment ratios, `fitted_factor` the last of them
+    (2^(alpha-1) for g = s^-alpha; None when a mass overflows), and
+    `reference_factor` the same for the reference integrals.  The verdict
+    is "mass-divergent" for a divergent tail, "mass-bounded" for a bounded
+    one, whose Cauchy bound on the mass still to come is `mass_tail`
+    (None otherwise), and "no-trend" when the ratios are mixed.  A spec
+    with a source term raises ModelError.  The ladder is deeper than the
+    continuation default because the eps-rate is only clean once eps
+    falls well below u at the first interior node.
     """
     spec = spec_template
     if spec.regime() != "positive":
@@ -353,9 +357,7 @@ def nonexistence_diagnostic(spec_template, eps_schedule=None):
     if spec.source is not None:
         # the super-solution envelope it starts from has no source term
         raise ModelError("mass diagnostic takes no source term")
-    if eps_schedule is None:
-        eps_schedule = default_schedule(20)
-    eps_schedule = [float(e) for e in eps_schedule]
+    eps_schedule = default_schedule(20)
     g = spec.singular
     grid = spec.grid
     lu = grid.lu()
@@ -385,18 +387,12 @@ def nonexistence_diagnostic(spec_template, eps_schedule=None):
         refs.append(reference_mass(grid, g, c2, eps))
         collapsed.append(bool(np.any(u <= 0)))
 
-    decreasing = all(b < a for a, b in zip(eps_schedule, eps_schedule[1:]))
-    if not decreasing:
-        return NonexistenceReport(
-            eps=eps_schedule, mass=masses, mass_reference=refs, factors=[],
-            fitted_factor=None, reference_factor=None, verdict="no-trend",
-            c2=c2, sources=sources, collapsed=collapsed,
-        )
-    factors, fitted, divergent = mass_trend(eps_schedule, masses)
-    rfitted = halving_rate(eps_schedule, refs)
-    verdict = "mass-divergent" if divergent else "mass-bounded"
+    factors, fitted, trend, tail = tail_trend(eps_schedule, masses)
+    verdict = {"bounded": "mass-bounded", "divergent": "mass-divergent"}.get(
+        trend, "no-trend")
     return NonexistenceReport(
         eps=eps_schedule, mass=masses, mass_reference=refs, factors=factors,
-        fitted_factor=fitted, reference_factor=rfitted, verdict=verdict,
-        c2=c2, sources=sources, collapsed=collapsed,
+        fitted_factor=fitted, reference_factor=tail_trend(eps_schedule, refs)[1],
+        mass_tail=tail, verdict=verdict, c2=c2, sources=sources,
+        collapsed=collapsed,
     )

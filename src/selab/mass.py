@@ -8,15 +8,17 @@ eps-rate observable.  Its cell integrals are divided differences of the
 primitive P of g (`SingularTerm.primitive`), exact for every g family.
 The rectangle branch of `reference_mass` is selab's one use of
 `scipy.integrate` (`quad`) and imports it there, so no other run loads
-it.
+it.  The continuation, the mass diagnostic and the integrability probe
+of tabulated g decide whether a dyadic tail sums by `tail_trend` alone.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# points of the mass tail that `halving_rate` fits
-_RATE_TAIL = 6
+# the last three increment ratios of a bounded tail lie below 1 - margin,
+# of a divergent one at or above it
+_TAIL_MARGIN = 0.01
 
 
 def mass_integral(g, field, eps):
@@ -75,28 +77,32 @@ def reference_mass(grid, g, c2, eps):
     return float(val)
 
 
-def halving_rate(eps_values, masses):
-    """Fitted per-halving growth factor 2^(-slope) of log I vs log eps
-    over the last 6 points; None if fewer than two points or if one of
-    them is not finite (an overflowed mass has no rate)."""
-    k = min(_RATE_TAIL, len(masses))
-    if k < 2 or not np.all(np.isfinite(masses[-k:])):
-        return None
-    le = np.log(np.asarray(eps_values[-k:], dtype=float))
-    lm = np.log(np.maximum(np.asarray(masses[-k:], dtype=float), 1e-300))
-    slope = np.polyfit(le, lm, 1)[0]
-    return float(2.0 ** (-slope))
+def tail_trend(eps_values, values):
+    """(ratios, rho, verdict, tail) of values I(eps) taken down a
+    decreasing geometric eps ladder: selab's one rule for whether they sum.
 
-
-def mass_trend(eps_values, masses):
-    """(factors, fitted, divergent) for masses taken down a decreasing eps
-    ladder: the per-halving factors, the fitted factor (halving_rate), and
-    whether the tail diverges - a mass overflowed (no rate is fitted then),
-    or the fitted factor is at least 1.1 and the last three factors exceed
-    1.02."""
-    factors = [b / a for a, b in zip(masses, masses[1:])]
-    fitted = halving_rate(eps_values, masses)
-    divergent = not np.all(np.isfinite(masses)) or (
-        fitted is not None and fitted >= 1.1
-        and all(f > 1.02 for f in factors[-3:]))
-    return factors, fitted, divergent
+    ratios are |I_k+2 - I_k+1| / |I_k+1 - I_k| (0/0 counts as 0), rho is
+    the last; g ~ s^-alpha gives rho = q^(1-alpha) for the step eps -> q
+    eps, and the increments sum iff rho < 1 (the ratio test).  "bounded":
+    the last three ratios lie below 1 - 0.01; "divergent": all at or above
+    it, or a value is not finite (rho is None then); "no-trend": anything
+    else, fewer than three ratios or last five eps not geometric included.
+    tail is the Cauchy bound |I_last - I_prev| rho / (1 - rho) on what a
+    bounded tail still adds, and None for any other verdict.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        steps = np.abs(np.diff(np.asarray(values, dtype=float)))
+        ratios = [float(r) for r in
+                  np.where(steps[1:] == 0.0, 0.0, steps[1:] / steps[:-1])]
+    if not np.all(np.isfinite(values)):
+        return ratios, None, "divergent", None
+    rho = ratios[-1] if ratios else None
+    q = np.diff(np.log(np.asarray(eps_values[-5:], dtype=float)))
+    geometric = len(ratios) >= 3 and q.size == 4 and q[0] < 0.0 \
+        and np.allclose(q, q[0], rtol=1e-9, atol=0.0)
+    last = np.array(ratios[-3:])
+    if geometric and np.all(last < 1.0 - _TAIL_MARGIN):
+        return ratios, rho, "bounded", float(steps[-1] * rho / (1.0 - rho))
+    if geometric and np.all(last >= 1.0 - _TAIL_MARGIN):
+        return ratios, rho, "divergent", None
+    return ratios, rho, "no-trend", None

@@ -30,6 +30,7 @@ import numpy as np
 
 from .errors import ConfigError, ModelError, RegimeError
 from .grid import Field, Grid, build_grid
+from .mass import tail_trend
 
 _SINGULAR_FAMILIES = ("power", "shifted-exp", "table")
 
@@ -235,25 +236,21 @@ class SingularTerm:
         return self._pchip.antiderivative(inside) + self._pchip(inside) * (s - inside)
 
 
-_TAIL_MARGIN = 0.01
-
-
 def classify_singularity(g):
     """Classify integral_0^1 g as "integrable" or "non-integrable".
 
     Power and shifted-exp families are decided analytically (alpha < 1
     iff integrable; exp(1/s) - 1 >= 1/s - 1 diverges).  Tables are probed
     on dyadic cells [c 2^-(k+1), c 2^-k], c = min(1, s_max), down to the
-    first sample: for a power-like g the increments of P over them shrink
-    by the ratio rho = 2^(alpha-1) per halving, so the tail sums to a
-    finite mass iff rho < 1.  The last three ratios must all lie below
-    1 - 0.01 ("integrable") or all at or above it ("non-integrable");
-    otherwise the verdict is "indeterminate".  The margin keeps a log-divergent
-    table on the non-integrable side: interpolation moves its ratios off
-    1 by about 1e-7 on a 400-point geometric table, either way.  The
-    price is that s^-alpha with alpha in (0.985, 1) is called
-    non-integrable, which refuses a profile instead of building one on
-    a tail too slow to resolve.
+    first sample: the primitive P at the cells' edges is a dyadic tail,
+    and `mass.tail_trend` decides whether it sums ("integrable" for a
+    bounded tail, "non-integrable" for a divergent one, "indeterminate"
+    when it shows no trend, as with fewer than five edges).  Its margin
+    of 0.01 keeps a log-divergent table on the non-integrable side:
+    interpolation moves its ratios off 1 by about 1e-7 on a 400-point
+    geometric table, either way.  The price is that s^-alpha with alpha
+    in (0.985, 1) is called non-integrable, which refuses a profile
+    instead of building one on a tail too slow to resolve.
     """
     if g.family == "power":
         return "integrable" if g.alpha < 1.0 else "non-integrable"
@@ -264,15 +261,9 @@ def classify_singularity(g):
     hi = min(1.0, g.table_s[-1])
     edges = hi * 0.5 ** np.arange(1, 42)
     edges = edges[edges >= g.table_s[0]]
-    if edges.size < 5:
-        return "indeterminate"
-    increments = -np.diff(g.primitive(edges))
-    ratios = increments[-3:] / increments[-4:-1]
-    if np.all(ratios < 1.0 - _TAIL_MARGIN):
-        return "integrable"
-    if np.all(ratios >= 1.0 - _TAIL_MARGIN):
-        return "non-integrable"
-    return "indeterminate"
+    verdict = tail_trend(edges, g.primitive(edges))[2]
+    return {"bounded": "integrable", "divergent": "non-integrable"}.get(
+        verdict, "indeterminate")
 
 
 def _nodal_values(grid, value):

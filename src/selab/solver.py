@@ -85,7 +85,7 @@ from .errors import (
     SingularEvaluationError,
 )
 from .grid import Field, LaggedFactor, magnitude
-from .mass import mass_integral, mass_trend
+from .mass import mass_integral, tail_trend
 from .spectral import first_eigenpair
 
 log = logging.getLogger(__name__)
@@ -263,7 +263,8 @@ def newton_solve(spec, initial, max_iter=_NEWTON_STEPS, lagged=None):
     Au, r = _residual(spec, u)
     rnorm = float(np.abs(r).max())
     forcing = _FORCING_MAX
-    for it in range(1, max_iter + 1):
+    # the residual after the last allowed step is checked too
+    for it in range(1, max_iter + 2):
         stop, krylov = _newton_targets(Au)
         if rnorm < stop:
             sol = Field(spec.grid, u)
@@ -272,6 +273,8 @@ def newton_solve(spec, initial, max_iter=_NEWTON_STEPS, lagged=None):
                 residual_inf=rnorm, eps_path=[spec.eps],
                 min_interior=float(u.min()), diagnostics={"method": "newton"},
             )
+        if it > max_iter:
+            break
         try:
             step = spec.grid.factor(*_linearization(spec, u), lagged).solve(
                 -r, forcing, krylov)
@@ -502,14 +505,15 @@ def solve_with_continuation(spec, schedule=None, initial=None):
     "collapse" (positivity lost / minimum below eps_final),
     "stagnation" (a stage refused to converge without losing positivity),
     "path-divergence" (stages converged but the eps-tail is not Cauchy),
-    "mass-divergence" (stages converged but the integral of g(u+eps)
-    grows at a sustained per-halving rate or overflows; in the
-    positive-K regime a true limit solution must keep this mass bounded,
-    so divergence indicates the eps-family has no positive limit even
-    though every regularized stage solves).  Nonexistence is indicated,
-    never proved.  diagnostics["solution"] says what the report's
-    solution is: "stage", the last converged stage, or "start", the
-    initial iterate, when the first stage already failed.
+    "mass-divergence" (stages converged but the stage masses, integrals
+    of g(u+eps), form a divergent tail by `mass.tail_trend`, which no
+    schedule that is not geometric does; in the positive-K regime a true
+    limit solution must keep this mass bounded).  diagnostics
+    ["mass_factors"], ["mass_fitted"] and ["mass_tail"] are tail_trend's
+    ratios, rho and tail.  Nonexistence is indicated, never proved.
+    diagnostics["solution"] says what the report's solution is: "stage",
+    the last converged stage, or "start", the initial iterate, when the
+    first stage already failed.
 
     Without a caller's `initial` the run opens at c phi_1
     (diagnostics["initial"] is "phi1-scaled").  In the positive-K regime
@@ -670,12 +674,11 @@ def solve_with_continuation(spec, schedule=None, initial=None):
     all_stages = len(eps_done) == len(schedule)
     cauchy = bool(increments and increments[-1] < path_tol) or len(schedule) == 1
     positive = min_interior > eps_final
-    mass_fitted = None
-    mass_factors = []
-    mass_divergent = False
-    if positive_regime and all_stages and len(stage_stats) >= 2:
-        mass_factors, mass_fitted, mass_divergent = mass_trend(
+    mass_factors, mass_fitted, mass_verdict, mass_tail = [], None, None, None
+    if positive_regime and all_stages:
+        mass_factors, mass_fitted, mass_verdict, mass_tail = tail_trend(
             eps_done, [s["mass"] for s in stage_stats])
+    mass_divergent = mass_verdict == "divergent"
     if all_stages and cauchy and positive and not mass_divergent:
         verdict, mode = "converged", None
     else:
@@ -708,6 +711,7 @@ def solve_with_continuation(spec, schedule=None, initial=None):
             "eps_monotone": eps_monotone,
             "mass_fitted": mass_fitted,
             "mass_factors": mass_factors,
+            "mass_tail": mass_tail,
         },
     )
 
@@ -721,7 +725,7 @@ def _branch_point(spec, border, sigma, u, lam):
     does not fall."""
     grid = spec.grid
     previous = np.inf
-    for _ in range(_CORRECTOR_STEPS):
+    for it in range(_CORRECTOR_STEPS + 1):
         if not 0.0 < lam < np.inf:
             return None
         stage = spec.with_lambda(lam)
@@ -735,7 +739,7 @@ def _branch_point(spec, border, sigma, u, lam):
         rnorm = float(np.abs(r).max())
         if rnorm < _newton_targets(Au)[0]:
             return u, lam, x2
-        if rnorm >= previous:
+        if rnorm >= previous or it == _CORRECTOR_STEPS:
             return None
         previous = rnorm
         dlam = (sigma - float(border @ (u + x1))) / float(border @ x2)

@@ -20,9 +20,10 @@ from selab.model import (
     Potential,
     ReactionTerm,
     SingularTerm,
+    classify_singularity,
     make_problem,
 )
-from selab.solver import default_schedule, solve_with_continuation
+from selab.solver import solve_with_continuation
 
 
 def coarsen(spec, n):
@@ -315,24 +316,26 @@ def test_diagnostic_schedule_halves(theorem2_spec):
 
 
 def test_diagnostic_mass_overflow_is_divergent():
-    # exp(1/s) - 1 overflows once s < 1/709: the masses reach inf, no
-    # rate can be fitted, and the verdict must still be divergence
+    # exp(1/s) - 1 overflows once s < 1/709: the masses reach inf, they
+    # have no rate, and the verdict must still be divergence
     grid = build_grid("interval", (1.0,), 15)
     spec = make_problem(grid, Potential(1.0), SingularTerm("shifted-exp"),
                         ReactionTerm("power", p=0.5))
-    rep = nonexistence_diagnostic(spec, eps_schedule=default_schedule(8))
+    rep = nonexistence_diagnostic(spec)
     assert not np.isfinite(rep.mass[-1])
     assert rep.verdict == "mass-divergent"
     assert rep.fitted_factor is None
     assert rep.reference_factor is None
+    assert rep.mass_tail is None
 
 
 def test_diagnostic_divergent_rate(theorem2_spec):
     # alpha = 3/2: the mass above the singular layer grows like
-    # eps^{-1/2}, a factor sqrt(2) per halving, and the reference
-    # integral of g(c2 dist + eps) fits the same rate
+    # eps^{-1/2}, its increments by a factor sqrt(2) per halving, and the
+    # reference integral of g(c2 dist + eps) has the same rate
     rep = nonexistence_diagnostic(theorem2_spec)
     assert rep.verdict == "mass-divergent"
+    assert rep.mass_tail is None
     assert 1.3 < rep.fitted_factor < 1.55
     assert rep.reference_factor == pytest.approx(rep.fitted_factor, rel=0.1)
     assert all(f > 1.02 for f in rep.factors[-3:])
@@ -343,20 +346,43 @@ def test_diagnostic_divergent_rate(theorem2_spec):
 
 
 def test_diagnostic_bounded_above_threshold(theorem3_spec):
-    # integrable g with lambda above the threshold: the regularized
-    # masses converge, no sustained growth
+    # integrable g = s^-1/2 with lambda above the threshold: the
+    # regularized masses converge, their increments shrinking by 2^-1/2
+    # per halving, and a small Cauchy tail is left below the last eps
     rep = nonexistence_diagnostic(theorem3_spec.with_lambda(20.0))
     assert rep.verdict == "mass-bounded"
-    assert rep.fitted_factor < 1.1
+    assert rep.fitted_factor == pytest.approx(2.0**-0.5, abs=1e-3)
+    assert 0.0 < rep.mass_tail < 1e-3 * rep.mass[-1]
     assert all(np.isfinite(m) and m > 0 for m in rep.mass)
 
 
-def test_diagnostic_flags_non_decreasing_schedule(theorem2_spec):
-    rep = nonexistence_diagnostic(theorem2_spec, eps_schedule=[0.1, 0.2])
-    assert rep.verdict == "no-trend"
-    assert rep.factors == []
-    assert rep.fitted_factor is None
-    assert rep.reference_factor is None
+@pytest.mark.parametrize("alpha,continuation,diagnostic", [
+    (0.5, ("converged", None), "mass-bounded"),
+    (0.9, ("converged", None), "mass-bounded"),
+    (1.0, ("nonexistence-indicated", "mass-divergence"), "mass-divergent"),
+    (1.1, ("nonexistence-indicated", "mass-divergence"), "mass-divergent"),
+    (1.5, ("nonexistence-indicated", "mass-divergence"), "mass-divergent"),
+])
+def test_one_tail_rule_at_the_borderline(theorem2_spec, alpha, continuation,
+                                         diagnostic):
+    # g = s^-alpha on theorem2's data at lambda = 80, where every stage
+    # solves: the continuation, the diagnostic and the integrability
+    # classification decide the tail by the same increment ratio, which
+    # reads 2^(alpha-1).  g = 1/s is not integrable and reads 1; a
+    # log-log fit of the masses read 1.04 and 1.09 for alpha = 1 and 1.1
+    # and called both bounded
+    spec = replace(coarsen(theorem2_spec, 255), lam=80.0,
+                   singular=SingularTerm("power", alpha=alpha))
+    rep = solve_with_continuation(spec)
+    diag = nonexistence_diagnostic(spec)
+    assert (rep.diagnostics["verdict"], rep.diagnostics["mode"]) == continuation
+    assert diag.verdict == diagnostic
+    assert rep.diagnostics["mass_fitted"] == pytest.approx(2.0 ** (alpha - 1.0),
+                                                           abs=1e-3)
+    assert diag.fitted_factor == pytest.approx(2.0 ** (alpha - 1.0), abs=1e-3)
+    integrable = classify_singularity(spec.singular) == "integrable"
+    assert integrable == (diag.verdict == "mass-bounded")
+    assert (rep.diagnostics["mass_tail"] is None) == (not integrable)
 
 
 def test_diagnostic_negative_regime_rejected(theorem1_spec):

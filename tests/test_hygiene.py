@@ -307,13 +307,13 @@ ENTRY_POINT_PARAMETERS = {
                                  "threads"),
     "bifurcation.estimate_lambda_star": ("spec_template", "lambda_min",
                                          "lambda_max", "iters", "refine"),
-    "bifurcation.nonexistence_diagnostic": ("spec_template", "eps_schedule"),
+    "bifurcation.nonexistence_diagnostic": ("spec_template",),
     "constructions.build_supersolution": ("spec",),
     "constructions.build_subsolution_convection": ("spec",),
     "constructions.build_subsolution_eigen": ("spec",),
     "comparison.check_ordering": ("grid", "psi", "v", "w"),
     "hprofile.verify_h_bound": ("profile",),
-    "mass.halving_rate": ("eps_values", "masses"),
+    "mass.tail_trend": ("eps_values", "values"),
 }
 
 

@@ -5,7 +5,7 @@ from hypothesis import strategies as st
 from scipy.integrate import quad
 
 from selab.grid import Field, build_grid
-from selab.mass import halving_rate, mass_integral, mass_trend, reference_mass
+from selab.mass import mass_integral, reference_mass, tail_trend
 from selab.model import SingularTerm
 
 
@@ -125,39 +125,46 @@ def test_support_only_skips_dead_cells():
 
 def test_mass_diverges_like_the_boundary_exponent():
     # for u ~ c x near the wall and alpha > 1 the boundary cell gives
-    # I(eps) ~ eps^(1-alpha); halving eps must multiply mass by
-    # 2^(alpha-1)
+    # I(eps) ~ eps^(1-alpha); halving eps must multiply the mass
+    # increments by 2^(alpha-1)
     grid = build_grid("interval", (1.0,), 127)
     x = grid.axes[0]
     u = np.sin(np.pi * x)
     g = SingularTerm("power", alpha=1.5)
     eps_values = 0.1 * 0.5 ** np.arange(16)
     masses = [mass_integral(g, Field(grid, u), e) for e in eps_values]
-    rate = halving_rate(eps_values, masses)
-    assert rate == pytest.approx(np.sqrt(2.0), rel=0.02)
+    _, rho, verdict, _ = tail_trend(eps_values, masses)
+    assert rho == pytest.approx(np.sqrt(2.0), rel=0.02)
+    assert verdict == "divergent"
 
 
 def test_integrable_mass_saturates():
+    # alpha < 1: the increments shrink by 2^(alpha-1) per halving and sum
     grid = build_grid("interval", (1.0,), 127)
     x = grid.axes[0]
     u = np.sin(np.pi * x)
     g = SingularTerm("power", alpha=0.5)
     eps_values = 0.1 * 0.5 ** np.arange(16)
     masses = [mass_integral(g, Field(grid, u), e) for e in eps_values]
-    rate = halving_rate(eps_values, masses)
-    assert rate == pytest.approx(1.0, abs=0.02)
+    _, rho, verdict, tail = tail_trend(eps_values, masses)
+    assert rho == pytest.approx(2.0**-0.5, abs=0.02)
+    assert verdict == "bounded"
+    # the Cauchy bound covers the mass still to come, the eps = 0 mass
+    # less the last, and overshoots it by 0.1%
+    rest = mass_integral(g, Field(grid, u), 0.0) - masses[-1]
+    assert rest <= tail <= 1.01 * rest
 
 
 def test_mass_trend_flags_growth_and_overflow():
     eps_values = 0.1 * 0.5 ** np.arange(8)
-    factors, fitted, divergent = mass_trend(eps_values, list(1.5 ** np.arange(8)))
-    assert factors == pytest.approx([1.5] * 7)
-    assert fitted == pytest.approx(1.5) and divergent
-    _, fitted, divergent = mass_trend(eps_values, [2.0] * 8)
-    assert fitted == pytest.approx(1.0) and not divergent
+    ratios, rho, verdict, tail = tail_trend(eps_values, list(1.5 ** np.arange(8)))
+    assert ratios == pytest.approx([1.5] * 6)
+    assert rho == pytest.approx(1.5) and verdict == "divergent" and tail is None
+    # zero increments: every ratio is 0/0, counted as 0, and nothing is left
+    assert tail_trend(eps_values, [2.0] * 8)[1:] == (0.0, "bounded", 0.0)
     # an overflowed mass has no rate but still diverges
-    _, fitted, divergent = mass_trend(eps_values, [1.0] * 7 + [np.inf])
-    assert fitted is None and divergent
+    _, rho, verdict, tail = tail_trend(eps_values, [1.0] * 7 + [np.inf])
+    assert rho is None and verdict == "divergent" and tail is None
 
 
 def test_reference_mass_1d_quadrature():
@@ -184,11 +191,41 @@ def test_reference_mass_2d_coarea():
     assert got == pytest.approx(want, rel=1e-6)
 
 
-def test_halving_rate_recovers_synthetic_slope():
+def test_tail_trend_reads_a_geometric_tail():
     eps = 0.1 * 0.5 ** np.arange(10)
-    masses = 3.0 * eps**-0.5
-    assert halving_rate(eps, masses) == pytest.approx(np.sqrt(2.0), rel=1e-9)
-    assert halving_rate(eps[:1], masses[:1]) is None
+    ratios, rho, verdict, tail = tail_trend(eps, 3.0 * eps**-0.5)
+    assert ratios == pytest.approx([np.sqrt(2.0)] * 8, rel=1e-9)
+    assert rho == pytest.approx(np.sqrt(2.0), rel=1e-9)
+    assert (verdict, tail) == ("divergent", None)
+    # I_k = 1 - q^k: the Cauchy bound is exactly the mass still to come
+    masses = 1.0 - 0.6 ** np.arange(10)
+    _, rho, verdict, tail = tail_trend(eps, masses)
+    assert rho == pytest.approx(0.6, rel=1e-12)
+    assert verdict == "bounded"
+    assert tail == pytest.approx(1.0 - masses[-1], rel=1e-9)
+
+
+def test_tail_trend_needs_a_trend():
+    eps = 0.1 * 0.5 ** np.arange(8)
+    # ratios 0.5 then 2: the last three are mixed
+    masses = np.cumsum([1.0, 1.0, 0.5, 0.25, 0.125, 0.0625, 0.125, 0.25])
+    _, rho, verdict, tail = tail_trend(eps, masses)
+    assert rho == pytest.approx(2.0) and (verdict, tail) == ("no-trend", None)
+    # fewer than three ratios
+    assert tail_trend(eps[:4], 1.5 ** np.arange(4))[2] == "no-trend"
+    assert tail_trend(eps[:2], [1.0, 2.0])[:3] == ([], None, "no-trend")
+
+
+def test_tail_trend_needs_a_geometric_ladder():
+    # the ratio test reads rho against one ladder step: a schedule whose
+    # last five eps do not shrink by one factor shows no trend, and one
+    # that does not decrease at all neither
+    growth = 1.5 ** np.arange(8)
+    ladder = list(0.1 * 0.5 ** np.arange(7)) + [0.1 * 2.0**-8]
+    assert tail_trend(ladder, growth)[2] == "no-trend"
+    assert tail_trend(0.1 * 2.0 ** np.arange(8), growth)[2] == "no-trend"
+    # any one factor will do
+    assert tail_trend(0.1 * 0.25 ** np.arange(8), growth)[2] == "divergent"
 
 
 def test_mass_2d_is_a_nodal_sum():
