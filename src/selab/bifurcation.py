@@ -225,12 +225,10 @@ def estimate_lambda_star(spec_template, lambda_min, lambda_max, iters=12,
         history.append((lam, rep.diagnostics["verdict"]))
         return rep
 
-    lambda0 = None
     try:
-        if spec_template.regime() == "positive":
-            lambda0 = lambda0_bound(spec_template)
-    except RegimeError:
-        lambda0 = None
+        lambda0 = lambda0_bound(spec_template)
+    except (RegimeError, ModelError):
+        lambda0 = None  # K is not positive, or f - K g >= 0 near 0
 
     if probe(lo).converged:
         return LambdaStarEstimate(lo=None, hi=lo, iters=0, lambda0=lambda0,

@@ -15,10 +15,10 @@ itself (fixed-point sweeps, the envelope), the monotone sweep's
 A + diag(D), and the Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k,
 since every difference matrix D_k reaches only neighbours A already
 couples.  `Grid.factor` fills that fixed pattern, checks it is finite and
-factors it, and returns the one `Factor` class, whose solves check their
-right-hand side as well; `Grid.lu` is A's, computed once.  On intervals
-the pattern is a tridiagonal band factored by LAPACK `dgttrf`; on
-rectangles a refilled copy of A's CSC data for `splu`.
+returns the one `Factor` class, whose solves check their right-hand side
+as well; `Grid.lu` is A's, computed once.  On intervals the pattern is a
+tridiagonal band factored by LAPACK `dgttrf`; on rectangles a refilled
+copy of A's CSC data, solved through a `LaggedFactor` chain.
 
 A itself is never factored on a rectangle.  It is the Kronecker sum of
 two 3-point stencils, whose eigenvectors are the sine modes, so the
@@ -29,35 +29,31 @@ nx x ny array and Lambda[j, k] the sum of the per-axis eigenvalues
 `Grid.sine_eigenvalues` (the fast Poisson solver: Hockney, J. ACM 12,
 1965; Swarztrauber, SIAM Review 19, 1977).  Each transform is two small
 matrix products (see `Grid.lu`), so no FFT module is loaded.  `splu`,
-`dgttrf` and `dgttrs` are module attributes, and every factor is made
-through the one attribute `splu`, so rebinding it (as a tracer does)
-sees them all.
+`dgttrf` and `dgttrs` are module attributes, so rebinding one (as a
+tracer does) sees every call.
 
-Every other rectangle matrix is factored by `splu` on a fill-reducing
-ordering it computes for that matrix: SuperLU's multiple minimum degree
-on A^T + A (Liu, ACM TOMS 11, 1985), named once, in `_ORDERING`.  On the
-five-point pattern its factors hold about 0.56 times the entries of
-those on COLAMD, `splu`'s default.  The pattern `Grid.factor` fills is
-A's own, in node order, and no ordering is kept between factors:
-computing one costs a tenth to a fifth of the factorization it serves,
-and SuperLU yields one only with a whole factor, which the few exact
-factors of a continuation do not repay.
-
-A rectangle Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k is A plus
+Every other rectangle matrix A + diag(d) + sum_k diag(w_k) D_k is A plus
 lower-order terms, so A^-1 preconditions it well (Concus & Golub, SIAM
 J. Numer. Anal. 10, 1973; Elman & Schultz, SIAM J. Numer. Anal. 23,
-1986), and it is rarely factored.  A `LaggedFactor`, carried by the
-Newton solve and never by the grid, holds the preconditioner of one
-chain: A^-1 (`Grid.lu`) first, and, once GMRES on it falls short, the
-last exact Jacobian factor.  GMRES solves each Jacobian to the tolerance
-the Newton step asks for (its forcing term, see `solver.newton_solve`;
-never below 1e-12 relative), and the Jacobian is factored, becoming the
-lagged factor, only when GMRES would need more than 12 iterations.  The
-monotone sweep's A + diag(D), solved many times, stays exact, and so do
-`solver.branch_fold`'s bordered solves and every interval matrix.  A
-`LaggedFactor` counts the exact factorizations and GMRES iterations it
-spends, and an interval Jacobian factored for it counts as one
-factorization, so the counts mean the same on both kinds.
+1986), and it is rarely factored.  Each joins a `LaggedFactor` chain,
+carried by its caller (a Newton solve, a branch trace), never by the
+grid, whose preconditioner is A^-1 (`Grid.lu`) until GMRES on it falls
+short, then the last exact factor.  GMRES stops at the tolerance the
+caller asks for (never below 1e-12 relative; a Newton step's forcing
+term, see `solver.newton_solve`), and a matrix is factored, becoming the
+lagged factor, only when GMRES would need more than 12 iterations; its
+later solves take that factor alone, so the monotone sweep factors
+A + diag(D) at most once.  A chain counts the exact factorizations and
+GMRES iterations it spends, an interval Jacobian factored for it as one.
+
+That factor is the one `splu` call, on a fill-reducing ordering it
+computes for its matrix: SuperLU's multiple minimum degree on A^T + A
+(Liu, ACM TOMS 11, 1985), named once, in `_ORDERING`, whose factors hold
+about 0.56 times the entries of COLAMD's (`splu`'s default) on the
+five-point pattern.  No ordering is kept between factors: computing one
+costs a tenth to a fifth of the factorization it serves, and SuperLU
+yields one only with a whole factor, which the few exact factors of a
+chain do not repay.
 """
 
 from __future__ import annotations
@@ -272,24 +268,22 @@ class Grid:
         return [c * pad[2:] - c * pad[:-2]]
 
     def factor(self, diag, weights, lagged=None):
-        """Factor A + diag(diag) + sum_k diag(weights[k]) D_k, filled into
-        A's cached sparsity pattern, once for any number of solves;
+        """A + diag(diag) + sum_k diag(weights[k]) D_k, filled into A's
+        cached sparsity pattern, as a `Factor` for any number of solves;
         `weights` is empty for A itself and for the monotone sweep's
         A + diag(D).  A non-finite matrix raises ValueError before any
         factorization.  On an interval its three diagonals go straight to
         LAPACK `dgttrf` (Gaussian elimination with partial pivoting): a
-        zero pivot raises numpy.linalg.LinAlgError, a ValueError.  On a
-        rectangle `splu` factors it on its own minimum-degree ordering
-        (`_ORDERING`), one call per factor; a singular matrix raises
-        RuntimeError.
+        zero pivot raises numpy.linalg.LinAlgError, a ValueError; the
+        factor counts in `lagged.factorizations` when a chain is given.
 
-        With a `LaggedFactor` (a Newton solve's), a rectangle matrix is
-        not factored here: each solve runs GMRES preconditioned by A^-1
-        (`lu`) or, once one has been made, by the last exact factor, and
-        factors the matrix only when GMRES falls short (see
-        `LaggedFactor.solve`), raising RuntimeError then if it is
-        singular.  An interval matrix is factored as ever and counted in
-        `lagged.factorizations`."""
+        On a rectangle nothing is factored here: the matrix joins the
+        chain `lagged`, a fresh `LaggedFactor` when none is given.  Each
+        solve runs GMRES preconditioned by A^-1 (`lu`) or, once one has
+        been made, by the chain's last exact factor, and factors the
+        matrix by `splu` on its own minimum-degree ordering (`_ORDERING`)
+        only when GMRES falls short, raising RuntimeError then if it is
+        singular (see `LaggedFactor.solve`)."""
         if self._pattern is None:
             self._pattern = self._factor_pattern()
         if self.dim == 1:
@@ -313,12 +307,11 @@ class Grid:
             data[pos] += w[rows] * coef
         _require_finite(data, "matrix")
         matrix = sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape)
-        if lagged is not None:
-            poisson = self.lu()
-            return Factor(lambda rhs, rtol, atol:
-                          lagged.solve(matrix, poisson, rhs, rtol, atol))
-        superlu = splu(matrix, permc_spec=_ORDERING)
-        return Factor(lambda rhs, rtol, atol: superlu.solve(rhs))
+        if lagged is None:
+            lagged = LaggedFactor()
+        poisson = self.lu()
+        return Factor(lambda rhs, rtol, atol:
+                      lagged.solve(matrix, poisson, rhs, rtol, atol))
 
     def _factor_pattern(self):
         A = self.neg_laplacian()
@@ -355,9 +348,9 @@ class Grid:
 class Factor:
     """A factored matrix of `Grid.factor` or `Grid.lu`: `solve` maps a
     right-hand side to the solution, after checking it is finite.  The
-    callable it wraps takes (rhs, rtol, atol); only GMRES, where
-    `Grid.factor` was given a `LaggedFactor`, reads the tolerances, and
-    the exact solves (LAPACK, SuperLU, sine transforms) ignore them."""
+    callable it wraps takes (rhs, rtol, atol); only GMRES, on a rectangle
+    matrix its chain has not factored, reads the tolerances, and the
+    exact solves (LAPACK, SuperLU, sine transforms) ignore them."""
 
     def __init__(self, solve):
         self._solve = solve
@@ -372,34 +365,41 @@ class Factor:
 
 
 class LaggedFactor:
-    """The preconditioner of a run of rectangle Newton Jacobians: the
-    grid's A^-1 until GMRES on it falls short, then the last exact
-    Jacobian factor, which preconditions the ones after it (Knoll &
-    Keyes, J. Comput. Phys. 193, 2004, on frozen preconditioners).  A
-    Newton solve carries one from step to step, and a continuation from
-    stage to stage; the grid never holds one, so a solve does not depend
-    on what ran on its grid before.  It keeps at most one factor alive.
+    """The preconditioner of a run of rectangle matrices: the grid's
+    A^-1 until GMRES on it falls short, then the last exact factor,
+    which solves its own matrix and preconditions the ones after it
+    (Knoll & Keyes, J. Comput. Phys. 193, 2004, on frozen
+    preconditioners).  A Newton solve carries one from step to step, a
+    continuation from stage to stage and `solver.branch_fold` from point
+    to point; the grid never holds one, so a solve does not depend on
+    what ran on its grid before.  It keeps at most one factor alive.
     `factorizations` and `krylov_iterations` count the exact factors
     made for it and the GMRES iterations run on it."""
 
     def __init__(self):
         self._superlu = None
+        self._matrix = None  # the matrix `_superlu` factors
         self.factorizations = 0
         self.krylov_iterations = 0
 
     def solve(self, matrix, poisson, rhs, rtol, atol):
-        """matrix^-1 rhs for a matrix stored like `Grid.factor`'s: GMRES
-        on the lagged factor, or on `poisson` (the grid's A^-1 `Factor`)
-        while there is none, when it reaches max(rtol |rhs|, atol);
-        otherwise an exact factor of `matrix`, which becomes the lagged
-        one."""
+        """matrix^-1 rhs for a matrix stored like `Grid.factor`'s: by the
+        lagged factor alone when it is this matrix's own; otherwise by
+        GMRES on the lagged factor, or on `poisson` (the grid's A^-1
+        `Factor`) while there is none, when it reaches
+        max(rtol |rhs|, atol); otherwise by an exact factor of `matrix`,
+        which becomes the lagged one."""
+        if matrix is self._matrix:
+            return self._superlu.solve(rhs)
         precondition = poisson.solve if self._superlu is None else self._superlu.solve
         x, iterations = gmres(matrix, precondition, rhs, rtol, atol)
         self.krylov_iterations += iterations
         if x is not None:
             return x
-        self._superlu = None  # drop the stale factor before the new one
+        # drop the stale factor before the new one
+        self._superlu = self._matrix = None
         self._superlu = splu(matrix, permc_spec=_ORDERING)
+        self._matrix = matrix
         self.factorizations += 1
         return self._superlu.solve(rhs)
 

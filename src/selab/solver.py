@@ -20,13 +20,10 @@ decide a verdict:
   Its sparsity is that of A, so `Grid.factor` refills the grid's cached
   pattern on every iteration.  On intervals it is a tridiagonal band,
   factored every time by LAPACK `dgttrf`.  On rectangles it is A's CSC
-  data, and GMRES solves it, preconditioned by A^-1 (`Grid.lu`, the fast
-  Poisson solve: the Jacobian is A plus lower-order terms).  Only when
-  GMRES on A^-1 falls short does `splu` factor the Jacobian, on its own
-  minimum-degree ordering, and that factor then preconditions the
-  Jacobians after it until GMRES on it falls short in turn (Newton-Krylov
-  with a lagged factor, see `grid.LaggedFactor`).  One such chain serves
-  a whole continuation.
+  data, solved by Newton-Krylov with a lagged factor (`grid.LaggedFactor`):
+  GMRES preconditioned by A^-1 (`Grid.lu`, the fast Poisson solve: the
+  Jacobian is A plus lower-order terms) or, once that falls short, by the
+  last exact Jacobian factor.  One such chain serves a whole continuation.
   GMRES solves each step only as far as Newton's progress calls for: an
   inexact Newton method (Dembo, Eisenstat & Steihaug, SIAM J. Numer.
   Anal. 19, 1982) whose forcing terms follow the residual's observed
@@ -334,7 +331,9 @@ def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
 
     Starts from `sub` (or `super_` with from_super=True), stops when the
     sup-norm increment falls below `tol`, and reports convergence when
-    the equation residual is below _MONOTONE_RES_TOL = 1e-8.  Iterate
+    the equation residual is below _MONOTONE_RES_TOL = 1e-8.  Every sweep
+    solves one `Grid.factor` of A + diag(D): on a rectangle by GMRES on
+    A^-1 until it falls short, then by the exact factor that makes.  Iterate
     monotonicity and staying inside the bracket are recorded in
     diagnostics, not enforced: the lagged convection term can break both,
     and that is worth seeing.
@@ -716,13 +715,13 @@ def solve_with_continuation(spec, schedule=None, initial=None):
     )
 
 
-def _branch_point(spec, border, sigma, u, lam):
+def _branch_point(spec, border, sigma, u, lam, lagged):
     """The solution (u, lam) of F(u, lam) = A u + N(u) = 0 at the spec's
     eps with <border, u> = sigma, by Newton on the bordered system from
-    (u, lam); see `branch_fold`.  Returns (u, lam, x2), x2 = J^-1 f at
-    the solution, or None when a Newton step fails: J singular or not
-    finite, u + eps not positive, lam not positive, or a residual that
-    does not fall."""
+    (u, lam), solving J through the chain `lagged`; see `branch_fold`.
+    Returns (u, lam, x2), x2 = J^-1 f at the solution, or None when a
+    Newton step fails: J singular or not finite, u + eps not positive,
+    lam not positive, or a residual that does not fall."""
     grid = spec.grid
     previous = np.inf
     for it in range(_CORRECTOR_STEPS + 1):
@@ -731,7 +730,7 @@ def _branch_point(spec, border, sigma, u, lam):
         stage = spec.with_lambda(lam)
         try:
             Au, r = _residual(stage, u)
-            jacobian = grid.factor(*_linearization(stage, u))
+            jacobian = grid.factor(*_linearization(stage, u), lagged)
             x1 = jacobian.solve(-r)
             x2 = jacobian.solve(stage.f_at(u))
         except (SingularEvaluationError, RuntimeError, ValueError):
@@ -762,6 +761,8 @@ def branch_fold(spec, initial, lambda_min):
     J x2 = f, then dlambda = (sigma - <b, u + x1>) / <b, x2> and
     du = x1 + dlambda x2.  At a solution x2 = du/dlambda along the
     branch, dlambda/dsigma = 1 / <b, x2>, and du/dsigma is x2 times that.
+    Every J of the trace joins one `grid.LaggedFactor` chain (GMRES to
+    1e-12 relative on a rectangle), as a Newton solve's do.
 
     Each step parametrizes the branch by the component of u along the
     last point's x2, b = x2 / |x2| (a local parametrization, as in
@@ -790,7 +791,8 @@ def branch_fold(spec, initial, lambda_min):
     u = np.asarray(initial.values if isinstance(initial, Field) else initial,
                    dtype=float)
     size = float(np.linalg.norm(u))
-    point = _branch_point(spec, u / size, size, u, spec.lam)
+    lagged = LaggedFactor()
+    point = _branch_point(spec, u / size, size, u, spec.lam, lagged)
     if point is None:
         return None
     step, growth = 0.25, 2.0
@@ -802,7 +804,7 @@ def branch_fold(spec, initial, lambda_min):
         slope = 1.0 / size
         turned = _branch_point(spec, border, sigma + ds,
                                point[0] + ds * slope * point[2],
-                               point[1] + ds * slope)
+                               point[1] + ds * slope, lagged)
         if turned is None:
             step *= 0.25
             if step < 1e-9:
@@ -835,7 +837,7 @@ def branch_fold(spec, initial, lambda_min):
         base = min(before, after, key=lambda m: abs(m[0] - sigma))
         ds = sigma - base[0]
         p = _branch_point(spec, border, sigma, base[1][0] + ds * base[2] * base[1][2],
-                          base[1][1] + ds * base[2])
+                          base[1][1] + ds * base[2], lagged)
         if p is None:
             return None
         last, newest = newest, mark(p)

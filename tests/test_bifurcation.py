@@ -24,6 +24,7 @@ from selab.model import (
     make_problem,
 )
 from selab.solver import solve_with_continuation
+from selab.spectral import first_eigenpair
 
 
 def coarsen(spec, n):
@@ -121,6 +122,28 @@ def test_estimate_below_range_sentinel(theorem1_spec):
     assert est.hi == 0.5
     assert est.iters == 0
     assert est.history == [(0.5, "converged")]
+    assert est.lambda0 is None
+    assert est.lambda0_below_hi is True
+
+
+def test_estimate_records_no_lambda0_where_the_bound_does_not_apply():
+    # K > 0, but g is so small that f - K g >= 0 near 0: lambda0_bound
+    # refuses with ModelError, and the bracket records lambda0 = None
+    # instead of raising
+    s = np.geomspace(1e-2, 1.0, 50)
+    spec = make_problem(
+        build_grid("interval", (1.0,), 31),
+        Potential(1.0),
+        SingularTerm("table", table_s=s, table_g=1e-3 * s**-0.5),
+        ReactionTerm("power", p=0.0, q=1.0),
+        conv_a=1.0,
+        lam=1.0,
+    )
+    with pytest.raises(ModelError, match="no margin"):
+        lambda0_bound(spec)
+    assert lambda_sweep(spec, [1.0, 2.0]).verdicts == ["converged"] * 2
+    est = estimate_lambda_star(spec, 0.1, 100.0, iters=4)
+    assert est.sentinel == "below-range"
     assert est.lambda0 is None
     assert est.lambda0_below_hi is True
 
@@ -266,6 +289,24 @@ def test_sweep_parallel_matches_warm(theorem3_spec, coarse_sweep):
                         warm_start=False, threads=2)
     assert cold.mode == "parallel-2"
     assert cold.verdicts == warm.verdicts
+
+
+def test_a_converged_verdict_below_lambda0_is_recorded(theorem3_spec, monkeypatch,
+                                                     caplog):
+    # a bound of 100 puts both converged verdicts below lambda_0: each row
+    # records int(u phi_1) = h sum u phi_1, and a warning names it
+    monkeypatch.setattr(selab.bifurcation, "lambda0_bound", lambda spec: 100.0)
+    spec = coarsen(theorem3_spec, 48)
+    with caplog.at_level("WARNING", logger="selab.bifurcation"):
+        result = lambda_sweep(spec, [20.0, 40.0])
+    assert result.verdicts == ["converged"] * 2
+    phi1 = first_eigenpair(spec.grid).phi1.values
+    h = spec.grid.spacing[0]
+    for lam, st, rep in zip(result.lambdas, result.stats, result.reports):
+        assert st["sub_bound_inconsistency"] == h * float(rep.solution.values @ phi1)
+        assert st["sub_bound_inconsistency"] > 0.0
+        assert f"converged verdict at lambda={lam:.6g} below lambda0=100" in caplog.text
+    assert len(caplog.records) == 2
 
 
 @pytest.mark.parametrize("warm,iterations", [

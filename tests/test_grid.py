@@ -156,15 +156,26 @@ def test_lu_on_a_rectangle_factors_nothing(monkeypatch, rng):
 
 def test_each_rectangle_factor_is_one_minimum_degree_splu(monkeypatch, rng):
     # the grid keeps no ordering: every factor on a rectangle is one
-    # splu call that orders its own matrix by minimum degree
+    # splu call that orders its own matrix by minimum degree, made when
+    # GMRES falls short (a cap of 0 iterations here), and the matrix's
+    # later solves use it
+    monkeypatch.setattr(selab.grid, "_KRYLOV_CAP", 0)
     calls = counted_splu(monkeypatch)
     g = build_grid("rectangle", (1.0, 1.3), (15, 11))
     d = 1.0 + rng.uniform(0.0, 1.0, g.n_total)
-    g.factor(d, ())
-    assert calls == ["MMD_AT_PLUS_A"]
-    del calls[:]
-    g.factor(2.0 * d, (rng.standard_normal(g.n_total),) * 2)
-    assert calls == ["MMD_AT_PLUS_A"]
+    weights = (rng.standard_normal(g.n_total),) * 2
+    for diag, w in ((d, ()), (2.0 * d, weights)):
+        F = g.factor(diag, w)
+        assert calls == []
+        dense = g.neg_laplacian().toarray() + np.diag(diag)
+        for wk, D in zip(w, g.diff_matrices()):
+            dense += wk[:, None] * D.toarray()
+        b = rng.standard_normal(g.n_total)
+        want = np.linalg.solve(dense, b)
+        for _ in range(2):
+            assert np.linalg.norm(F.solve(b) - want) <= 1e-12 * np.linalg.norm(want)
+        assert calls == ["MMD_AT_PLUS_A"]
+        del calls[:]
 
 
 @settings(max_examples=20, deadline=None)

@@ -9,7 +9,8 @@ Every linear solve on a grid goes through `Grid.factor` or `Grid.lu`, so
 `splu`, `dgttrf`, `dgttrs` and the Krylov solver `gmres` are called in
 `src/selab/grid.py` alone; the tests call `splu` only as a reference.
 Every `splu` call there passes the grid's one ordering,
-`permc_spec=_ORDERING`.
+`permc_spec=_ORDERING`, and there is one: `LaggedFactor.solve`'s, the
+exact factor of the one chain every rectangle matrix goes through.
 
 A run loads only the scipy it uses: a fresh interpreter that solves an
 interval problem through the CLI, builds, classifies and integrates a
@@ -153,6 +154,46 @@ def test_the_ordering_scan_sees_bare_and_literal_orderings():
     )
     assert list(splu_orderings(source)) == [(1, None), (2, "'NATURAL'"),
                                             (3, "_ORDERING")]
+
+
+def splu_sites(source):
+    """(enclosing function's qualified name, permc_spec) of every `splu`
+    call; the name is "" at module level."""
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef,
+                                  ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if isinstance(child, ast.Call) and (
+                    getattr(child.func, "id", None) == "splu"
+                    or getattr(child.func, "attr", None) == "splu"):
+                spec = [k.value for k in child.keywords if k.arg == "permc_spec"]
+                yield scope, ast.unparse(spec[0]) if spec else None
+            yield from visit(child, inner)
+    yield from visit(ast.parse(source), "")
+
+
+def test_one_site_factors_a_rectangle_matrix():
+    # every rectangle matrix goes through a LaggedFactor chain, which
+    # alone makes an exact factor: a second splu would be a second path
+    sites = [(path.name, *site) for path in sorted((ROOT / "src/selab").rglob("*.py"))
+             for site in splu_sites(path.read_text())]
+    assert sites == [("grid.py", "LaggedFactor.solve", "_ORDERING")]
+
+
+def test_the_splu_site_scan_names_each_call():
+    source = (
+        "lu = splu(a)\n"
+        "class Grid:\n"
+        "    def factor(self, a):\n"
+        "        def inner():\n"
+        "            return scipy.sparse.linalg.splu(a, permc_spec=_ORDERING)\n"
+        "        return splu(a, permc_spec='NATURAL')\n"
+    )
+    assert list(splu_sites(source)) == [
+        ("", None), ("Grid.factor.inner", "_ORDERING"),
+        ("Grid.factor", "'NATURAL'")]
 
 
 SCIPY_ALLOWED = {

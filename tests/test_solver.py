@@ -17,6 +17,7 @@ from selab.model import Potential, ProblemSpec, ReactionTerm, SingularTerm
 import selab.solver
 from selab.solver import (
     _linearization,
+    branch_fold,
     default_schedule,
     default_shift,
     fixed_point,
@@ -248,7 +249,11 @@ def dense_matrix(grid, d, w):
     return dense
 
 
-def linearized(kind, a, kval, rng):
+def linearized(kind, a, kval, rng, monkeypatch):
+    """A spec, u, the `Grid.factor` of J(u) and J(u) as a dense array.  A
+    GMRES cap of 0 makes a rectangle factor the `splu` of the matrix
+    `Grid.factor` filled, so both kinds solve exactly."""
+    monkeypatch.setattr(selab.grid, "_KRYLOV_CAP", 0)
     grid = build_grid(*GRIDS[kind])
     spec = ProblemSpec(grid, Potential(kval), SingularTerm("power", alpha=0.5),
                        ReactionTerm("power", p=0.5), a, 2.0, 1e-2, None)
@@ -262,8 +267,8 @@ linearization_cases = pytest.mark.parametrize(
 
 
 @linearization_cases
-def test_jacobian_is_the_derivative_of_the_residual(kind, a, kval, rng):
-    spec, u, F, dense = linearized(kind, a, kval, rng)
+def test_jacobian_is_the_derivative_of_the_residual(kind, a, kval, rng, monkeypatch):
+    spec, u, F, dense = linearized(kind, a, kval, rng, monkeypatch)
     v = rng.standard_normal(spec.grid.n_total)
     Jv = dense @ v
     # the factored matrix is the dense one: it takes J v back to v
@@ -275,8 +280,8 @@ def test_jacobian_is_the_derivative_of_the_residual(kind, a, kval, rng):
 
 
 @linearization_cases
-def test_newton_step_is_the_dense_solve(kind, a, kval, rng):
-    spec, u, F, dense = linearized(kind, a, kval, rng)
+def test_newton_step_is_the_dense_solve(kind, a, kval, rng, monkeypatch):
+    spec, u, F, dense = linearized(kind, a, kval, rng, monkeypatch)
     rhs = -residual(spec, Field(spec.grid, u)).values
     want = np.linalg.solve(dense, rhs)
     np.testing.assert_allclose(F.solve(rhs), want, rtol=0,
@@ -308,8 +313,9 @@ def test_newton_reports_a_singular_jacobian(kind, monkeypatch, rng):
     spec, d, weights = singular_linearization(kind)
     grid = spec.grid
     assert not np.any(dense_matrix(grid, d, weights)[0])
+    # GMRES on A^-1 cannot reach the zero row, so the chain calls splu
     with pytest.raises((RuntimeError, ValueError), match="singular"):
-        grid.factor(d, weights)
+        grid.factor(d, weights).solve(np.ones(grid.n_total))
     monkeypatch.setattr(selab.solver, "_linearization", lambda spec, u: (d, weights))
     u = 0.3 + rng.uniform(0.0, 1.0, grid.n_total)
     with pytest.raises(ConvergenceError, match="Jacobian factorization failed"):
@@ -371,7 +377,7 @@ def lagged_pair(rng, shift, monkeypatch):
 
 
 def assert_is_the_exact_solve(grid, d, w, rhs, x):
-    want = grid.factor(d, w).solve(rhs)
+    want = np.linalg.solve(dense_matrix(grid, d, w), rhs)
     assert np.linalg.norm(x - want) <= 1e-12 * np.linalg.norm(want)
 
 
@@ -427,6 +433,45 @@ def test_stale_lagged_factor_falls_back_to_an_exact_factor(rng, monkeypatch):
     calls = counted_splu(monkeypatch)
     grid.factor(d, w, lagged).solve(rhs)
     assert calls == []
+
+
+def test_a_factored_matrix_is_solved_by_its_factor_alone(rng, monkeypatch):
+    # a bordered step's second solve, and every monotone sweep after the
+    # first: once the chain has factored a matrix, its solves run no GMRES
+    # and ignore the Krylov targets
+    grid, lagged, d, w = lagged_pair(rng, 1e5, monkeypatch)
+    F = grid.factor(d, w, lagged)
+    F.solve(rng.standard_normal(grid.n_total))
+    assert lagged.factorizations == 2
+    calls = counted_splu(monkeypatch)
+    krylov = lagged.krylov_iterations
+    monkeypatch.setattr(selab.grid, "gmres", lambda *args: pytest.fail("GMRES ran"))
+    rhs = rng.standard_normal(grid.n_total)
+    x = F.solve(rhs, 0.5, 1e3)
+    assert calls == [] and lagged.krylov_iterations == krylov
+    assert x.tobytes() == lagged._superlu.solve(rhs).tobytes()
+    assert_is_the_exact_solve(grid, d, w, rhs, x)
+
+
+def test_a_fold_trace_carries_one_chain(theorem3_spec, monkeypatch):
+    # every bordered Jacobian of the trace joins one LaggedFactor, so a
+    # factor made at one point preconditions the points after it
+    spec = replace(theorem3_spec, grid=build_grid("rectangle", (1.0,), 15),
+                   source=None, lam=100.0)
+    top = solve_with_continuation(spec)
+    chains = []
+
+    class Counted(LaggedFactor):
+        def __init__(self):
+            super().__init__()
+            chains.append(self)
+
+    monkeypatch.setattr(selab.solver, "LaggedFactor", Counted)
+    calls = counted_splu(monkeypatch)
+    fold = branch_fold(spec.with_eps(default_schedule()[-1]), top.solution, 0.1)
+    assert fold == pytest.approx(17.752899, abs=1e-6)
+    assert len(chains) == 1
+    assert 0 < len(calls) == chains[0].factorizations
 
 
 def test_lagged_factor_checks_finiteness_before_any_gmres(rng, monkeypatch):
@@ -583,8 +628,10 @@ def test_gmres_returns_none_past_its_cap(rng, monkeypatch):
 
 
 @pytest.mark.parametrize("kind", ["interval", "rectangle"])
-def test_exact_factors_ignore_the_krylov_targets(kind, rng):
-    spec, u, factor, _ = linearized(kind, 1.0, -1.0, rng)
+def test_exact_factors_ignore_the_krylov_targets(kind, rng, monkeypatch):
+    # a rectangle matrix its chain has factored is solved by that factor
+    # alone, as an interval's is
+    spec, u, factor, _ = linearized(kind, 1.0, -1.0, rng, monkeypatch)
     rhs = rng.standard_normal(spec.grid.n_total)
     for exact in (factor, spec.grid.lu()):
         want = exact.solve(rhs)
@@ -859,8 +906,8 @@ def test_stagnating_newton_gives_up_within_the_line_search_budget(
 
 @pytest.mark.parametrize("a", [0.5, 1.0, 2.0])
 @pytest.mark.parametrize("kval", [-1.0, 1.0])
-def test_interval_stencils_match_the_sparse_matrices(a, kval, rng):
-    spec, u, _, _ = linearized("interval", a, kval, rng)
+def test_interval_stencils_match_the_sparse_matrices(a, kval, rng, monkeypatch):
+    spec, u, _, _ = linearized("interval", a, kval, rng, monkeypatch)
     grid = spec.grid
     want = grid.neg_laplacian() @ u + nonlinear_part(spec, u)
     np.testing.assert_allclose(residual(spec, Field(grid, u)).values, want,
@@ -980,6 +1027,24 @@ def test_monotone_iterate_on_a_rectangle(theorem1_spec):
     # a pinch stopped after 40 sweeps is 9e-8 away
     assert newton_gap(spec, sub, monotone_iterate(spec, sub, sup, max_iter=40)) > 1e-9
     assert rep.iterations <= 150
+
+
+def test_a_rectangle_pinch_factors_its_matrix_once(theorem1_spec, monkeypatch):
+    # the first sweep's GMRES on A^-1 falls short against the large shift
+    # near the boundary, and the factor it makes serves every later sweep
+    spec, sub, sup = theorem1_bracket(theorem1_spec, "rectangle", 31)
+    calls = counted_splu(monkeypatch)
+    krylov = []
+    gmres = selab.grid.gmres
+
+    def spied(*args):
+        krylov.append(1)
+        return gmres(*args)
+
+    monkeypatch.setattr(selab.grid, "gmres", spied)
+    rep = monotone_iterate(spec, sub, sup)
+    assert rep.converged and rep.iterations > 1
+    assert len(calls) == len(krylov) == 1
 
 
 def test_monotone_reports_a_shift_that_overflows(theorem1_spec):
