@@ -33,7 +33,7 @@ grid = spec0.grid
 profile = build_h_profile(spec0.singular)
 dist = boundary_distance(grid).values
 
-print(f"grid: {grid.kind} n={grid.shape[0]}, K = {spec0.k_min():g}")
+print(f"grid: {grid.kind} n={grid.shape[0]}, K = {spec0.k_nodal().min():g}")
 print()
 print("lambda   verdict     max u      min u      residual   u/h(d) near wall")
 for lam in (0.1, 1.0, 10.0):

@@ -50,7 +50,6 @@ from .grid import (
     build_grid,
     gradient_components,
     gradient_magnitude,
-    integrate,
     read_field_csv,
     write_field_csv,
 )
@@ -131,7 +130,6 @@ __all__ = [
     "gradient_components",
     "gradient_magnitude",
     "hopf_collar",
-    "integrate",
     "lambda0_bound",
     "lambda_sweep",
     "make_problem",

@@ -13,7 +13,7 @@ import argparse
 import json
 import os
 import sys
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 
@@ -107,6 +107,13 @@ def _write_json(payload, path):
         fh.write("\n")
 
 
+def _write_result(result, path):
+    """Write a result dataclass as JSON, one key per field in declaration
+    order; a `solution` field goes to the CSV, not here."""
+    _write_json({f.name: getattr(result, f.name) for f in fields(result)
+                 if f.name != "solution"}, path)
+
+
 def _parse_floats(text):
     try:
         return [float(tok) for tok in text.split(",") if tok.strip()]
@@ -123,17 +130,7 @@ def _cmd_solve(args):
     rep = solve_with_continuation(spec, schedule=schedule)
     csv_path, json_path = _out_paths(args.out, "u.csv", "report.json")
     write_field_csv(rep.solution, csv_path)
-    _write_json(
-        {
-            "converged": rep.converged,
-            "iterations": rep.iterations,
-            "residual_inf": rep.residual_inf,
-            "eps_path": rep.eps_path,
-            "min_interior": rep.min_interior,
-            "diagnostics": rep.diagnostics,
-        },
-        json_path,
-    )
+    _write_result(rep, json_path)
     verdict = rep.diagnostics["verdict"]
     mode = rep.diagnostics["mode"]
     tag = verdict if mode is None else f"{verdict} ({mode})"
@@ -180,21 +177,7 @@ def _cmd_lambda_star(args):
         spec, args.lambda_min, args.lambda_max, iters=args.iters
     )
     _, json_path = _out_paths(args.out, "lambda_star.csv", "lambda_star.json")
-    _write_json(
-        {
-            "lo": est.lo,
-            "hi": est.hi,
-            "iters": est.iters,
-            "lambda0": est.lambda0,
-            "grid_n": est.grid_n,
-            "sentinel": est.sentinel,
-            "history": est.history,
-            "refined_consistent": est.refined_consistent,
-            "lambda0_below_hi": est.lambda0_below_hi,
-            "fold": est.fold,
-        },
-        json_path,
-    )
+    _write_result(est, json_path)
     if est.sentinel:
         desc = f"sentinel={est.sentinel}"
     else:
@@ -272,20 +255,7 @@ def _cmd_compare(args):
     w = read_field_csv(grid, args.super_csv)
     rep = check_ordering(grid, psi_from_spec(spec), v, w)
     _, json_path = _out_paths(args.out, "compare.csv", "compare.json")
-    _write_json(
-        {
-            "verdict": rep.verdict,
-            "max_violation": rep.max_violation,
-            "sub_share": rep.sub_share,
-            "super_share": rep.super_share,
-            "boundary_ok": rep.boundary_ok,
-            "strict_decrease_ok": rep.strict_decrease_ok,
-            "l1_lap_sub": rep.l1_lap_sub,
-            "l1_lap_super": rep.l1_lap_super,
-            "details": rep.details,
-        },
-        json_path,
-    )
+    _write_result(rep, json_path)
     print(
         f"compare: {rep.verdict} max(v-w)+={rep.max_violation:.3e} "
         f"-> {json_path}"

@@ -85,7 +85,7 @@ def build_supersolution(spec):
     grid = spec.grid
     lift = None
     if spec.regime() == "negative":
-        g_eps = float(spec.g_at(spec.eps)) if spec.eps > 0 else np.inf
+        g_eps = float(spec.singular(spec.eps)) if spec.eps > 0 else np.inf
         if not np.isfinite(g_eps):
             raise ModelError(
                 "the K < 0 super-solution lifts by K^- g(epsilon), which needs "
@@ -184,7 +184,7 @@ def build_subsolution_eigen(spec):
         raise RegimeError("eigenfunction sub-solution needs K > 0 on the closure")
     eigenpair = first_eigenpair(grid)
     collar = hopf_collar(grid, eigenpair, default_collar_width(grid))
-    k_star = spec.k_max()
+    k_star = float(spec.k_nodal().max())
     M = max(1.0, 2.0 * k_star / collar.delta**2)
     phi = eigenpair.phi1.values
     phi_max = float(phi.max())
@@ -205,7 +205,7 @@ def build_subsolution_eigen(spec):
                                lambda_threshold=np.inf)
     lam_cond1 = 2.0 * lam1 * M * phi_max / den1
     # core condition: worst residual surrogate vs lambda min f
-    core_val = (k_star * spec.g_at(h_phi[core])
+    core_val = (k_star * spec.singular(h_phi[core])
                 + 2.0 * lam1 * M * h_phi[core]
                 + M**spec.conv_a * dh_phi[core]**spec.conv_a
                 * gmag[core]**spec.conv_a)

@@ -7,8 +7,7 @@ value 0, so every stencil that reaches a boundary node substitutes 0.
 The discrete -Laplacian is the standard second-order 3-point (1d) or
 5-point (2d) stencil; it is exact on quadratics and O(h^2) on smooth
 fields.  Gradients are central differences per axis, again feeding the
-Dirichlet 0 into stencils adjacent to the boundary.  Quadrature is the
-h-weighted node sum, i.e. composite trapezoid given the zero boundary.
+Dirichlet 0 into stencils adjacent to the boundary.
 
 Every linear solve on the grid has the sparsity of the -Laplacian A: A
 itself (fixed-point sweeps, the envelope), the monotone sweep's
@@ -496,9 +495,6 @@ class Field:
     def max(self):
         return float(self.values.max())
 
-    def copy(self):
-        return Field(self.grid, self.values.copy())
-
 
 def build_grid(kind, extents, n_interior):
     """Build a uniform grid with n_interior nodes per axis.
@@ -545,12 +541,6 @@ def boundary_distance(grid):
         dist = np.minimum(dist, c[:, i])
         dist = np.minimum(dist, grid.extents[i] - c[:, i])
     return Field(grid, dist)
-
-
-def integrate(grid, field):
-    """h-weighted node sum (composite trapezoid, boundary terms vanish)."""
-    _check_field(grid, field)
-    return float(np.prod(grid.spacing) * field.values.sum())
 
 
 # ---- Field snapshots (CSV, row-major, header x[,y],value) ----

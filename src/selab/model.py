@@ -4,8 +4,7 @@ and the assembled problem
     -Lap(u) + K(x) g(u) + |grad u|^a = lambda f(x, u),   u > 0, u|_bdry = 0.
 
 Structural hypotheses of the paper.  Power and shifted-exp g and power f
-satisfy them; a table g is checked nonnegative and nonincreasing only, and
-a custom f is not checked:
+satisfy them; a table g is checked nonnegative and nonincreasing only:
 
   (g)  g : (0, inf) -> (0, inf) nonincreasing with g(s) -> +inf as s -> 0+;
   (f1) f(x, .) nondecreasing and s -> f(x, s)/s nonincreasing;
@@ -175,8 +174,8 @@ class SingularTerm:
         if self.family not in _SINGULAR_FAMILIES:
             raise ModelError(f"unknown singular family {self.family!r}")
         if self.family == "power":
-            if self.alpha is None or not self.alpha > 0:
-                raise ModelError("power singular term needs alpha > 0")
+            if self.alpha is None or not 0.0 < self.alpha < np.inf:
+                raise ModelError("power singular term needs a finite alpha > 0")
         if self.family == "table":
             s = np.asarray(self.table_s, dtype=float)
             g = np.asarray(self.table_g, dtype=float)
@@ -266,78 +265,62 @@ def classify_singularity(g):
         verdict, "indeterminate")
 
 
-def _nodal_values(grid, value):
+def _nodal_values(grid, value, what):
     """A constant or a callable of the space columns at the interior nodes
-    of `grid`, as a read-only array (callers cache it per grid)."""
+    of `grid`, as a read-only array (callers cache it per grid).  A value
+    that is not finite at some node raises ModelError: an infinite K or q
+    would otherwise read as a silent nonexistence verdict."""
     if callable(value):
         cols = [grid.coords()[:, i] for i in range(grid.dim)]
         out = np.broadcast_to(value(*cols), (grid.n_total,)).astype(float)
     else:
         out = np.full(grid.n_total, float(value))
+    if not np.all(np.isfinite(out)):
+        raise ModelError(f"{what} must be finite at every interior node")
     out.flags.writeable = False
     return out
 
 
 @dataclass(frozen=True)
 class ReactionTerm:
-    """Sublinear reaction f(x, s).
-
-    family "power":  f(x, s) = q(x) * s^p with 0 <= p < 1 and q > 0
-                     (p = 0 gives the constant-in-s degenerate probe);
-    family "custom": arbitrary callables fn(x_cols..., s), dfn optional.
-    """
+    """Sublinear reaction f(x, s) = q(x) * s^p with 0 <= p < 1 and q > 0
+    (p = 0 gives the constant-in-s degenerate probe).  "power" is the one
+    family."""
 
     family: str
     p: float | None = None
     q: object = 1.0          # constant or callable of the space columns
-    fn: object = None
-    dfn: object = None
     _weights: weakref.WeakKeyDictionary = dataclass_field(
         default_factory=weakref.WeakKeyDictionary, init=False, repr=False,
         compare=False)
 
     def __post_init__(self):
-        if self.family == "power":
-            if self.p is None or not 0.0 <= self.p < 1.0:
-                raise ModelError("power reaction needs exponent p in [0, 1)")
-        elif self.family == "custom":
-            if not callable(self.fn):
-                raise ModelError("custom reaction needs a callable fn")
-        else:
+        if self.family != "power":
             raise ModelError(f"unknown reaction family {self.family!r}")
+        if self.p is None or not 0.0 <= self.p < 1.0:
+            raise ModelError("power reaction needs exponent p in [0, 1)")
 
     def weight(self, grid):
-        """Nodal q on `grid` (read-only), built and checked positive once
-        per grid."""
+        """Nodal q on `grid` (read-only), built and checked finite and
+        positive once per grid."""
         w = self._weights.get(grid)
         if w is None:
-            w = _nodal_values(grid, self.q)
+            w = _nodal_values(grid, self.q, "reaction weight q")
             if np.any(w <= 0):
                 raise ModelError("reaction weight q must be positive")
             self._weights[grid] = w
         return w
 
     def value(self, grid, s):
-        s = np.asarray(s, dtype=float)
-        if self.family == "power":
-            base = np.maximum(s, 0.0)
-            return self.weight(grid) * base**self.p
-        cols = [grid.coords()[:, i] for i in range(grid.dim)]
-        return np.broadcast_to(self.fn(*cols, s), s.shape).astype(float)
+        base = np.maximum(np.asarray(s, dtype=float), 0.0)
+        return self.weight(grid) * base**self.p
 
     def deriv(self, grid, s):
         s = np.asarray(s, dtype=float)
-        if self.family == "power":
-            if self.p == 0.0:
-                return np.zeros_like(s)
-            base = np.maximum(s, 1e-300)
-            return self.weight(grid) * self.p * base ** (self.p - 1.0)
-        if self.dfn is not None:
-            cols = [grid.coords()[:, i] for i in range(grid.dim)]
-            return np.broadcast_to(self.dfn(*cols, s), s.shape).astype(float)
-        # one-sided finite difference fallback
-        step = 1e-7 * np.maximum(np.abs(s), 1.0)
-        return (self.value(grid, s + step) - self.value(grid, s)) / step
+        if self.p == 0.0:
+            return np.zeros_like(s)
+        base = np.maximum(s, 1e-300)
+        return self.weight(grid) * self.p * base ** (self.p - 1.0)
 
 
 @dataclass(frozen=True)
@@ -360,7 +343,7 @@ class Potential:
         grid."""
         k = self._nodal.get(grid)
         if k is None:
-            k = self._nodal[grid] = _nodal_values(grid, self.value)
+            k = self._nodal[grid] = _nodal_values(grid, self.value, "potential K")
         return k
 
     def _boundary_values(self, grid):
@@ -396,7 +379,7 @@ class ProblemSpec:
 
     grid: Grid
     potential: Potential
-    singular: SingularTerm | None
+    singular: SingularTerm
     reaction: ReactionTerm
     conv_a: float
     lam: float
@@ -422,12 +405,6 @@ class ProblemSpec:
     def k_nodal(self):
         return self.potential.nodal(self.grid)
 
-    def k_min(self):
-        return float(self.k_nodal().min())
-
-    def k_max(self):
-        return float(self.k_nodal().max())
-
     def regime(self):
         return self.potential.regime(self.grid)
 
@@ -437,20 +414,14 @@ class ProblemSpec:
     def df_at(self, u):
         return self.reaction.deriv(self.grid, u)
 
-    def g_at(self, s):
-        return self.singular(s)
-
-    def dg_at(self, s):
-        return self.singular.deriv(s)
-
     def psi(self, s):
         """The zeroth-order part psi(x, s) = lambda f(x, s) - K(x) g(s + eps)
         at nodal levels s: the equation is -Lap u + |grad u|^a = psi + source."""
-        return self.lam * self.f_at(s) - self.k_nodal() * self.g_at(s + self.eps)
+        return self.lam * self.f_at(s) - self.k_nodal() * self.singular(s + self.eps)
 
     def dpsi(self, s):
         """d psi / ds = lambda f_s(x, s) - K(x) g'(s + eps)."""
-        return self.lam * self.df_at(s) - self.k_nodal() * self.dg_at(s + self.eps)
+        return self.lam * self.df_at(s) - self.k_nodal() * self.singular.deriv(s + self.eps)
 
     def with_lambda(self, lam):
         return replace(self, lam=float(lam))
@@ -460,7 +431,7 @@ class ProblemSpec:
 
 
 def make_problem(grid, potential, singular, reaction, conv_a=1.0, lam=1.0,
-                 eps=0.0, source=None):
+                 eps=0.0):
     """Assemble a ProblemSpec and check its potential's sign regime.
 
     Plain numbers and callables are promoted to Potential; ProblemSpec
@@ -469,7 +440,7 @@ def make_problem(grid, potential, singular, reaction, conv_a=1.0, lam=1.0,
     """
     if not isinstance(potential, Potential):
         potential = Potential(potential)
-    spec = ProblemSpec(grid, potential, singular, reaction, conv_a, lam, eps, source)
+    spec = ProblemSpec(grid, potential, singular, reaction, conv_a, lam, eps)
     spec.regime()  # rejects sign-changing K early
     return spec
 
@@ -485,7 +456,7 @@ def compute_p(spec):
     grid = spec.grid
     ones = np.ones(grid.n_total)
     f1 = spec.lam * spec.f_at(ones)
-    g1 = float(spec.g_at(np.array([1.0]))[0])
+    g1 = float(spec.singular(np.array([1.0]))[0])
     p = np.minimum(f1, -spec.k_nodal() * g1)
     return Field(grid, p), bool(np.all(p > 0))
 

@@ -56,9 +56,9 @@ from above on node i's own range [sub_i, super_i] (the sector condition
 of the monotone scheme: Sattinger, Indiana Univ. Math. J. 21, 1972; Pao,
 Nonlinear Parabolic and Elliptic Equations, 1992, ch. 3), each sweep
 solves (A + diag(D)) u_{k+1} = D u_k - N(u_k) on one `Grid.factor` of the
-M-matrix A + diag(D); from a sub-solution the iterates ascend.  D is
-large only where sub is near 0, next to the boundary, so the sweep count
-does not grow with the grid.  The convection term is lagged (it has no
+M-matrix A + diag(D); the pinch starts from the sub-solution, so the
+iterates ascend.  D is large only where sub is near 0, next to the
+boundary, so the sweep count does not grow with the grid.  The convection term is lagged (it has no
 one-sided structure), which is why bracket escape is recorded as a
 diagnostic instead of assumed away.
 
@@ -94,6 +94,10 @@ _NEWTON_TOL = 1e-10
 # report counts as converged
 _NEWTON_STEPS = 60
 _MONOTONE_RES_TOL = 1e-8
+# a monotone pinch's sweep increment at which it checks the residual, and
+# its sweep budget (see `monotone_iterate`)
+_PINCH_TOL = 1e-10
+_PINCH_SWEEPS = 50000
 # line-search trial steps per Newton iteration, t = 1, 1/2, ..., 2^-7;
 # the reason for 8 is in `newton_solve`
 _TRIAL_STEPS = 8
@@ -325,13 +329,13 @@ def default_shift(spec, sub, super_):
     return 1.5 * worst
 
 
-def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
-                     from_super=False):
-    """Shifted fixed-point sweep between an ordered sub/super pair.
+def monotone_iterate(spec, sub, super_):
+    """Shifted fixed-point sweep rising from `sub` inside an ordered
+    sub/super pair.
 
-    Starts from `sub` (or `super_` with from_super=True), stops when the
-    sup-norm increment falls below `tol`, and reports convergence when
-    the equation residual is below _MONOTONE_RES_TOL = 1e-8.  Every sweep
+    Stops when the sup-norm increment falls below _PINCH_TOL = 1e-10 (or
+    after _PINCH_SWEEPS = 50000 sweeps), and reports convergence when the
+    equation residual is below _MONOTONE_RES_TOL = 1e-8.  Every sweep
     solves one `Grid.factor` of A + diag(D): on a rectangle by GMRES on
     A^-1 until it falls short, then by the exact factor that makes.  Iterate
     monotonicity and staying inside the bracket are recorded in
@@ -349,24 +353,21 @@ def monotone_iterate(spec, sub, super_, tol=1e-10, max_iter=50000,
     if gap > 1e-12 * max(1.0, float(np.max(np.abs(sup_v)))):
         raise OrderingError(f"sub exceeds super by {gap:.3e}")
     D = default_shift(spec, sub_v, sup_v)
-    u = (sup_v if from_super else sub_v).copy()
+    u = sub_v.copy()
     slack = 1e-10 * max(1.0, float(np.max(np.abs(sup_v))))
     monotone = True
     inside = True
     it = 0
     try:
         factor = grid.factor(D, ())
-        for it in range(1, max_iter + 1):
+        for it in range(1, _PINCH_SWEEPS + 1):
             u_next = factor.solve(D * u - nonlinear_part(spec, u))
-            if from_super:
-                monotone &= bool(np.all(u_next <= u + slack))
-            else:
-                monotone &= bool(np.all(u_next >= u - slack))
+            monotone &= bool(np.all(u_next >= u - slack))
             inside &= bool(np.all(u_next >= sub_v - slack) and
                            np.all(u_next <= sup_v + slack))
             inc = float(np.max(np.abs(u_next - u)))
             u = u_next
-            if inc < tol:
+            if inc < _PINCH_TOL:
                 # the increment understates the error by up to ~ max D/lambda_1;
                 # keep sweeping until the equation residual agrees or the
                 # increment reaches the noise floor of the iterate scale

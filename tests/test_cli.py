@@ -119,6 +119,21 @@ def test_solve_rejects_a_nan_in_the_schedule(tmp_path, capsys):
     assert not (tmp_path / "report.json").exists()
 
 
+@pytest.mark.parametrize("key, value", [("K.value", "1.0"), ("g.alpha", "0.5")])
+def test_solve_refuses_a_config_value_that_is_not_finite(tmp_path, capsys,
+                                                         key, value):
+    # an infinite K or alpha read "nonexistence-indicated (stagnation)",
+    # a verdict about a problem the model does not define
+    config = tmp_path / "inf.cfg"
+    config.write_text(bundled_config_text(T3).replace(f"{key} = {value}",
+                                                      f"{key} = inf"))
+    code = main(["solve", "--config", str(config), "--lambda", "20",
+                 "--out", str(tmp_path)])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (tmp_path / "report.json").exists()
+
+
 @pytest.mark.parametrize("lam", ["inf", "nan"])
 def test_solve_refuses_a_lambda_that_is_not_finite(tmp_path, capsys, lam):
     code = main(["solve", "--config", T3, "--lambda", lam,

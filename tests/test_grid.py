@@ -13,7 +13,6 @@ from selab.grid import (
     build_grid,
     gradient_components,
     gradient_magnitude,
-    integrate,
     read_field_csv,
     write_field_csv,
 )
@@ -207,22 +206,6 @@ def test_boundary_distance_interval():
     x = g.coords()[:, 0]
     np.testing.assert_allclose(boundary_distance(g).values,
                                np.minimum(x, 1.0 - x))
-
-
-def test_integrate_against_closed_form():
-    g = build_grid("interval", (1.0,), 999)
-    x = g.coords()[:, 0]
-    val = integrate(g, Field(g, np.sin(np.pi * x)))
-    assert abs(val - 2.0 / np.pi) < 1e-5
-
-
-def test_integrate_2d():
-    # node sum is trapezoid-exact only for zero-trace fields
-    g = build_grid("rectangle", (1.0, 2.0), (63, 127))
-    xy = g.coords()
-    u = xy[:, 0] * (1.0 - xy[:, 0]) * xy[:, 1] * (2.0 - xy[:, 1])
-    val = integrate(g, Field(g, u))
-    assert abs(val - (1.0 / 6.0) * (4.0 / 3.0)) < 1e-4
 
 
 def test_field_csv_round_trip(tmp_path):

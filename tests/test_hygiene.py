@@ -12,6 +12,10 @@ Every `splu` call there passes the grid's one ordering,
 `permc_spec=_ORDERING`, and there is one: `LaggedFactor.solve`'s, the
 exact factor of the one chain every rectangle matrix goes through.
 
+Every function the package exports is read somewhere outside the tests:
+in another module of the package, a demo or the benchmark harness.  A
+function that only tests call is surface nobody uses.
+
 A run loads only the scipy it uses: a fresh interpreter that solves an
 interval problem through the CLI, builds, classifies and integrates a
 tabulated g and its h-profile, and solves A and a continuation on a
@@ -340,8 +344,7 @@ SUBCOMMAND_OPTIONS = {
 ENTRY_POINT_PARAMETERS = {
     "solver.newton_solve": ("spec", "initial", "max_iter", "lagged"),
     "solver.solve_with_continuation": ("spec", "schedule", "initial"),
-    "solver.monotone_iterate": ("spec", "sub", "super_", "tol", "max_iter",
-                                "from_super"),
+    "solver.monotone_iterate": ("spec", "sub", "super_"),
     "solver.branch_fold": ("spec", "initial", "lambda_min"),
     "solver.default_schedule": ("steps",),
     "bifurcation.lambda_sweep": ("spec_template", "lambdas", "warm_start",
@@ -376,3 +379,45 @@ def test_an_entry_point_takes_only_its_listed_parameters(name):
     module, function = name.split(".")
     fn = getattr(importlib.import_module(f"selab.{module}"), function)
     assert tuple(inspect.signature(fn).parameters) == ENTRY_POINT_PARAMETERS[name]
+
+
+# Callers of the exported functions: the package (its re-exports aside),
+# the demos and the benchmark harness, but no test.
+CALLERS = sorted(p for d in ("src/selab", "demos", "verdictbench")
+                 for p in (ROOT / d).rglob("*.py")
+                 if p != ROOT / "src/selab/__init__.py"
+                 and not p.name.startswith("test_"))
+
+
+def read_identifiers(source):
+    """Every name and attribute name loaded in the module."""
+    return {node.id if isinstance(node, ast.Name) else node.attr
+            for node in ast.walk(ast.parse(source))
+            if isinstance(node, (ast.Name, ast.Attribute))
+            and isinstance(node.ctx, ast.Load)}
+
+
+def unread_exports(exported, sources):
+    read = set().union(*map(read_identifiers, sources))
+    return sorted(name for name in exported if name not in read)
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    import selab
+
+    functions = [name for name in selab.__all__
+                 if inspect.isfunction(getattr(selab, name))]
+    assert functions
+    assert unread_exports(functions, [p.read_text() for p in CALLERS]) == []
+
+
+def test_the_export_scan_counts_only_reads():
+    source = (
+        "import selab\n"
+        "from selab import g\n"
+        "selab.f(1)\n"
+        "h = 2\n"
+        "def k():\n"
+        "    return m\n"
+    )
+    assert unread_exports(["f", "g", "h", "k", "m"], [source]) == ["g", "h", "k"]

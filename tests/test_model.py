@@ -21,6 +21,7 @@ from selab.model import (
     parse_config,
     problem_from_config,
 )
+from selab.solver import solve_with_continuation
 
 
 def g_power(alpha):
@@ -56,6 +57,12 @@ def test_shifted_exp_values():
     g = SingularTerm("shifted-exp")
     np.testing.assert_allclose(g(np.array([1.0])), [np.e - 1.0])
     assert g(np.array([1e-2]))[0] > 1e40
+
+
+@pytest.mark.parametrize("alpha", [None, 0.0, -0.5, np.inf, np.nan])
+def test_power_g_needs_a_finite_positive_alpha(alpha):
+    with pytest.raises(ModelError, match="alpha"):
+        g_power(alpha)
 
 
 def test_table_g_validation():
@@ -264,6 +271,15 @@ def test_reaction_exponent_range():
     f_power(0.0)  # constant-in-s probe is admissible
 
 
+def test_the_custom_reaction_family_is_gone():
+    # "power" is the one family: a free-form f has no field to hold it,
+    # and the family name alone is refused
+    with pytest.raises(TypeError):
+        ReactionTerm("custom", fn=lambda x, s: s)
+    with pytest.raises(ModelError, match="unknown reaction family"):
+        ReactionTerm("custom", p=0.5)
+
+
 def test_reaction_weight_positive():
     g = build_grid("interval", (1.0,), 9)
     f = ReactionTerm("power", p=0.5, q=lambda x: x - 0.5)
@@ -324,6 +340,29 @@ def test_potential_regimes():
     assert Potential(0.5).regime(g) == "positive"
     with pytest.raises(RegimeError):
         Potential(lambda x: x - 0.5).regime(g)
+
+
+# each constant one read "nonexistence-indicated (stagnation)" at
+# lambda = 20 on n = 15: a silent false verdict
+NON_FINITE = {
+    "alpha=inf": lambda: {"singular": g_power(np.inf)},
+    "q=nan": lambda: {"reaction": ReactionTerm("power", p=0.5, q=np.nan)},
+    "q=inf": lambda: {"reaction": ReactionTerm("power", p=0.5, q=np.inf)},
+    "q(x)=inf": lambda: {"reaction": ReactionTerm(
+        "power", p=0.5, q=lambda x: np.where(x > 0.5, np.inf, 1.0))},
+    "K=inf": lambda: {"potential": Potential(np.inf)},
+    "K=-inf": lambda: {"potential": Potential(-np.inf)},
+    "K(x)=-inf": lambda: {"potential": Potential(
+        lambda x: np.where(x > 0.5, -np.inf, -1.0))},
+}
+
+
+@pytest.mark.parametrize("change", NON_FINITE.values(), ids=NON_FINITE)
+def test_non_finite_model_data_is_refused_not_a_verdict(theorem3_spec, change):
+    spec = replace(theorem3_spec, grid=build_grid("interval", (1.0,), 15),
+                   lam=20.0)
+    with pytest.raises(ModelError, match="finite"):
+        solve_with_continuation(replace(spec, **change()))
 
 
 def test_positive_regime_requires_positive_closure():
