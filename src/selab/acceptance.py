@@ -36,6 +36,8 @@ from .solver import _picard_rescue, newton_solve, solve_with_continuation
 from .spectral import first_eigenpair
 
 DEFAULT_SEED = 20260823
+# instances of the randomized comparison suite, a fifth positive-K
+_SUITE_INSTANCES = 50
 
 
 @dataclass
@@ -257,7 +259,7 @@ def _picard_newton(spec):
     return newton_solve(spec, Field(spec.grid, _picard_rescue(spec, u0)))
 
 
-def comparison_suite(seed=None, n_instances=50):
+def comparison_suite(seed=None):
     """Randomized admissible bracket instances; returns a list of
     (report, spec, tag) triples, report None when the solve failed.
 
@@ -269,8 +271,8 @@ def comparison_suite(seed=None, n_instances=50):
     """
     rng = np.random.default_rng(DEFAULT_SEED if seed is None else seed)
     out = []
-    n_negative = n_instances - max(n_instances // 5, 1)
-    for i in range(n_instances):
+    n_negative = _SUITE_INSTANCES - _SUITE_INSTANCES // 5
+    for i in range(_SUITE_INSTANCES):
         n = int(rng.integers(24, 49))
         grid = build_grid("interval", (1.0,), n)
         alpha = float(rng.uniform(0.2, 0.8))

@@ -93,7 +93,9 @@ def _jsonable(x):
     if isinstance(x, (np.bool_, bool)):
         return bool(x)
     if isinstance(x, (np.floating, float)):
-        return float(x)
+        # JSON has no Infinity or NaN: a failed first stage's residual
+        # is written as null
+        return float(x) if np.isfinite(x) else None
     if isinstance(x, (np.integer, int)):
         return int(x)
     if isinstance(x, np.ndarray):
@@ -103,7 +105,7 @@ def _jsonable(x):
 
 def _write_json(payload, path):
     with open(path, "w") as fh:
-        json.dump(_jsonable(payload), fh, indent=2)
+        json.dump(_jsonable(payload), fh, indent=2, allow_nan=False)
         fh.write("\n")
 
 
@@ -126,8 +128,7 @@ def _parse_floats(text):
 
 def _cmd_solve(args):
     spec = _load_spec(args)
-    schedule = _parse_floats(args.eps_schedule) if args.eps_schedule else None
-    rep = solve_with_continuation(spec, schedule=schedule)
+    rep = solve_with_continuation(spec)
     csv_path, json_path = _out_paths(args.out, "u.csv", "report.json")
     write_field_csv(rep.solution, csv_path)
     _write_result(rep, json_path)
@@ -313,8 +314,6 @@ def build_parser():
     _add_out(p)
     p.add_argument("--lambda", dest="lam", type=float, default=None,
                    help="override the config lambda")
-    p.add_argument("--eps-schedule", default=None,
-                   help="comma-separated decreasing eps values")
     p.set_defaults(fn=_cmd_solve)
 
     p = sub.add_parser("sweep", help="verdicts over a ladder of lambdas")
@@ -398,8 +397,8 @@ def main(argv=None):
         print(f"selab {args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except ValueError as exc:
-        # out-of-contract numeric arguments that pass argparse, e.g. an
-        # increasing --eps-schedule
+        # out-of-contract numeric arguments that pass argparse, e.g.
+        # sweep --points -1, which np.geomspace refuses
         print(f"selab {args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -53,7 +53,7 @@ from .grid import Field, boundary_distance, gradient_magnitude
 from .hprofile import build_h_profile
 from .model import compute_p
 from .solver import fixed_point, residual, settled
-from .spectral import default_collar_width, first_eigenpair, hopf_collar
+from .spectral import first_eigenpair, hopf_collar
 
 # the fixed points' stop (`solver.settled`) and sweep caps, and the
 # residual above which a node violates the eigen sub-solution certificate
@@ -183,7 +183,7 @@ def build_subsolution_eigen(spec):
     if spec.regime() != "positive":
         raise RegimeError("eigenfunction sub-solution needs K > 0 on the closure")
     eigenpair = first_eigenpair(grid)
-    collar = hopf_collar(grid, eigenpair, default_collar_width(grid))
+    collar = hopf_collar(grid, eigenpair)
     k_star = float(spec.k_nodal().max())
     M = max(1.0, 2.0 * k_star / collar.delta**2)
     phi = eigenpair.phi1.values

@@ -572,6 +572,8 @@ def write_field_csv(field, path):
 
 
 def read_field_csv(grid, path):
+    """The Field on `grid` that `write_field_csv` wrote to `path`; a wrong
+    header or shape, or an entry that is not finite, raises ShapeError."""
     with open(path) as fh:
         header = fh.readline().strip()
         expected = "x,value" if grid.dim == 1 else "x,y,value"
@@ -583,4 +585,6 @@ def read_field_csv(grid, path):
             f"field CSV has shape {data.shape}, grid expects "
             f"({grid.n_total}, {grid.dim + 1})"
         )
+    if not np.all(np.isfinite(data)):
+        raise ShapeError(f"field CSV {path!r} entries must be finite")
     return Field(grid, data[:, -1])

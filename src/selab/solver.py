@@ -33,10 +33,17 @@ decide a verdict:
   iteration before a stagnating solve gives up (see `newton_solve`).
   Every Newton solve, and every point of `branch_fold`, stops at one
   rule, |r|_inf < 1e-10 max(1, |A u|_inf) (`_newton_targets`).
-* `solve_with_continuation` - walks eps down a schedule (default
-  0.1 * 2^-k, 12 steps) from c phi_1: for K > 0, c is where the
-  projection of the equation onto phi_1 turns from negative to
-  nonnegative (`opening_amplitude`), and 0.5 where it does not or K < 0.
+* `solve_with_continuation` - walks eps down one fixed ladder,
+  `default_schedule()`: eps_k = 0.1 * 2^-k for k < 12.  The ladder is
+  not a caller's choice, because the verdict's two tail tests need its
+  length and its geometry: `mass.tail_trend` calls a mass tail
+  divergent only from five geometric stages, and the Cauchy test reads
+  the increment between the last two.  A shorter ladder skips both and
+  reads "converged" where no solution exists.  ROADMAP item 10 is to
+  size the ladder from the grid.  The walk starts from c phi_1: for
+  K > 0, c is where the projection of the equation onto phi_1 turns
+  from negative to nonnegative (`opening_amplitude`), and 0.5 where it
+  does not or K < 0.
   From the third stage on, Newton starts from a predictor, the
   polynomial in eps through the last (up to) three stage solutions
   (`extrapolate`; Allgower & Georg, Numerical Continuation Methods,
@@ -109,7 +116,7 @@ _FORCING_MAX = 1e-4
 # per trace and per fold localization
 _CORRECTOR_STEPS = 8
 _TRACE_POINTS = 60
-# the first eps of the default continuation ladder
+# the first eps of the continuation ladder (see `default_schedule`)
 _EPS_START = 0.1
 # nodal values per psi call of the opening amplitude's scan (see
 # `opening_amplitude`): 16 KB a temporary
@@ -170,16 +177,16 @@ def settled(u, inc, tol):
     return inc < tol * max(1.0, float(np.abs(u).max()))
 
 
-def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol=0.0, max_iter):
+def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol, max_iter):
     """Relaxed, clipped sweep for A u + N(u) = 0:
 
         u <- max((1-relax) u - relax A^-1 N(u), floor)
 
     `lu` is the grid's `Factor` of A and `nonlinear` maps an array u to
-    N(u).  Stops once `settled` (tol=0 runs all `max_iter` sweeps), or
-    at the first non-finite N(u), which leaves u at the last finite
-    iterate and the increment infinite.  Returns (u, sweeps,
-    last_increment); `not settled(u, last_increment, tol)` is a failure.
+    N(u).  Stops once `settled`, or at the first non-finite N(u), which
+    leaves u at the last finite iterate and the increment infinite.
+    Returns (u, sweeps, last_increment); `not settled(u, last_increment,
+    tol)` is a failure.
     """
     inc = np.inf
     sweep = 0
@@ -491,9 +498,9 @@ def extrapolate(path, eps):
     return start
 
 
-def solve_with_continuation(spec, schedule=None, initial=None):
-    """Walk eps down the schedule (default `default_schedule()`); see
-    module docstring.
+def solve_with_continuation(spec, initial=None):
+    """Walk eps down the ladder `default_schedule()`; see the module
+    docstring for why it is fixed.
 
     Each stage is a `newton_solve`.  The Cauchy check bounds the final
     consecutive-stage difference by 5 sqrt(eps_final) (diagnostics
@@ -506,9 +513,9 @@ def solve_with_continuation(spec, schedule=None, initial=None):
     "stagnation" (a stage refused to converge without losing positivity),
     "path-divergence" (stages converged but the eps-tail is not Cauchy),
     "mass-divergence" (stages converged but the stage masses, integrals
-    of g(u+eps), form a divergent tail by `mass.tail_trend`, which no
-    schedule that is not geometric does; in the positive-K regime a true
-    limit solution must keep this mass bounded).  diagnostics
+    of g(u+eps), form a divergent tail by `mass.tail_trend`; in the
+    positive-K regime a true limit solution must keep this mass
+    bounded).  diagnostics
     ["mass_factors"], ["mass_fitted"] and ["mass_tail"] are tail_trend's
     ratios, rho and tail.  Nonexistence is indicated, never proved.
     diagnostics["solution"] says what the report's solution is: "stage",
@@ -551,14 +558,7 @@ def solve_with_continuation(spec, schedule=None, initial=None):
     failed, with its eps and the initial guesses it tried in order
     ("initials"), and is None when every stage converged.
     """
-    if schedule is None:
-        schedule = default_schedule()
-    schedule = [float(e) for e in schedule]
-    if not schedule or not all(0 < e < np.inf for e in schedule) or any(
-        b >= a for a, b in zip(schedule, schedule[1:])
-    ):
-        raise ValueError("schedule must be nonempty, positive, finite and "
-                         "strictly decreasing")
+    schedule = default_schedule()
     eps_final = schedule[-1]
     path_tol = 5.0 * np.sqrt(eps_final)
 
@@ -573,7 +573,7 @@ def solve_with_continuation(spec, schedule=None, initial=None):
         amplitude = None
     else:
         pair = first_eigenpair(spec.grid)
-        amplitude = opening_amplitude(spec.with_eps(schedule[0]), pair) \
+        amplitude = opening_amplitude(spec.with_eps(_EPS_START), pair) \
             if positive_regime else None
         if amplitude is None:
             amplitude = 0.5
@@ -672,7 +672,7 @@ def solve_with_continuation(spec, schedule=None, initial=None):
 
     min_interior = float(solution.values.min())
     all_stages = len(eps_done) == len(schedule)
-    cauchy = bool(increments and increments[-1] < path_tol) or len(schedule) == 1
+    cauchy = bool(increments and increments[-1] < path_tol)
     positive = min_interior > eps_final
     mass_factors, mass_fitted, mass_verdict, mass_tail = [], None, None, None
     if positive_regime and all_stages:

@@ -10,9 +10,10 @@ so its principal pair is the sum of the per-axis values and the tensor
 product of the per-axis sines.  On the unit interval lambda_1 approaches
 pi^2 = 9.8696... from below at rate O(h^2), and on the unit square 2 pi^2.
 
-The collar of width d collects interior nodes within distance d of the
-boundary; delta = min |grad phi_1| over the collar is the Hopf-type
-gradient floor used by the eigenfunction-based sub-solution.
+The collar of width d = 4 max(h) collects interior nodes within
+distance d of the boundary; delta = min |grad phi_1| over the collar is
+the Hopf-type gradient floor used by the eigenfunction-based
+sub-solution.
 """
 
 from __future__ import annotations
@@ -66,40 +67,29 @@ class HopfCollar:
     delta: float
 
 
-def default_collar_width(grid):
-    """Thinnest collar the stencil resolves: four grid spacings."""
-    return 4.0 * max(grid.spacing)
-
-
-def hopf_collar(grid, eigenpair, d):
+def hopf_collar(grid, eigenpair):
     """Split interior nodes into a boundary collar (dist <= d) and the
-    core, recording delta = min |grad phi_1| on the collar.
+    core, recording delta = min |grad phi_1| on the collar.  d is four
+    grid spacings, 4 max(h), the thinnest collar the stencil resolves; it
+    always holds the nodes next to the boundary.
 
-    Raises CollarError when d exceeds half the smallest extent, when the
-    split leaves either part empty, or when the collar reaches nodes
-    where the eigenfunction gradient (numerically) vanishes, i.e. the
-    gradient floor delta would be ~0.
+    Raises CollarError when the collar swallows every interior node (a
+    grid too coarse for d, such as n <= 8 on an interval), or when it
+    reaches nodes where the eigenfunction gradient (numerically)
+    vanishes, i.e. the gradient floor delta would be ~0.
     """
-    d = float(d)
-    half = min(grid.extents) / 2.0
-    if not 0.0 < d <= half * (1.0 + 1e-12):
-        raise CollarError(
-            f"collar width must lie in (0, {half}] (half the smallest extent), got {d}"
-        )
+    d = 4.0 * max(grid.spacing)
     dist = boundary_distance(grid).values
     fuzz = 1e-9 * max(grid.spacing)
     in_collar = dist <= d + fuzz
     collar = np.flatnonzero(in_collar)
     core = np.flatnonzero(~in_collar)
-    if collar.size == 0:
-        raise CollarError(f"collar of width {d} contains no interior node")
     if core.size == 0:
         raise CollarError(f"collar of width {d} swallows every interior node")
     gmag = gradient_magnitude(grid, eigenpair.phi1).values
     delta = float(gmag[collar].min())
     if delta <= 1e-10:
         raise CollarError(
-            f"eigenfunction gradient vanishes on the collar (delta = {delta:.3e}); "
-            "shrink d"
+            f"eigenfunction gradient vanishes on the collar (delta = {delta:.3e})"
         )
     return HopfCollar(width=d, collar=collar, core=core, delta=delta)

@@ -13,14 +13,11 @@ import pytest
 
 from selab.cli import main
 from selab.model import bundled_config_text
+from selab.solver import default_schedule
 
 T1 = "theorem1.cfg"
 T2 = "theorem2.cfg"
 T3 = "theorem3.cfg"
-
-# descends safely below theorem1's first-node boundary-layer value
-# (about 2.7e-3) so the positivity gate sees a positive limit
-SHORT_SCHEDULE = "0.01,0.001,0.0001"
 
 
 def read_json(path):
@@ -96,27 +93,42 @@ def test_solve_nonexistence_exits_two(tmp_path):
 def test_solve_custom_paths_and_overrides(tmp_path):
     report = tmp_path / "custom" / "r.json"
     code = main(["solve", "--config", T1, "--lambda", "0.5",
-                 "--eps-schedule", SHORT_SCHEDULE, "--out", str(report)])
+                 "--out", str(report)])
     assert code == 0
     # a JSON --out names the report; the field goes next to it
     assert (tmp_path / "custom" / "u.csv").exists()
     rep = read_json(report)
-    assert rep["eps_path"] == [0.01, 0.001, 0.0001]
+    assert rep["eps_path"] == default_schedule()
 
 
-def test_solve_rejects_bad_schedule(tmp_path, capsys):
-    code = main(["solve", "--config", T1,
-                 "--eps-schedule", "0.1,0.2", "--out", str(tmp_path)])
+def test_solve_has_no_eps_schedule(tmp_path, capsys):
+    # a one-stage ladder skipped both tail tests, so theorem2, which has
+    # no solution at any lambda, read "converged" at lambda = 80
+    code = main(["solve", "--config", T2, "--lambda", "80",
+                 "--eps-schedule", "0.1", "--out", str(tmp_path)])
     assert code == 3
-    assert "decreasing" in capsys.readouterr().err
-
-
-def test_solve_rejects_a_nan_in_the_schedule(tmp_path, capsys):
-    code = main(["solve", "--config", T1,
-                 "--eps-schedule", "0.1,nan", "--out", str(tmp_path)])
-    assert code == 3
-    assert "finite" in capsys.readouterr().err
+    assert "--eps-schedule" in capsys.readouterr().err
     assert not (tmp_path / "report.json").exists()
+    assert main(["solve", "--config", T2, "--lambda", "80",
+                 "--out", str(tmp_path)]) == 2
+    rep = read_json(tmp_path / "report.json")
+    assert rep["diagnostics"]["verdict"] == "nonexistence-indicated"
+    assert rep["diagnostics"]["mode"] == "mass-divergence"
+
+
+def test_failed_solve_writes_strict_json(tmp_path):
+    # theorem2's first stage fails at lambda = 1, so the residual is
+    # infinite; JSON has no Infinity, and the report writes null
+    assert main(["solve", "--config", T2, "--lambda", "1",
+                 "--out", str(tmp_path)]) == 2
+
+    def refuse(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    text = (tmp_path / "report.json").read_text()
+    rep = json.loads(text, parse_constant=refuse)
+    assert rep["residual_inf"] is None
+    assert rep["diagnostics"]["solution"] == "start"
 
 
 @pytest.mark.parametrize("key, value", [("K.value", "1.0"), ("g.alpha", "0.5")])
@@ -329,6 +341,23 @@ def test_compare_wrong_grid_exits_one(tmp_path, capsys):
     assert capsys.readouterr().err
 
 
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_compare_refuses_a_field_that_is_not_finite(tmp_path, capsys, bad):
+    # one nan read "hypotheses-not-met" with a NaN max_violation, one inf
+    # a finite max_violation; both exited 0
+    out = tmp_path / "f"
+    assert main(["construct", "--config", T3, "--kind", "super",
+                 "--out", str(out)]) == 0
+    lines = (out / "super.csv").read_text().splitlines()
+    lines[1] = lines[1].rsplit(",", 1)[0] + "," + bad
+    (out / "bad.csv").write_text("\n".join(lines) + "\n")
+    code = main(["compare", "--config", T3, str(out / "super.csv"),
+                 str(out / "bad.csv"), "--out", str(out)])
+    assert code == 1
+    assert "finite" in capsys.readouterr().err
+    assert not (out / "compare.json").exists()
+
+
 # ------------------------------------------------------------ determinism
 
 
@@ -336,7 +365,7 @@ def test_identical_runs_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for out in (a, b):
         assert main(["solve", "--config", T1, "--lambda", "0.5",
-                     "--eps-schedule", SHORT_SCHEDULE, "--out", str(out)]) == 0
+                     "--out", str(out)]) == 0
     assert filecmp.cmp(a / "u.csv", b / "u.csv", shallow=False)
     assert filecmp.cmp(a / "report.json", b / "report.json", shallow=False)
 

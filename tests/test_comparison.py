@@ -129,8 +129,8 @@ def test_probe_range_spans_the_pair():
 
 
 def test_suite_instances_all_ordered():
-    runs = comparison_suite(seed=11, n_instances=12)
-    assert len(runs) == 12
+    runs = comparison_suite(seed=11)
+    assert len(runs) == 50
     for rep, spec, tag in runs:
         assert rep is not None, tag
         assert rep.verdict == "ordered", (tag, rep.verdict, rep.details)
@@ -138,6 +138,6 @@ def test_suite_instances_all_ordered():
 
 
 def test_suite_has_both_regimes():
-    runs = comparison_suite(seed=5, n_instances=10)
+    runs = comparison_suite(seed=5)
     tags = {tag for _, _, tag in runs}
     assert tags == {"scaled-vs-dominating", "eigen-vs-envelope"}

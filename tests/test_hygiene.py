@@ -329,7 +329,7 @@ def test_a_positive_interval_opening_loads_no_root_finder(tmp_path):
 # constant in the module that uses it, not an option or a parameter, so
 # a new knob needs an edit of these lists.
 SUBCOMMAND_OPTIONS = {
-    "solve": {"--config", "--out", "--lambda", "--eps-schedule"},
+    "solve": {"--config", "--out", "--lambda"},
     "sweep": {"--config", "--out", "--lambdas", "--lambda-min", "--lambda-max",
               "--points", "--no-warm", "--threads"},
     "lambda-star": {"--config", "--out", "--lambda-min", "--lambda-max",
@@ -343,7 +343,9 @@ SUBCOMMAND_OPTIONS = {
 
 ENTRY_POINT_PARAMETERS = {
     "solver.newton_solve": ("spec", "initial", "max_iter", "lagged"),
-    "solver.solve_with_continuation": ("spec", "schedule", "initial"),
+    "solver.fixed_point": ("lu", "nonlinear", "u", "relax", "floor", "tol",
+                           "max_iter"),
+    "solver.solve_with_continuation": ("spec", "initial"),
     "solver.monotone_iterate": ("spec", "sub", "super_"),
     "solver.branch_fold": ("spec", "initial", "lambda_min"),
     "solver.default_schedule": ("steps",),
@@ -356,6 +358,8 @@ ENTRY_POINT_PARAMETERS = {
     "constructions.build_subsolution_convection": ("spec",),
     "constructions.build_subsolution_eigen": ("spec",),
     "comparison.check_ordering": ("grid", "psi", "v", "w"),
+    "spectral.hopf_collar": ("grid", "eigenpair"),
+    "acceptance.comparison_suite": ("seed",),
     "hprofile.verify_h_bound": ("profile",),
     "mass.tail_trend": ("eps_values", "values"),
 }

@@ -6,11 +6,7 @@ import pytest
 
 from selab.errors import CollarError
 from selab.grid import boundary_distance, build_grid, gradient_magnitude
-from selab.spectral import (
-    default_collar_width,
-    first_eigenpair,
-    hopf_collar,
-)
+from selab.spectral import first_eigenpair, hopf_collar
 
 
 def discrete_lambda1_interval(n):
@@ -74,7 +70,7 @@ def test_eigen_residual_reported():
 def test_collar_split_covers_interior():
     grid = build_grid("interval", (1.0,), 64)
     pair = first_eigenpair(grid)
-    col = hopf_collar(grid, pair, default_collar_width(grid))
+    col = hopf_collar(grid, pair)
     assert col.collar.size + col.core.size == grid.n_total
     assert np.intersect1d(col.collar, col.core).size == 0
     dist = boundary_distance(grid).values
@@ -85,25 +81,28 @@ def test_collar_split_covers_interior():
 def test_collar_delta_is_the_gradient_floor():
     grid = build_grid("interval", (1.0,), 64)
     pair = first_eigenpair(grid)
-    col = hopf_collar(grid, pair, default_collar_width(grid))
+    col = hopf_collar(grid, pair)
     gmag = gradient_magnitude(grid, pair.phi1).values
     assert col.delta == pytest.approx(float(gmag[col.collar].min()))
     assert col.delta > 0
 
 
 def test_collar_width_limits():
-    grid = build_grid("interval", (1.0,), 64)
-    pair = first_eigenpair(grid)
-    with pytest.raises(CollarError):
-        hopf_collar(grid, pair, 0.9)  # wider than half the extent
-    with pytest.raises(CollarError):
-        hopf_collar(grid, pair, 0.5)  # swallows every interior node
+    # the collar is four spacings wide: on n = 9 that is 0.4 and the middle
+    # node stays in the core, on n = 7 it is 1/2 and swallows every node
+    grid = build_grid("interval", (1.0,), 9)
+    col = hopf_collar(grid, first_eigenpair(grid))
+    assert col.width == pytest.approx(0.4)
+    assert col.core.tolist() == [4]
+    grid = build_grid("interval", (1.0,), 7)
+    with pytest.raises(CollarError, match="swallows every interior node"):
+        hopf_collar(grid, first_eigenpair(grid))
 
 
 def test_collar_2d():
     grid = build_grid("rectangle", (1.0, 1.0), 24)
     pair = first_eigenpair(grid)
-    col = hopf_collar(grid, pair, default_collar_width(grid))
+    col = hopf_collar(grid, pair)
     assert col.core.size > 0 and col.collar.size > 0
     assert col.delta > 0
 
