@@ -132,7 +132,6 @@ def _manufactured_spec(grid, u_star, grad_mag, lam=1.0, eps=1e-2):
     f = ReactionTerm(family="power", p=0.5)
     pot = Potential(-1.0)
     vals = np.asarray(u_star, dtype=float)
-    A = grid.neg_laplacian()
     if grad_mag is None:
         mag = gradient_magnitude(grid, Field(grid, vals)).values
     else:
@@ -140,7 +139,7 @@ def _manufactured_spec(grid, u_star, grad_mag, lam=1.0, eps=1e-2):
     # summed term by term, not from ProblemSpec.psi: a source built from
     # psi would make u_star solve a wrong psi too, and the check pass
     src = (
-        A @ vals
+        grid.apply_neg_laplacian(vals)
         + pot.nodal(grid) * g(vals + eps)
         + mag
         - lam * f.value(grid, vals)

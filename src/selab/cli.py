@@ -24,7 +24,7 @@ from .constructions import (
     build_subsolution_eigen,
     build_supersolution,
 )
-from .errors import ConfigError, ConvergenceError, SelabError
+from .errors import ConfigError, ConvergenceError, ModelError, SelabError
 from .grid import read_field_csv, write_field_csv
 from .hprofile import build_h_profile
 from .model import SingularTerm, bundled_config_text, problem_from_config
@@ -147,9 +147,13 @@ def _cmd_sweep(args):
     if args.lambdas:
         lambdas = _parse_floats(args.lambdas)
     else:
-        lambdas = np.geomspace(
-            args.lambda_min, args.lambda_max, args.points
-        ).tolist()
+        lo, hi, points = args.lambda_min, args.lambda_max, args.points
+        if points < 1 or not 0.0 < lo < hi < np.inf:
+            raise ModelError(
+                "a geometric lambda range needs at least one point and "
+                "finite 0 < --lambda-min < --lambda-max; got --points "
+                f"{points} on [{lo:g}, {hi:g}]")
+        lambdas = np.geomspace(lo, hi, points).tolist()
     result = lambda_sweep(
         spec,
         lambdas,
@@ -397,8 +401,9 @@ def main(argv=None):
         print(f"selab {args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_MODEL
     except ValueError as exc:
-        # out-of-contract numeric arguments that pass argparse, e.g.
-        # sweep --points -1, which np.geomspace refuses
+        # an out-of-contract numeric argument that passes argparse and
+        # that numpy refuses before selab checks it; none is known, since
+        # `_cmd_sweep` checks the range it hands to np.geomspace
         print(f"selab {args.subcommand}: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except OSError as exc:

@@ -107,7 +107,7 @@ def build_supersolution(spec):
         raise DegenerateSolutionError("super-solution collapsed onto zero")
     dist = boundary_distance(grid).values
     ratios = u / dist
-    res = grid.neg_laplacian() @ u - forcing(u)
+    res = grid.apply_neg_laplacian(u) - forcing(u)
     return Construction(
         kind="super",
         field=Field(grid, u),
@@ -149,7 +149,7 @@ def build_subsolution_convection(spec):
             "convection sub-solution lost interior positivity; refine the grid"
         )
     mag = gradient_magnitude(grid, Field(grid, v)).values
-    eq_res = grid.neg_laplacian() @ v + mag**spec.conv_a - p.values
+    eq_res = grid.apply_neg_laplacian(v) + mag**spec.conv_a - p.values
     # sub-solution certificate against the spec's problem, eps included
     cert = p.values - spec.psi(v)
     return Construction(

@@ -9,15 +9,25 @@ The discrete -Laplacian is the standard second-order 3-point (1d) or
 fields.  Gradients are central differences per axis, again feeding the
 Dirichlet 0 into stencils adjacent to the boundary.
 
-Every linear solve on the grid has the sparsity of the -Laplacian A: A
-itself (fixed-point sweeps, the envelope), the monotone sweep's
-A + diag(D), and the Newton Jacobian A + diag(d) + sum_k diag(w_k) D_k,
-since every difference matrix D_k reaches only neighbours A already
-couples.  `Grid.factor` fills that fixed pattern, checks it is finite and
-returns the one `Factor` class, whose solves check their right-hand side
-as well; `Grid.lu` is A's, computed once.  On intervals the pattern is a
-tridiagonal band factored by LAPACK `dgttrf`; on rectangles a refilled
-copy of A's CSC data, solved through a `LaggedFactor` chain.
+Every matrix on the grid is such a stencil: A itself (fixed-point
+sweeps, the envelope), the monotone sweep's A + diag(D), and the Newton
+Jacobian A + diag(d) + sum_k diag(w_k) D_k, since every difference
+matrix D_k reaches only neighbours A already couples.  Each is held as
+its stencil's coefficients (`Grid._coefficients`, built on A's and
+D_k's, which the grid fixes when it is made) and applied to a copy of
+the field padded with its Dirichlet zeros, one contiguous slice per
+neighbour (`_apply`; Jacobian-free Newton-Krylov, Knoll & Keyes, J.
+Comput. Phys. 193, 2004, likewise applies a Jacobian without assembling
+it).  The products are summed in the column order of the matrix's
+sparse rows, so each is the sparse product's bit for bit.  A sparse
+matrix is assembled from the same coefficients (`_assemble`) only where
+a factorization needs one, and for `neg_laplacian` and
+`diff_matrices`, which no solver uses.  `Grid.factor` forms the
+coefficients, checks they are finite and returns the one `Factor`
+class, whose solves check their right-hand side as well; `Grid.lu` is
+A's, computed once.  On intervals the three diagonals are factored by
+LAPACK `dgttrf`; on rectangles the matrix is a `Stencil`, solved
+through a `LaggedFactor` chain.
 
 A itself is never factored on a rectangle.  It is the Kronecker sum of
 two 3-point stencils, whose eigenvectors are the sine modes, so the
@@ -45,7 +55,8 @@ later solves take that factor alone, so the monotone sweep factors
 A + diag(D) at most once.  A chain counts the exact factorizations and
 GMRES iterations it spends, an interval Jacobian factored for it as one.
 
-That factor is the one `splu` call, on a fill-reducing ordering it
+That factor is the one `splu` call, on the matrix's CSC form assembled
+for it alone (`Stencil.tocsc`) and a fill-reducing ordering it
 computes for its matrix: SuperLU's multiple minimum degree on A^T + A
 (Liu, ACM TOMS 11, 1985), named once, in `_ORDERING`, whose factors hold
 about 0.56 times the entries of COLAMD's (`splu`'s default) on the
@@ -88,12 +99,11 @@ class Grid:
     spacing : tuple of h per axis
     axes : tuple of 1d interior coordinate arrays per axis
 
-    Derived sparse operators (the -Laplacian matrix, its `Factor`,
-    central-difference matrices) are built once on first use and cached;
-    they are pure functions of the grid, so the cache does not break
-    value-immutability.  So is the pattern behind `factor`: on an
-    interval A's (3, n) band template, on a rectangle A in CSC form with
-    the positions of its diagonal and of every D_k entry in its `data`.  The
+    Derived operators (the -Laplacian matrix, its `Factor`,
+    central-difference matrices, the sine eigenvalues) are built once on
+    first use and cached; they are pure functions of the grid, so the
+    cache does not break value-immutability.  The solvers apply stencils
+    and keep no work array on the grid, so threads can share one.  The
     caches hold arrays, matrices and factors only, never a Field or
     anything else that points back at the grid, so a dropped grid is
     freed by reference counting alone.
@@ -126,12 +136,17 @@ class Grid:
         self.axes = tuple(
             h * np.arange(1, n + 1) for h, n in zip(self.spacing, shape)
         )
+        # the stencils of A (the coefficient of either neighbour along each
+        # axis, and of the node) and of D_k (the neighbour a step up axis k;
+        # the one a step down takes its negative)
+        self._offdiag = tuple(-1.0 / h**2 for h in self.spacing)
+        self._diag = sum(2.0 / h**2 for h in self.spacing)
+        self._central = tuple(1.0 / (2 * h) for h in self.spacing)
         self._coords = None
         self._matrix = None
         self._lu = None
         self._sines = None
         self._diff = None
-        self._pattern = None
 
     @property
     def dim(self):
@@ -163,27 +178,38 @@ class Grid:
 
     # ---- Discrete operators ----
 
-    def _axis_operator(self, axis):
-        n = self.shape[axis]
-        h = self.spacing[axis]
-        return sp.diags(
-            [-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
-            offsets=[-1, 0, 1],
-            format="csr",
-        ) / h**2
+    def _coefficients(self, diag, weights):
+        """(minus, center, plus) of A + diag(diag) + sum_k diag(weights[k]) D_k
+        as a stencil: per axis k, the coefficient of the neighbour one step
+        down and of the one a step up axis k, then the diagonal, each a
+        scalar or an array in `_on_rows` layout.  An off-diagonal is A's
+        -1/h_k^2 plus w_k times D_k's -+1/(2 h_k), the diagonal sum_k
+        2/h_k^2 plus d, each summed in that order: the sparse sum
+        A + diag(d) + sum_k diag(w_k) D_k, with A the Kronecker sum of the
+        axes' 3-point stencils, forms every entry so."""
+        minus, plus = list(self._offdiag), list(self._offdiag)
+        for k, (w, c) in enumerate(zip(weights, self._central)):
+            w = _on_rows(w, self.shape)
+            minus[k] = minus[k] + w * -c
+            plus[k] = plus[k] + w * c
+        if np.ndim(diag):
+            diag = _on_rows(diag, self.shape)
+        return minus, self._diag + diag, plus
 
     def neg_laplacian(self):
-        """Sparse matrix A with (A u)_i = (-Laplacian u)_i."""
+        """Sparse matrix A with (A u)_i = (-Laplacian u)_i, assembled once
+        from the stencil of `apply_neg_laplacian`; no solver forms it."""
         if self._matrix is None:
-            if self.dim == 1:
-                self._matrix = self._axis_operator(0).tocsr()
-            else:
-                Ax = self._axis_operator(0)
-                Ay = self._axis_operator(1)
-                Ix = sp.identity(self.shape[0], format="csr")
-                Iy = sp.identity(self.shape[1], format="csr")
-                self._matrix = (sp.kron(Ax, Iy) + sp.kron(Ix, Ay)).tocsr()
+            self._matrix = sp.csr_matrix(
+                _assemble(self.shape, self._offdiag, self._diag, self._offdiag),
+                shape=(self.n_total,) * 2)
         return self._matrix
+
+    def apply_neg_laplacian(self, u):
+        """A u from the stencil on u padded with its Dirichlet zeros, bit for
+        bit the sparse product `neg_laplacian() @ u`."""
+        return _off_rows(_apply(_padded(u, self.shape), self.shape, self._offdiag,
+                                self._diag, self._offdiag), self.shape)
 
     def sine_eigenvalues(self):
         """Per axis, the eigenvalues (4/h^2) sin^2(k pi h / 2L), k = 1..n,
@@ -226,119 +252,79 @@ class Grid:
 
     def diff_matrices(self):
         """Central-difference matrices per axis (Dirichlet 0 beyond the
-        boundary), used for gradient components and their linearization."""
+        boundary), assembled once from the stencil of
+        `central_differences`, the only one the solvers apply."""
         if self._diff is None:
             mats = []
-            for axis in range(self.dim):
-                n = self.shape[axis]
-                h = self.spacing[axis]
-                D1 = sp.diags(
-                    [-np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1], format="csr"
-                ) / (2 * h)
-                if self.dim == 1:
-                    mats.append(D1.tocsr())
-                elif axis == 0:
-                    mats.append(sp.kron(D1, sp.identity(self.shape[1])).tocsr())
-                else:
-                    mats.append(sp.kron(sp.identity(self.shape[0]), D1).tocsr())
+            for k, c in enumerate(self._central):
+                minus, plus = [None] * self.dim, [None] * self.dim
+                minus[k], plus[k] = -c, c
+                mats.append(sp.csr_matrix(_assemble(self.shape, minus, None, plus),
+                                          shape=(self.n_total,) * 2))
             self._diff = tuple(mats)
         return self._diff
 
     def central_differences(self, u):
-        """Central-difference derivative of u per axis, as a list of arrays
-        (by slicing u padded with its Dirichlet zeros on an interval)."""
-        if self.dim == 2:
-            return [D @ u for D in self.diff_matrices()]
-        return self._interval_differences(np.concatenate(([0.0], u, [0.0])))
+        """Central-difference derivative of u per axis, as a list of arrays,
+        by slicing u padded with its Dirichlet zeros."""
+        return self._differences(_padded(u, self.shape))
 
     def residual_stencils(self, u):
-        """(A u, central_differences(u)), the two stencils of a residual.
-        On an interval both slice one padded copy of u, and A u sums the
-        same products in the same order as the sparse product."""
-        if self.dim == 2:
-            return self.neg_laplacian() @ u, self.central_differences(u)
-        inv = 1.0 / self.spacing[0] ** 2
-        pad = np.concatenate(([0.0], u, [0.0]))
-        return (-inv * pad[:-2] + 2.0 * inv * pad[1:-1] - inv * pad[2:],
-                self._interval_differences(pad))
+        """(A u, central_differences(u)), the two stencils of a residual,
+        both from one padded copy of u; A u is bit for bit the sparse
+        product (see `_apply`)."""
+        pad = _padded(u, self.shape)
+        Au = _apply(pad, self.shape, self._offdiag, self._diag, self._offdiag)
+        return _off_rows(Au, self.shape), self._differences(pad)
 
-    def _interval_differences(self, pad):
-        c = 1.0 / (2 * self.spacing[0])
-        return [c * pad[2:] - c * pad[:-2]]
+    def _differences(self, pad):
+        strides = _strides(self.shape)
+        first, size = strides[0], self.shape[0] * strides[0]
+        comps = []
+        for step, c in zip(strides, self._central):
+            comp = c * pad[first + step:first + step + size]
+            comp -= c * pad[first - step:first - step + size]
+            comps.append(_off_rows(comp, self.shape))
+        return comps
 
     def factor(self, diag, weights, lagged=None):
-        """A + diag(diag) + sum_k diag(weights[k]) D_k, filled into A's
-        cached sparsity pattern, as a `Factor` for any number of solves;
-        `weights` is empty for A itself and for the monotone sweep's
-        A + diag(D).  A non-finite matrix raises ValueError before any
-        factorization.  On an interval its three diagonals go straight to
-        LAPACK `dgttrf` (Gaussian elimination with partial pivoting): a
-        zero pivot raises numpy.linalg.LinAlgError, a ValueError; the
-        factor counts in `lagged.factorizations` when a chain is given.
+        """A + diag(diag) + sum_k diag(weights[k]) D_k, formed as its
+        stencil's coefficients (`_coefficients`), as a `Factor` for any
+        number of solves; `weights` is empty for A itself and for the
+        monotone sweep's A + diag(D).  A non-finite coefficient raises
+        ValueError before any factorization.  On an interval the three
+        diagonals go straight to LAPACK `dgttrf` (Gaussian elimination with
+        partial pivoting): a zero pivot raises numpy.linalg.LinAlgError, a
+        ValueError; the factor counts in `lagged.factorizations` when a
+        chain is given.
 
-        On a rectangle nothing is factored here: the matrix joins the
-        chain `lagged`, a fresh `LaggedFactor` when none is given.  Each
-        solve runs GMRES preconditioned by A^-1 (`lu`) or, once one has
-        been made, by the chain's last exact factor, and factors the
+        On a rectangle nothing is factored or assembled here: the matrix is
+        a `Stencil` and joins the chain `lagged`, a fresh `LaggedFactor`
+        when none is given.  Each solve runs GMRES, which applies the
+        stencil, preconditioned by A^-1 (`lu`) or, once one has been made,
+        by the chain's last exact factor, and assembles and factors the
         matrix by `splu` on its own minimum-degree ordering (`_ORDERING`)
         only when GMRES falls short, raising RuntimeError then if it is
         singular (see `LaggedFactor.solve`)."""
-        if self._pattern is None:
-            self._pattern = self._factor_pattern()
+        minus, center, plus = self._coefficients(diag, weights)
         if self.dim == 1:
-            template, upper, lower = self._pattern
-            band = template.copy()
-            band[1] += diag
-            for w in weights:
-                band[0, 1:] += w[:-1] * upper
-                band[2, :-1] += w[1:] * lower
+            band = np.empty((3, self.n_total))
+            band[0], band[1], band[2] = plus[0], center, minus[0]
             _require_finite(band, "matrix")
-            *lu, info = dgttrf(band[2, :-1], band[1], band[0, 1:])
+            *lu, info = dgttrf(band[2, 1:], band[1], band[0, :-1])
             if info > 0:
                 raise np.linalg.LinAlgError(f"singular matrix (zero pivot {info})")
             if lagged is not None:
                 lagged.factorizations += 1
             return Factor(lambda rhs, rtol, atol: dgttrs(*lu, rhs)[0])
-        csc, diag_pos, entries = self._pattern
-        data = csc.data.copy()
-        data[diag_pos] += diag
-        for w, (pos, rows, coef) in zip(weights, entries):
-            data[pos] += w[rows] * coef
-        _require_finite(data, "matrix")
-        matrix = sp.csc_matrix((data, csc.indices, csc.indptr), shape=csc.shape)
+        for coef in (*minus, center, *plus):
+            _require_finite(coef, "matrix")
+        matrix = Stencil(self.shape, minus, center, plus)
         if lagged is None:
             lagged = LaggedFactor()
         poisson = self.lu()
         return Factor(lambda rhs, rtol, atol:
                       lagged.solve(matrix, poisson, rhs, rtol, atol))
-
-    def _factor_pattern(self):
-        A = self.neg_laplacian()
-        diffs = self.diff_matrices()
-        if self.dim == 1:
-            # LAPACK band storage: entry (i, j) sits at band[1 + i - j, j]
-            band = np.zeros((3, self.n_total))
-            band[0, 1:] = A.diagonal(1)
-            band[1] = A.diagonal()
-            band[2, :-1] = A.diagonal(-1)
-            D, = diffs
-            return band, D.diagonal(1), D.diagonal(-1)
-        csc = A.tocsc()
-        csc.sort_indices()
-        n = self.n_total
-        # column-major keys of the stored entries, ascending in data order
-        keys = (np.repeat(np.arange(n, dtype=np.int64), np.diff(csc.indptr)) * n
-                + csc.indices)
-
-        def positions(rows, cols):
-            return np.searchsorted(keys, cols.astype(np.int64) * n + rows)
-
-        nodes = np.arange(n)
-        entries = []
-        for D in diffs:
-            coo = D.tocoo()
-            entries.append((positions(coo.row, coo.col), coo.row, coo.data))
-        return csc, positions(nodes, nodes), tuple(entries)
 
     def __repr__(self):
         return f"Grid(kind={self.kind!r}, extents={self.extents}, shape={self.shape})"
@@ -382,11 +368,11 @@ class LaggedFactor:
         self.krylov_iterations = 0
 
     def solve(self, matrix, poisson, rhs, rtol, atol):
-        """matrix^-1 rhs for a matrix stored like `Grid.factor`'s: by the
-        lagged factor alone when it is this matrix's own; otherwise by
-        GMRES on the lagged factor, or on `poisson` (the grid's A^-1
-        `Factor`) while there is none, when it reaches
-        max(rtol |rhs|, atol); otherwise by an exact factor of `matrix`,
+        """matrix^-1 rhs for a `Stencil` of `Grid.factor`: by the lagged
+        factor alone when it is this matrix's own; otherwise by GMRES on
+        the lagged factor, or on `poisson` (the grid's A^-1 `Factor`) while
+        there is none, when it reaches max(rtol |rhs|, atol); otherwise by
+        an exact factor of the matrix, assembled for `splu` only then,
         which becomes the lagged one."""
         if matrix is self._matrix:
             return self._superlu.solve(rhs)
@@ -397,10 +383,41 @@ class LaggedFactor:
             return x
         # drop the stale factor before the new one
         self._superlu = self._matrix = None
-        self._superlu = splu(matrix, permc_spec=_ORDERING)
+        self._superlu = splu(matrix.tocsc(), permc_spec=_ORDERING)
         self._matrix = matrix
         self.factorizations += 1
         return self._superlu.solve(rhs)
+
+
+class Stencil:
+    """A rectangle matrix A + diag(d) + sum_k diag(w_k) D_k held as the
+    coefficients of its five-point stencil (`Grid._coefficients`): `@`
+    applies it to a vector, bit for bit the product with its sparse
+    form, and `tocsc` assembles that form."""
+
+    def __init__(self, shape, minus, center, plus):
+        self.shape = shape
+        self.minus, self.center, self.plus = minus, center, plus
+
+    def __matmul__(self, x):
+        return _off_rows(_apply(_padded(x, self.shape), self.shape, self.minus,
+                                self.center, self.plus), self.shape)
+
+    def tocsc(self):
+        """The matrix in CSC form with sorted row indices, the form `splu`
+        takes: the CSR form of its transpose, whose stencil reads each
+        off-diagonal coefficient at the neighbour it couples to."""
+        shape = self.shape
+        size = shape[0] * _strides(shape)[0]
+
+        def nodal(coef):
+            return _off_rows(np.broadcast_to(coef, (size,)), shape).reshape(shape)
+
+        minus = [np.roll(nodal(c), 1, axis=k) for k, c in enumerate(self.plus)]
+        plus = [np.roll(nodal(c), -1, axis=k) for k, c in enumerate(self.minus)]
+        n = int(np.prod(shape))
+        return sp.csc_matrix(_assemble(shape, minus, nodal(self.center), plus),
+                             shape=(n, n))
 
 
 def gmres(matrix, precondition, rhs, rtol, atol):
@@ -456,6 +473,81 @@ def gmres(matrix, precondition, rhs, rtol, atol):
         if k > 0 and rho * abs(s) ** (_KRYLOV_CAP - 1 - k) > target:
             return None, k + 1
     return None, _KRYLOV_CAP
+
+
+def _padded(u, shape):
+    """u with a border of Dirichlet zeros as a flat array, in which a step
+    along axis k is `_strides(shape)[k]` entries."""
+    if len(shape) == 1:
+        return np.concatenate(([0.0], u, [0.0]))
+    nx, ny = shape
+    pad = np.zeros((nx + 2) * (ny + 2))
+    pad.reshape(nx + 2, ny + 2)[1:-1, 1:-1] = np.reshape(u, shape)
+    return pad
+
+
+def _strides(shape):
+    return (shape[1] + 2, 1) if len(shape) == 2 else (1,)
+
+
+def _on_rows(values, shape):
+    """Nodal values in the layout of `_apply`: the grid's rows along its
+    first axis, on a rectangle each with a 0 at either end, flat."""
+    if len(shape) == 1:
+        return values
+    rows = np.zeros((shape[0], shape[1] + 2))
+    rows[:, 1:-1] = np.reshape(values, shape)
+    return rows.ravel()
+
+
+def _off_rows(rows, shape):
+    """The nodal values, in node order, of an array in `_on_rows` layout."""
+    return rows if len(shape) == 1 else rows.reshape(shape[0], -1)[:, 1:-1].ravel()
+
+
+def _apply(pad, shape, minus, center, plus):
+    """The stencil (minus, center, plus) of `Grid._coefficients` applied to
+    the `_padded` field `pad`, in `_on_rows` layout: every term is then a
+    contiguous slice of `pad`.  The terms are summed in the column order of
+    the stencil's sparse rows (a step down each axis from the first, the
+    node, a step up each axis from the last), so the result is the sparse
+    product's bit for bit, but for the sign of a zero: a neighbour past
+    the boundary adds its coefficient times the padding's 0, and a sum
+    whose every term is -0 stays -0, where the sparse product, which
+    starts from +0, gives +0.  Each product is formed in one scratch
+    array and added into the result in place."""
+    step = _strides(shape)[0]
+    size = shape[0] * step
+    out = np.multiply(minus[0], pad[:size])
+    rest = [(center, step)]
+    if len(shape) == 2:
+        rest = [(minus[1], step - 1), (center, step), (plus[1], step + 1)]
+    scratch = np.empty(size)
+    for coef, start in rest + [(plus[0], 2 * step)]:
+        out += np.multiply(coef, pad[start:start + size], out=scratch)
+    return out
+
+
+def _assemble(shape, minus, center, plus):
+    """(data, indices, indptr) of the CSR form of the stencil (minus,
+    center, plus) on a grid of `shape`, each row's entries in column order;
+    a neighbour past the boundary, or a coefficient of None, stores no
+    entry."""
+    dim = len(shape)
+    index = np.arange(int(np.prod(shape)), dtype=np.int32).reshape(shape)
+    position = np.indices(shape, dtype=np.int32)
+    strides = [int(np.prod(shape[k + 1:])) for k in range(dim)]
+    terms = ([(minus[k], -strides[k], position[k] > 0) for k in range(dim)]
+             + [(center, 0, True)]
+             + [(plus[k], strides[k], position[k] < shape[k] - 1)
+                for k in reversed(range(dim))])
+    terms = [term for term in terms if term[0] is not None]
+    stored = np.stack([np.broadcast_to(term[2], shape) for term in terms], axis=-1)
+    data = np.stack([np.broadcast_to(term[0], shape) for term in terms], axis=-1)
+    indices = np.stack([index + term[1] for term in terms], axis=-1)
+    indptr = np.zeros(index.size + 1, dtype=np.int32)
+    np.cumsum(stored.reshape(index.size, -1).sum(axis=1), out=indptr[1:])
+    return data[stored], indices[stored], indptr
 
 
 def _sine_matrix(n):
@@ -573,7 +665,9 @@ def write_field_csv(field, path):
 
 def read_field_csv(grid, path):
     """The Field on `grid` that `write_field_csv` wrote to `path`; a wrong
-    header or shape, or an entry that is not finite, raises ShapeError."""
+    header or shape, an entry that is not finite, or a row whose
+    coordinates are more than a thousandth of a spacing off its grid node
+    raises ShapeError."""
     with open(path) as fh:
         header = fh.readline().strip()
         expected = "x,value" if grid.dim == 1 else "x,y,value"
@@ -587,4 +681,11 @@ def read_field_csv(grid, path):
         )
     if not np.all(np.isfinite(data)):
         raise ShapeError(f"field CSV {path!r} entries must be finite")
+    nodes = grid.coords()
+    off = np.abs(data[:, :-1] - nodes) > 1e-3 * np.asarray(grid.spacing)
+    if off.any():
+        row = int(np.flatnonzero(off.any(axis=1))[0])
+        raise ShapeError(
+            f"field CSV {path!r} row {row + 1} sits at {data[row, :-1].tolist()}, "
+            f"not at the grid node {nodes[row].tolist()}")
     return Field(grid, data[:, -1])

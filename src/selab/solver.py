@@ -11,16 +11,18 @@ behind the Picard rescue, the mass diagnostic, the comparison suite, the
 super-solution and the convection sub-solution; A^-1 is the grid's
 `Grid.lu` (on a rectangle, sine transforms: nothing is factored), whose
 solves refuse a non-finite N(u), so the sweep stops there.  Every other
-linear solve here is a `Grid.factor` of the same pattern.  Two layers
+linear solve here is a `Grid.factor` of the same stencil.  Two layers
 decide a verdict:
 
 * `newton_solve` - damped Newton with the analytic Jacobian
   A + diag(-psi'(u)) + sum_k diag(w_k) D_k, where the last sum
   linearizes |grad u|^a through the central differences D_k.
-  Its sparsity is that of A, so `Grid.factor` refills the grid's cached
-  pattern on every iteration.  On intervals it is a tridiagonal band,
-  factored every time by LAPACK `dgttrf`.  On rectangles it is A's CSC
-  data, solved by Newton-Krylov with a lagged factor (`grid.LaggedFactor`):
+  It is a stencil on A's neighbours, so `Grid.factor` forms its
+  coefficients on every iteration, and nothing else.  On intervals they
+  are a tridiagonal band, factored every time by LAPACK `dgttrf`.  On
+  rectangles they are a `grid.Stencil`, which GMRES applies without
+  assembling a matrix, solved by Newton-Krylov with a lagged factor
+  (`grid.LaggedFactor`):
   GMRES preconditioned by A^-1 (`Grid.lu`, the fast Poisson solve: the
   Jacobian is A plus lower-order terms) or, once that falls short, by the
   last exact Jacobian factor.  One such chain serves a whole continuation.

@@ -29,7 +29,7 @@ from .grid import Field, boundary_distance, gradient_magnitude
 @dataclass
 class EigenPair:
     """Principal eigenvalue and positive, sup-normalized eigenfunction;
-    `residual` is max |A phi_1 - lambda_1 phi_1| against the assembled A,
+    `residual` is max |A phi_1 - lambda_1 phi_1|, A applied by its stencil,
     and `iterations` is 0 (the pair is computed, not iterated)."""
 
     lambda1: float
@@ -48,7 +48,7 @@ def first_eigenpair(grid):
     for x, L in zip(grid.axes[1:], grid.extents[1:]):
         phi = np.multiply.outer(phi, np.sin(np.pi * x / L)).ravel()
     phi /= phi.max()
-    res = float(np.max(np.abs(grid.neg_laplacian() @ phi - lam * phi)))
+    res = float(np.max(np.abs(grid.apply_neg_laplacian(phi) - lam * phi)))
     return EigenPair(lambda1=float(lam), phi1=Field(grid, phi), residual=res,
                      iterations=0)
 

@@ -213,6 +213,18 @@ def test_sweep_refuses_zero_points(tmp_path, capsys):
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("bad", [["--points", "0"], ["--points", "-1"],
+                                 ["--lambda-min", "0"],
+                                 ["--lambda-min", "-1", "--lambda-max", "-0.5"]])
+def test_sweep_refuses_every_bad_range_with_one_exit_code(tmp_path, capsys, bad):
+    # --points -1 and --lambda-min 0 once failed in np.geomspace (exit 3),
+    # the other two in lambda_sweep (exit 1)
+    code = main(["sweep", "--config", T3, *bad, "--out", str(tmp_path)])
+    assert code == 1
+    assert "lambda range" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # ------------------------------------------------------------ eigen / hode
 
 
@@ -355,6 +367,24 @@ def test_compare_refuses_a_field_that_is_not_finite(tmp_path, capsys, bad):
                  str(out / "bad.csv"), "--out", str(out)])
     assert code == 1
     assert "finite" in capsys.readouterr().err
+    assert not (out / "compare.json").exists()
+
+
+def test_compare_refuses_a_field_off_the_grid_nodes(tmp_path, capsys):
+    # every row at x = 7.5, outside the unit interval, with the values
+    # reversed: the coordinates were never read, and this exited 0 with
+    # "hypotheses-not-met"
+    out = tmp_path / "m"
+    assert main(["construct", "--config", T3, "--kind", "super",
+                 "--out", str(out)]) == 0
+    header, *rows = (out / "super.csv").read_text().splitlines()
+    values = [row.split(",")[1] for row in rows][::-1]
+    (out / "moved.csv").write_text(
+        "\n".join([header] + [f"7.5,{v}" for v in values]) + "\n")
+    code = main(["compare", "--config", T3, str(out / "super.csv"),
+                 str(out / "moved.csv"), "--out", str(out)])
+    assert code == 1
+    assert "grid node" in capsys.readouterr().err
     assert not (out / "compare.json").exists()
 
 

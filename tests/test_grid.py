@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.sparse.linalg import splu
@@ -177,6 +178,106 @@ def test_each_rectangle_factor_is_one_minimum_degree_splu(monkeypatch, rng):
         del calls[:]
 
 
+# ---- the rectangle stencil against Kronecker-sum sparse matrices ----
+
+STENCIL_GRIDS = pytest.mark.parametrize("extents,shape", [
+    ((1.0, 1.3), (3, 3)), ((1.0, 1.3), (5, 7)), ((1.0, 1.3), (31, 29)),
+    (1.0, (39, 39))])
+
+
+def kron_operators(g):
+    """A and the central differences D_k of `g`, built here as Kronecker
+    sums of 1d stencils, independently of the grid's own assembly."""
+    def second(n, h):
+        return sp.diags([-np.ones(n - 1), 2 * np.ones(n), -np.ones(n - 1)],
+                        offsets=[-1, 0, 1], format="csr") / h**2
+
+    def first(n, h):
+        return sp.diags([-np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1],
+                        format="csr") / (2 * h)
+
+    (nx, ny), (hx, hy) = g.shape, g.spacing
+    Ix, Iy = sp.identity(nx, format="csr"), sp.identity(ny, format="csr")
+    A = (sp.kron(second(nx, hx), Iy) + sp.kron(Ix, second(ny, hy))).tocsr()
+    D = [sp.kron(first(nx, hx), Iy).tocsr(), sp.kron(Ix, first(ny, hy)).tocsr()]
+    return A, D
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+@STENCIL_GRIDS
+def test_the_stencil_is_the_sparse_product_bit_for_bit(extents, shape, rng):
+    g = build_grid("rectangle", extents, shape)
+    A, D = kron_operators(g)
+    u = rng.standard_normal(g.n_total) * 10.0 ** rng.integers(-3, 4, g.n_total)
+    Au, comps = g.residual_stencils(u)
+    assert same_bits(Au, A @ u) and same_bits(g.apply_neg_laplacian(u), A @ u)
+    for comp, again, Dk in zip(comps, g.central_differences(u), D):
+        assert same_bits(comp, Dk @ u) and same_bits(again, Dk @ u)
+    # the assembled matrices are the Kronecker sums, entry for entry
+    for mine, ref in zip((g.neg_laplacian(), *g.diff_matrices()), (A, *D)):
+        for part in ("data", "indices", "indptr"):
+            assert same_bits(getattr(mine, part), getattr(ref, part))
+
+
+@STENCIL_GRIDS
+def test_the_jacobian_stencil_and_its_csc_are_the_sparse_ones(extents, shape, rng,
+                                                              monkeypatch):
+    # J x in GMRES and the CSC matrix handed to splu are, bit for bit,
+    # those of the sparse sum J = A + diag(d) + sum_k diag(w_k) D_k of the
+    # Kronecker-sum matrices (a cap of 0 GMRES iterations forces the splu)
+    g = build_grid("rectangle", extents, shape)
+    A, D = kron_operators(g)
+    d = rng.standard_normal(g.n_total) * 1e3
+    w = [rng.standard_normal(g.n_total) * 1e2 for _ in D]
+    J = (A + sp.diags(d)).tocsr()
+    for wk, Dk in zip(w, D):
+        J = J + sp.diags(wk) @ Dk
+    J = J.tocsc()
+    J.sort_indices()
+    applied, factored = [], []
+    gmres = selab.grid.gmres
+
+    def spied(matrix, *args):
+        applied.append(matrix)
+        return gmres(matrix, *args)
+
+    def captured(matrix, **kwargs):
+        factored.append(matrix)
+        return splu(matrix, **kwargs)
+
+    monkeypatch.setattr(selab.grid, "gmres", spied)
+    monkeypatch.setattr(selab.grid, "splu", captured)
+    monkeypatch.setattr(selab.grid, "_KRYLOV_CAP", 0)
+    g.factor(d, w).solve(rng.standard_normal(g.n_total))
+    (matrix,), (csc,) = applied, factored
+    for _ in range(3):
+        x = rng.standard_normal(g.n_total)
+        assert same_bits(matrix @ x, J @ x)
+    assert csc.format == "csc" and csc.shape == J.shape
+    for part in ("data", "indices", "indptr"):
+        assert same_bits(getattr(csc, part), getattr(J, part))
+
+
+@pytest.mark.parametrize("which", ["d", "w0", "w1"])
+def test_a_coefficient_that_is_not_finite_raises_before_any_solve(which, rng,
+                                                                 monkeypatch):
+    # a NaN in d, an inf in w_0, or a finite w_1 whose product with D_1's
+    # 1/(2h) overflows (numpy's overflow warning is silenced: the check
+    # under test is the ValueError)
+    g = build_grid("rectangle", (1.0, 1.3), (5, 7))
+    d = rng.standard_normal(g.n_total)
+    w = [rng.standard_normal(g.n_total) for _ in range(2)]
+    {"d": d, "w0": w[0], "w1": w[1]}[which][12] = {"d": np.nan, "w0": np.inf,
+                                                   "w1": 1e308}[which]
+    monkeypatch.setattr(selab.grid, "gmres", lambda *args: pytest.fail("GMRES ran"))
+    monkeypatch.setattr(selab.grid, "splu", lambda *args, **kw: pytest.fail("splu ran"))
+    with np.errstate(over="ignore"), pytest.raises(ValueError, match="not finite"):
+        g.factor(d, w)
+
+
 @settings(max_examples=20, deadline=None)
 @given(a=st.floats(-3, 3), b=st.floats(-3, 3))
 def test_gradient_exact_on_affine(a, b):
@@ -215,6 +316,32 @@ def test_field_csv_round_trip(tmp_path):
     write_field_csv(u, path)
     back = read_field_csv(g, path)
     np.testing.assert_array_equal(back.values, u.values)
+
+
+@pytest.mark.parametrize("kind,extents,n", [("interval", (1.0,), 9),
+                                            ("rectangle", (0.7, 1.3), (5, 3))])
+def test_field_csv_round_trip_passes_the_node_check(kind, extents, n, tmp_path):
+    g = build_grid(kind, extents, n)
+    u = Field(g, np.sin(np.arange(g.n_total)))
+    path = tmp_path / "f.csv"
+    write_field_csv(u, path)
+    np.testing.assert_array_equal(read_field_csv(g, path).values, u.values)
+
+
+@pytest.mark.parametrize("axis", [0, 1])
+def test_field_csv_rejects_a_row_off_its_node(axis, tmp_path):
+    # a file with the grid's shape and header but a node moved by a
+    # hundredth of a spacing is not this grid's field
+    g = build_grid("rectangle", (0.7, 1.3), (5, 3))
+    path = tmp_path / "f.csv"
+    write_field_csv(Field(g, np.ones(g.n_total)), path)
+    header, *rows = path.read_text().splitlines()
+    cells = rows[7].split(",")
+    cells[axis] = repr(float(cells[axis]) + 0.01 * g.spacing[axis])
+    rows[7] = ",".join(cells)
+    path.write_text("\n".join([header] + rows) + "\n")
+    with pytest.raises(ShapeError, match="row 8"):
+        read_field_csv(g, path)
 
 
 @pytest.mark.parametrize("kind,extents,n", [

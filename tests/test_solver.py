@@ -758,6 +758,40 @@ def test_every_rectangle_factorization_is_counted(theorem3_spec, monkeypatch):
     assert len(calls) > 0
 
 
+def test_the_rectangle_solve_path_assembles_no_matrix(theorem1_spec, theorem2_spec,
+                                                      theorem3_spec, monkeypatch):
+    # residuals, gradients and GMRES's J x run on stencil coefficients, so
+    # a continuation that needs no exact factor assembles no sparse
+    # matrix at all; one that does assembles each matrix once, for splu
+    def refuse(*args, **kwargs):
+        pytest.fail("a sparse matrix was assembled")
+
+    assemble = selab.grid._assemble
+    monkeypatch.setattr(selab.grid, "_assemble", refuse)
+    monkeypatch.setattr(sp, "kron", refuse)
+    calls = counted_splu(monkeypatch)
+    for spec, n, lam in ((theorem3_spec, 31, 80.0), (theorem1_spec, 39, 1.0)):
+        rep = solve_with_continuation(replace(
+            spec, grid=build_grid("rectangle", (1.0,), n), source=None, lam=lam))
+        assert rep.diagnostics["verdict"] == "converged"
+    assert calls == []
+    # theorem2 on 47^2 at lambda = 1 falls back to splu in its first stage
+    assembled = []
+
+    def counted(*args):
+        assembled.append(len(calls))
+        return assemble(*args)
+
+    monkeypatch.setattr(selab.grid, "_assemble", counted)
+    rep = solve_with_continuation(replace(
+        theorem2_spec, grid=build_grid("rectangle", (1.0,), 47), source=None, lam=1.0))
+    assert len(calls) > 0
+    # each splu call follows exactly one assembly of its matrix
+    assert assembled == list(range(len(calls)))
+    stages = rep.diagnostics["stages"] + [rep.diagnostics["failed_stage"] or {}]
+    assert sum(s.get("factorizations", 0) for s in stages) == len(calls)
+
+
 def test_a_failed_stage_reports_what_it_spent(theorem1_spec, theorem2_spec,
                                              monkeypatch):
     # theorem2 on 47^2 at lambda = 1 fails in its first stage after two
