@@ -90,11 +90,13 @@ def lambda_sweep(spec_template, lambdas, warm_start=True, threads=None):
     previous converged solution.  With warm_start=False the entries are
     independent and run on a pool of `threads` threads (default
     min(4, cpu count)).  An empty or not strictly ascending list of
-    lambdas raises ModelError.
+    lambdas, or a thread count below 1, raises ModelError.
     """
     lambdas = [float(l) for l in lambdas]
     if not lambdas:
         raise ModelError("a sweep needs at least one lambda")
+    if threads is not None and threads < 1:
+        raise ModelError(f"a sweep needs at least one thread, got {threads}")
     if any(b <= a for a, b in zip(lambdas, lambdas[1:])):
         raise ModelError("lambda values must be strictly ascending")
     eps_final = default_schedule()[-1]

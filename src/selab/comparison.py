@@ -27,6 +27,7 @@ hands the checker the solver's own Psi, `ProblemSpec.psi`.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import pairwise
 
 import numpy as np
 
@@ -81,11 +82,15 @@ def psi_from_spec(spec):
 def check_ordering(grid, psi, v, w):
     """Grade the pair (v, w) for -Lap(u) = psi(grid, u); see module doc.
 
-    psi(grid, s_values) returns nodal values.  One tolerance, 1e-8
-    (details["tol"]), bands both the hypothesis residuals, relative to
-    max(1, |psi(w)|_inf), and the conclusion margin.  The strict-decrease
-    probe samples psi(x, s)/s on a log grid spanning the pair's positive
-    values.
+    psi(grid, s) returns nodal values for an array s of nodal values,
+    and broadcasts a one-element level np.array([s]) against its nodal
+    coefficients (K and q for `psi_from_spec`; every psi of the package,
+    the demos and the tests does).  One tolerance, 1e-8 (details["tol"]),
+    bands both the hypothesis residuals, relative to max(1,
+    |psi(w)|_inf), and the conclusion margin.  The strict-decrease probe
+    samples psi(x, s)/s at 41 levels s on a log grid spanning the pair's
+    positive values, one psi call per level, and compares each level's
+    nodal ratios with the previous level's.
     """
     vv = np.asarray(v.values if isinstance(v, Field) else v, dtype=float)
     wv = np.asarray(w.values if isinstance(w, Field) else w, dtype=float)
@@ -103,8 +108,9 @@ def check_ordering(grid, psi, v, w):
                  float(wv[wv > 0].min()) if np.any(wv > 0) else 1e-3), 1e-9)
     hi = max(float(wv.max()), float(vv.max()), 2 * lo)
     s = np.geomspace(lo, hi, 41)
-    ratios = np.array([psi(grid, np.full(grid.n_total, si)) / si for si in s])
-    strict = bool(np.all(ratios[1:] < ratios[:-1] * (1.0 - 1e-12) + 1e-300))
+    ratios = (psi(grid, np.array([si])) / si for si in s)
+    strict = all(np.all(b < a * (1.0 - 1e-12) + 1e-300)
+                 for a, b in pairwise(ratios))
 
     hypotheses_ok = (
         sub_share >= 1.0 - 1e-12

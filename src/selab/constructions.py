@@ -24,7 +24,12 @@ stencils the solver uses, so "certified" means certified on this grid.
   gradient.  Since p <= lambda f(x,s) - K(x) g(s) for every s, v is a
   sub-solution wherever it is positive; its certificate is p - psi(v).
 
-Both fixed points are the solver's `fixed_point`.
+The super-solution is the solver's `anderson_fixed_point`, the
+convection sub-solution its plain `fixed_point`: there mixing saves two
+of about eleven sweeps, and where a < 1, |grad v|^a is not Lipschitz at a
+vanishing gradient, so the mixed sweep settles on fields whose equation
+residual is far above the stop, which the plain one reports as
+stagnated.
 
 * Eigenfunction sub-solution M h(phi_1) (positive-K regime, integrable
   g): h is the flat-start profile h'' = g(h), M = max{1, 2 K* / delta^2}
@@ -52,7 +57,7 @@ from .errors import (
 from .grid import Field, boundary_distance, gradient_magnitude
 from .hprofile import build_h_profile
 from .model import compute_p
-from .solver import fixed_point, residual, settled
+from .solver import anderson_fixed_point, fixed_point, residual, settled
 from .spectral import first_eigenpair, hopf_collar
 
 # the fixed points' stop (`solver.settled`) and sweep caps, and the
@@ -75,8 +80,10 @@ class Construction:
 
 def build_supersolution(spec):
     """Fixed-point solve of -Lap(U) = lambda f(x, U) + K^-(x) g(eps) from
-    phi_1: `solver.fixed_point` with N(U) = -(lambda f(x, U) + lift), the
-    lift K^- g(eps) = -K g(eps) formed only when K < 0.
+    phi_1: `solver.anderson_fixed_point` with N(U) = -(lambda f(x, U) +
+    lift), the lift K^- g(eps) = -K g(eps) formed only when K < 0.  With
+    p = 1/2 an interval takes 9-13 mixed sweeps and a rectangle 12-14,
+    where plain sweeps took 31-41.
 
     On K < 0, eps = 0 or a g(eps) that is not finite raises ModelError.
     Stagnation or a non-finite lambda f(x, U) raises ConvergenceError,
@@ -96,9 +103,10 @@ def build_supersolution(spec):
         rhs = spec.lam * spec.f_at(v)
         return rhs if lift is None else rhs + lift
 
-    u, it, inc = fixed_point(grid.lu(), lambda v: -forcing(v),
-                             first_eigenpair(grid).phi1.values,
-                             tol=_FIXED_POINT_TOL, max_iter=_SUPER_SWEEPS)
+    u, it, inc = anderson_fixed_point(grid.lu(), lambda v: -forcing(v),
+                                      first_eigenpair(grid).phi1.values,
+                                      tol=_FIXED_POINT_TOL,
+                                      max_iter=_SUPER_SWEEPS)
     if not settled(u, inc, _FIXED_POINT_TOL):
         why = "stagnated" if np.isfinite(inc) else "met a lambda f that is not finite"
         raise ConvergenceError(f"super-solution fixed point {why}",

@@ -5,14 +5,18 @@
 on a Dirichlet grid, written A u + N(u) = 0 with A the -Laplacian and
 N(u) = |grad u|^a - psi(x, u) - source, psi = lambda f - K g(. + eps) the
 spec's `ProblemSpec.psi`.  `nonlinear_part` is the one place N(u) is
-assembled, and `fixed_point` the one relaxed, clipped sweep
-u <- max((1-relax) u - relax A^-1 N(u), floor), stopped by `settled`,
-behind the Picard rescue, the mass diagnostic, the comparison suite, the
-super-solution and the convection sub-solution; A^-1 is the grid's
-`Grid.lu` (on a rectangle, sine transforms: nothing is factored), whose
-solves refuse a non-finite N(u), so the sweep stops there.  Every other
-linear solve here is a `Grid.factor` of the same stencil.  Two layers
-decide a verdict:
+assembled, and `fixed_point` the one unmixed sweep
+u <- max((1-relax) u - relax A^-1 N(u), floor), stopped by `settled`:
+relaxed and clipped for the Picard rescue and the mass diagnostic's
+descent, plain for the convection sub-solution, where a < 1 makes
+|grad u|^a too rough to mix.  `anderson_fixed_point` is its plain sweep
+(relax 1, no floor) with depth-1 Anderson mixing, behind the
+super-solution (and so the comparison suite and the envelope), whose
+plain sweeps contract only by about the reaction's exponent p.  A^-1 is
+the grid's `Grid.lu` (on a rectangle, sine transforms: nothing is
+factored), whose solves refuse a non-finite N(u), so the sweep stops
+there.  Every other linear solve here is a `Grid.factor` of the same
+stencil.  Two layers decide a verdict:
 
 * `newton_solve` - damped Newton with the analytic Jacobian
   A + diag(-psi'(u)) + sum_k diag(w_k) D_k, where the last sum
@@ -205,6 +209,44 @@ def fixed_point(lu, nonlinear, u, *, relax=1.0, floor=None, tol, max_iter):
         if settled(u, inc, tol):
             break
     return u, sweep, inc
+
+
+def anderson_fixed_point(lu, nonlinear, u, *, tol, max_iter):
+    """`fixed_point`'s plain sweep g_k = -A^-1 N(u_k) with depth-1
+    Anderson mixing (Anderson, J. ACM 12, 1965; Walker & Ni, SIAM J.
+    Numer. Anal. 49, 2011): with f_k = g_k - u_k and df = f_k - f_{k-1},
+
+        u_{k+1} = g_k - gamma (g_k - g_{k-1}),  gamma = <df, f_k> / <df, df>,
+
+    where the increment |f_k|_inf fell below the sweep's before, and
+    u_{k+1} = g_k elsewhere (the first sweep, df = 0, and a growing
+    increment: a secant step taken while the sweeps still grow, from
+    phi_1 at large lambda, overshoots onto the trivial fixed point 0).
+    Stops like `fixed_point`, once the increment |g_k - u_k|_inf is
+    `settled`, returning g_k, or at the first non-finite N(u).  Returns
+    (u, sweeps, last_increment).
+    """
+    g = u
+    g_prev = f_prev = None
+    inc = inc_prev = np.inf
+    sweep = 0
+    for sweep in range(1, max_iter + 1):
+        try:
+            g = -lu.solve(nonlinear(u))
+        except ValueError:  # N(u) is not finite
+            return u, sweep - 1, np.inf
+        f = g - u
+        inc = float(np.abs(f).max())
+        if settled(g, inc, tol):
+            break
+        u = g
+        if f_prev is not None and inc < inc_prev:
+            df = f - f_prev
+            dd = float(df @ df)
+            if dd > 0.0:
+                u = g - (float(df @ f) / dd) * (g - g_prev)
+        g_prev, f_prev, inc_prev = g, f, inc
+    return g, sweep, inc
 
 
 def _linearization(spec, u):

@@ -225,6 +225,16 @@ def test_sweep_refuses_every_bad_range_with_one_exit_code(tmp_path, capsys, bad)
     assert not (tmp_path / "sweep.csv").exists()
 
 
+@pytest.mark.parametrize("threads", ["0", "-1"])
+def test_sweep_refuses_fewer_than_one_thread(tmp_path, capsys, threads):
+    # these once ran on one thread and exited 0
+    code = main(["sweep", "--config", T3, "--points", "1", "--no-warm",
+                 "--threads", threads, "--out", str(tmp_path)])
+    assert code == 1
+    assert "at least one thread" in capsys.readouterr().err
+    assert not (tmp_path / "sweep.csv").exists()
+
+
 # ------------------------------------------------------------ eigen / hode
 
 

@@ -141,3 +141,45 @@ def test_suite_has_both_regimes():
     runs = comparison_suite(seed=5)
     tags = {tag for _, _, tag in runs}
     assert tags == {"scaled-vs-dominating", "eigen-vs-envelope"}
+
+
+@pytest.mark.parametrize("sign,amplitudes,strict", [
+    (-1.0, (0.01, 1.0), True), (1.0, (0.01, 1.0), False),
+    (1.0, (200.0, 2000.0), True)])
+def test_strict_decrease_probe_matches_a_full_array_probe(sign, amplitudes,
+                                                          strict):
+    # x-dependent K and q: the one-element levels broadcast against both
+    grid = build_grid("interval", (1.0,), 63)
+    spec = ProblemSpec(
+        grid, Potential(lambda x: sign * (1.0 + 0.5 * np.sin(3.0 * x))),
+        SingularTerm("power", alpha=0.5),
+        ReactionTerm("power", p=0.5, q=lambda x: 0.5 + x), 1.0, 1.0, 0.0, None)
+    psi = psi_from_spec(spec)
+    phi = first_eigenpair(grid).phi1.values
+    v, w = amplitudes[0] * phi + amplitudes[0], amplitudes[1] * phi
+    rep = check_ordering(grid, psi, v, w)
+    s = np.geomspace(*rep.details["s_probe_range"], 41)
+    ratios = np.array([psi(grid, np.full(grid.n_total, si)) / si for si in s])
+    full = bool(np.all(ratios[1:] < ratios[:-1] * (1.0 - 1e-12) + 1e-300))
+    assert rep.strict_decrease_ok == full == strict
+
+
+def test_strict_decrease_probe_catches_one_rising_node():
+    # psi(s)/s = s^-1/2 decreases at every node but one, where
+    # s^-1/2 + s^1/2 rises above s = 1; every probe level is one value
+    grid = build_grid("interval", (1.0,), 15)
+    bump = np.zeros(15)
+    bump[7] = 1.0
+    levels = []
+
+    def psi(g, s):
+        levels.append(np.size(s))
+        return np.sqrt(s) + bump * s**1.5
+
+    v = Field(grid, np.full(15, 0.5))
+    w = Field(grid, np.full(15, 4.0))
+    rep = check_ordering(grid, psi, v, w)
+    assert not rep.strict_decrease_ok
+    assert rep.verdict == "hypotheses-not-met"
+    # two nodal calls for the residuals, then one-element levels
+    assert levels[:2] == [15, 15] and set(levels[2:]) == {1}

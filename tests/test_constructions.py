@@ -15,9 +15,14 @@ from selab.constructions import (
     build_subsolution_eigen,
     build_supersolution,
 )
-from selab.errors import CertificateError, ModelError, RegimeError
+from selab.errors import (
+    CertificateError,
+    ConvergenceError,
+    ModelError,
+    RegimeError,
+)
 from selab.grid import build_grid, boundary_distance
-from selab.model import SingularTerm, compute_p
+from selab.model import ReactionTerm, SingularTerm, compute_p
 from selab.solver import residual
 from selab.spectral import first_eigenpair
 
@@ -68,6 +73,55 @@ def test_envelope_distance_sandwich(theorem3_spec):
     assert 0 < c1 <= c2
     assert np.all(sup.field.values >= c1 * dist - 1e-12)
     assert np.all(sup.field.values <= c2 * dist + 1e-12)
+
+
+def plain_picard_super(spec):
+    """U <- A^-1 (lambda f(U) + K^- g(eps)) from phi_1, stopped at an
+    increment below 1e-11 max(1, |U|_inf): the unmixed fixed point."""
+    grid = spec.grid
+    lift = 0.0
+    if spec.regime() == "negative":
+        lift = -spec.k_nodal() * float(spec.singular(spec.eps))
+    u = first_eigenpair(grid).phi1.values
+    for sweep in range(1, 2001):
+        new = grid.lu().solve(spec.lam * spec.f_at(u) + lift)
+        inc = float(np.abs(new - u).max())
+        u = new
+        if inc < 1e-11 * max(1.0, float(np.abs(u).max())):
+            return u, sweep
+    raise AssertionError("the plain fixed point did not settle")
+
+
+@pytest.mark.parametrize("lam", [0.5, 900.0])
+@pytest.mark.parametrize("kind,n", [("interval", 255), ("rectangle", 31)])
+@pytest.mark.parametrize("config", ["theorem3", "theorem1"])
+def test_super_matches_plain_picard_in_fewer_sweeps(
+        theorem1_spec, theorem3_spec, config, kind, n, lam):
+    base = theorem1_spec if config == "theorem1" else theorem3_spec
+    # K < 0 lifts by K^- g(eps), which needs eps > 0
+    spec = replace(with_n(base, n, kind), lam=lam,
+                   eps=0.1 if config == "theorem1" else 0.0)
+    sup = build_supersolution(spec)
+    plain, plain_sweeps = plain_picard_super(spec)
+    u = sup.field.values
+    assert np.max(np.abs(u - plain)) <= 1e-9 * max(1.0, float(np.abs(plain).max()))
+    sweeps = sup.metadata["iterations"]
+    assert sweeps <= min(15, plain_sweeps)
+    # a large lift makes the K < 0 map contract fast at small lambda
+    if config == "theorem3" or lam == 900.0:
+        assert plain_sweeps >= 30
+
+
+@pytest.mark.parametrize("kind,n,lam", [("interval", 255, 1e4),
+                                        ("rectangle", 95, 900.0)])
+def test_super_stays_off_the_trivial_fixed_point_at_large_lambda(
+        theorem3_spec, kind, n, lam):
+    # mixed sweeps that extrapolate while the increments still grow
+    # overshoot onto U = 0 here; mixing only where the increment falls
+    # keeps them on the positive branch
+    spec = replace(with_n(theorem3_spec, n, kind), lam=lam)
+    u = build_supersolution(spec).field.values
+    assert float(u.min()) > 0.0
 
 
 # ---- negative-K super-solution ----
@@ -131,6 +185,16 @@ def test_convection_sub_order_two(theorem1_spec):
         errs.append(float(np.max(np.abs(sub.field.values - conv_oracle_a1(x)))))
     orders = [np.log2(a / b) for a, b in zip(errs, errs[1:])]
     assert all(1.7 <= q <= 2.3 for q in orders)
+
+
+def test_convection_sub_refuses_a_field_it_cannot_settle(theorem1_spec):
+    # at a = 0.1, |grad v|^a is not Lipschitz where the gradient vanishes;
+    # mixed sweeps settled here on a field with equation residual 1e-3,
+    # the plain sweeps report stagnation
+    spec = replace(with_n(theorem1_spec, 255), conv_a=0.1, eps=1e-3,
+                   reaction=ReactionTerm("power", p=0.25))
+    with pytest.raises(ConvergenceError, match="stagnated"):
+        build_subsolution_convection(spec)
 
 
 def test_convection_sub_is_a_certified_sub(theorem1_spec):

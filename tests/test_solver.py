@@ -182,6 +182,35 @@ def test_fixed_point_stops_at_a_non_finite_nonlinearity(poisson):
     assert np.array_equal(u, exact)
 
 
+@pytest.mark.parametrize("relax,floor", [(0.5, 1e-3), (0.5, None), (1.0, 0.0),
+                                         (1.0, None)])
+def test_fixed_point_sweeps_are_unmixed(theorem3_spec, relax, floor):
+    # the Picard rescue (relax 1/2, floored), the mass diagnostic's
+    # descent (floored at 0) and the convection sub-solution (plain) take
+    # unmixed sweeps, bit for bit
+    spec = replace(theorem3_spec, grid=build_grid("interval", (1.0,), 63),
+                   lam=80.0, eps=0.1)
+    lu = spec.grid.lu()
+    u0 = 0.5 * first_eigenpair(spec.grid).phi1.values + 1e-3
+
+    def nonlinear(v):
+        return nonlinear_part(spec, v)
+
+    u, sweep, inc = u0, 0, np.inf
+    for sweep in range(1, 301):
+        new = (1.0 - relax) * u - relax * lu.solve(nonlinear(u))
+        if floor is not None:
+            new = np.maximum(new, floor)
+        inc = float(np.abs(new - u).max())
+        u = new
+        if inc < 1e-12 * max(1.0, float(np.abs(u).max())):
+            break
+    got = fixed_point(lu, nonlinear, u0, relax=relax, floor=floor,
+                      tol=1e-12, max_iter=300)
+    assert sweep > 20
+    assert np.array_equal(got[0], u) and got[1:] == (sweep, inc)
+
+
 def test_supersolution_reports_a_non_finite_reaction(theorem3_spec):
     # q = 1e308 is finite, but lambda q s^p overflows once s is above 0
     spec = replace(theorem3_spec, reaction=ReactionTerm("power", p=0.5, q=1e308),
