@@ -8,10 +8,12 @@ h'' = g(h), and for non-integrable g no such profile leaves zero
 (Keller-Osserman).  Numerically the failure shows up twice:
 
   * continuation stalls or collapses at every lambda, and
-  * the singular mass I(eps) = integral of g(u_eps + eps) grows like
-    eps^(-1/2) as the regularization is removed, its increments by a
-    factor sqrt(2) per halving of eps, instead of settling to the finite
-    integral a true solution would have.
+  * the singular mass I(eps) = integral of g(U + eps) of the
+    gradient-free super-solution U grows like eps^(-1/2) as the
+    regularization is removed, its increments by a factor sqrt(2) per
+    halving of eps.  Every solution lies below U and g is nonincreasing,
+    so a solution's mass would be at least as large: it cannot settle to
+    the finite integral a true solution would have.
 """
 
 import numpy as np
@@ -28,15 +30,15 @@ for lam, rep in zip(result.lambdas, result.reports):
 print()
 
 rep = nonexistence_diagnostic(spec)
-print("eps ladder for the singular mass I(eps), candidate from a clipped")
-print("descending sweep (envelope when the sweep collapses to zero):")
+print("eps ladder for the singular mass I(eps) of the gradient-free")
+print("super-solution envelope, a lower bound on any solution's mass:")
 print()
-print("      eps       I(eps)      ratio   reference  source")
-for k, (eps, mass, ref, src) in enumerate(
-    zip(rep.eps, rep.mass, rep.mass_reference, rep.sources)
+print("      eps       I(eps)      ratio   reference")
+for k, (eps, mass, ref) in enumerate(
+    zip(rep.eps, rep.mass, rep.mass_reference)
 ):
     ratio = "" if k < 2 else f"{rep.factors[k - 2]:.4f}"
-    print(f"{eps:10.3e}  {mass:9.4f}   {ratio:>6}  {ref:9.4f}   {src}")
+    print(f"{eps:10.3e}  {mass:9.4f}   {ratio:>6}  {ref:9.4f}")
 print()
 print("ratio: the increment of I into this row over the one into the row above")
 print(f"last increment ratio        {rep.fitted_factor:.4f}")

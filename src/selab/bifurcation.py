@@ -11,9 +11,13 @@ back (`solver.branch_fold`), so the bisection's midpoints are replayed
 against the fold, and two continuation probes at the cell's ends confirm
 it; a cell they refute is bisected probe by probe.  Nothing here proves
 nonexistence; failed continuation indicates it, and the mass diagnostic
-checks the indicated mechanism (integral of g(u_eps + eps) diverging
-like the reference integral of g(c2 dist + eps)) rather than trusting
-the solver's word.
+checks the indicated mechanism rather than trusting the solver's word.
+It measures the integral of g(U + eps) for the gradient-free
+super-solution U, which every solution lies below: g is nonincreasing,
+so that mass lower-bounds the mass of any would-be solution.  A
+divergent mass (at the rate of the reference integral of
+g(c2 dist + eps)) is therefore sound evidence; a bounded one only says
+that U shows no mass obstruction.
 """
 
 from __future__ import annotations
@@ -27,29 +31,17 @@ import numpy as np
 
 from .constructions import build_supersolution
 from .errors import ModelError, RegimeError
-from .grid import Field, build_grid
+from .grid import build_grid
 from .mass import mass_integral, reference_mass, tail_trend
-from .solver import (
-    _halvings,
-    branch_fold,
-    default_schedule,
-    fixed_point,
-    nonlinear_part,
-    solve_with_continuation,
-)
+from .solver import _halvings, branch_fold, default_schedule, solve_with_continuation
 from .spectral import first_eigenpair
 
 log = logging.getLogger(__name__)
 
-# the mass diagnostic's descending sweep per eps: at most 800 sweeps,
-# stopped at an increment below 1e-11 max(1, |u|_inf)
-_DESCENT_SWEEPS = 800
-_DESCENT_TOL = 1e-11
-
 
 def _thread_budget(threads=None):
     if threads is not None:
-        return max(1, int(threads))
+        return int(threads)
     return min(4, os.cpu_count() or 1)
 
 
@@ -311,7 +303,7 @@ def lambda0_bound(spec_template):
 
 @dataclass
 class NonexistenceReport:
-    """Mass trend of the regularized family against the reference rate."""
+    """Mass trend of the super-solution envelope against the reference rate."""
 
     eps: list
     mass: list
@@ -322,21 +314,17 @@ class NonexistenceReport:
     mass_tail: float | None
     verdict: str
     c2: float
-    sources: list
-    collapsed: list
 
 
 def nonexistence_diagnostic(spec_template):
-    """Track I(eps) = integral of g(u_eps + eps) down 20 halvings of eps
-    from 0.1 (`default_schedule(20)`).
+    """Track I(eps) = integral of g(U + eps) down 20 halvings of eps from
+    0.1 (`default_schedule(20)`), U the gradient-free super-solution of
+    -Lap(U) = lambda f(x, U) (`build_supersolution`).
 
-    For each eps the candidate u_eps is sought by a clipped descending
-    sweep from the super-solution envelope U of -Lap(U) = lambda f(x, U)
-    (any solution of the full problem lies below U).  When the sweep
-    collapses to 0 there is no regularized candidate at this eps; the
-    envelope itself is measured instead, which still lower-bounds the
-    mass of any would-be solution because g is nonincreasing.  The
-    per-eps choice is recorded in `sources` ("descent" or "envelope").
+    Every solution of the full problem lies below U and g is
+    nonincreasing, so I(eps) lower-bounds the mass of any would-be
+    solution: "mass-divergent" is sound evidence against existence, while
+    "mass-bounded" only says that U shows no mass obstruction.
 
     I(eps) is the support-restricted piecewise-linear mass (see
     mass_integral), compared against the reference integral of
@@ -349,43 +337,20 @@ def nonexistence_diagnostic(spec_template):
     (None otherwise), and "no-trend" when the ratios are mixed.  A spec
     with a source term raises ModelError.  The ladder is deeper than the
     continuation default because the eps-rate is only clean once eps
-    falls well below u at the first interior node.
+    falls well below U at the first interior node.
     """
     spec = spec_template
     if spec.regime() != "positive":
         raise RegimeError("mass diagnostic lives in the positive-K regime")
     if spec.source is not None:
-        # the super-solution envelope it starts from has no source term
+        # the super-solution envelope has no source term
         raise ModelError("mass diagnostic takes no source term")
     eps_schedule = default_schedule(20)
     g = spec.singular
-    grid = spec.grid
-    lu = grid.lu()
     sup = build_supersolution(spec)
-    envelope = sup.field.values
     c2 = sup.metadata["c2"]
-
-    masses = []
-    refs = []
-    sources = []
-    collapsed = []
-    prev = None
-    for eps in eps_schedule:
-        stage = spec.with_eps(eps)
-        u, _, _ = fixed_point(lu, lambda v: nonlinear_part(stage, v),
-                              envelope if prev is None else prev,
-                              floor=0.0, tol=_DESCENT_TOL, max_iter=_DESCENT_SWEEPS)
-        if float(u.max()) > 0.0:
-            sources.append("descent")
-            prev = u
-        else:
-            sources.append("envelope")
-            u = envelope
-            prev = None
-        field = Field(grid, u)
-        masses.append(mass_integral(g, field, eps))
-        refs.append(reference_mass(grid, g, c2, eps))
-        collapsed.append(bool(np.any(u <= 0)))
+    masses = [mass_integral(g, sup.field, eps) for eps in eps_schedule]
+    refs = [reference_mass(spec.grid, g, c2, eps) for eps in eps_schedule]
 
     factors, fitted, trend, tail = tail_trend(eps_schedule, masses)
     verdict = {"bounded": "mass-bounded", "divergent": "mass-divergent"}.get(
@@ -393,6 +358,5 @@ def nonexistence_diagnostic(spec_template):
     return NonexistenceReport(
         eps=eps_schedule, mass=masses, mass_reference=refs, factors=factors,
         fitted_factor=fitted, reference_factor=tail_trend(eps_schedule, refs)[1],
-        mass_tail=tail, verdict=verdict, c2=c2, sources=sources,
-        collapsed=collapsed,
+        mass_tail=tail, verdict=verdict, c2=c2,
     )

@@ -14,7 +14,9 @@ stencils the solver uses, so "certified" means certified on this grid.
   -Lap(U) = lambda f(x, U) + K^-(x) g(eps), K^- = max(-K, 0), by fixed
   point from phi_1.  g is nonincreasing, so K^- g(eps) >= -K g(U + eps)
   for U >= 0 and U is a super-solution of the eps problem in both sign
-  regimes (for K > 0, K^- = 0: the gradient-free envelope).  Its
+  regimes (for K > 0, K^- = 0: the gradient-free envelope, a start of
+  the continuation and the field whose mass the nonexistence diagnostic
+  measures).  Its
   certificate is A U - (lambda f(U) + K^- g(eps)); c1 = min U/dist and
   c2 = max U/dist witness the two-sided distance bounds.
 
@@ -22,7 +24,9 @@ stencils the solver uses, so "certified" means certified on this grid.
   -Lap(v) + |grad v|^a = p(x) with the forcing floor
   p(x) = min{lambda f(x,1), -K(x) g(1)} > 0, by Picard with a lagged
   gradient.  Since p <= lambda f(x,s) - K(x) g(s) for every s, v is a
-  sub-solution wherever it is positive; its certificate is p - psi(v).
+  sub-solution wherever it is positive.  Its certificate is the residual
+  of the inequality itself, not p - psi(v), which equals it only where v
+  solves its equation exactly.
 
 The super-solution is the solver's `anderson_fixed_point`, the
 convection sub-solution its plain `fixed_point`: there mixing saves two
@@ -61,7 +65,7 @@ from .solver import anderson_fixed_point, fixed_point, residual, settled
 from .spectral import first_eigenpair, hopf_collar
 
 # the fixed points' stop (`solver.settled`) and sweep caps, and the
-# residual above which a node violates the eigen sub-solution certificate
+# residual above which a node violates a sub-solution certificate
 _FIXED_POINT_TOL = 1e-11
 _SUPER_SWEEPS = 2000
 _SUBCONV_SWEEPS = 5000
@@ -134,7 +138,9 @@ def build_subsolution_convection(spec):
 
     Requires the forcing floor p to be positive everywhere (the
     negative-K regime); a converged v must be positive in the interior,
-    otherwise the grid is too coarse and PositivityError is raised.
+    otherwise the grid is too coarse and PositivityError is raised.  The
+    certificate is `solver.residual` of v, its nodes above 1e-9 counted
+    in certificate_violations.
     """
     grid = spec.grid
     p, positive = compute_p(spec)
@@ -156,19 +162,21 @@ def build_subsolution_convection(spec):
         raise PositivityError(
             "convection sub-solution lost interior positivity; refine the grid"
         )
-    mag = gradient_magnitude(grid, Field(grid, v)).values
+    field = Field(grid, v)
+    mag = gradient_magnitude(grid, field).values
     eq_res = grid.apply_neg_laplacian(v) + mag**spec.conv_a - p.values
     # sub-solution certificate against the spec's problem, eps included
-    cert = p.values - spec.psi(v)
+    cert = residual(spec, field).values
     return Construction(
         kind="sub-convection",
-        field=Field(grid, v),
+        field=field,
         certificate=Field(grid, cert),
         metadata={
             "residual_max": float(np.max(np.abs(eq_res))),
             "iterations": it,
             "min_interior": float(v.min()),
             "forcing_floor_min": float(p.values.min()),
+            "certificate_violations": int(np.sum(cert > _CERTIFICATE_TOL)),
         },
     )
 

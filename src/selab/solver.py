@@ -7,12 +7,12 @@ N(u) = |grad u|^a - psi(x, u) - source, psi = lambda f - K g(. + eps) the
 spec's `ProblemSpec.psi`.  `nonlinear_part` is the one place N(u) is
 assembled, and `fixed_point` the one unmixed sweep
 u <- max((1-relax) u - relax A^-1 N(u), floor), stopped by `settled`:
-relaxed and clipped for the Picard rescue and the mass diagnostic's
-descent, plain for the convection sub-solution, where a < 1 makes
-|grad u|^a too rough to mix.  `anderson_fixed_point` is its plain sweep
-(relax 1, no floor) with depth-1 Anderson mixing, behind the
-super-solution (and so the comparison suite and the envelope), whose
-plain sweeps contract only by about the reaction's exponent p.  A^-1 is
+relaxed and clipped for the Picard rescue, plain for the convection
+sub-solution, where a < 1 makes |grad u|^a too rough to mix.
+`anderson_fixed_point` is its plain sweep (relax 1, no floor) with
+depth-1 Anderson mixing, behind the super-solution (and so the
+comparison suite, the envelope and the mass diagnostic), whose plain
+sweeps contract only by about the reaction's exponent p.  A^-1 is
 the grid's `Grid.lu` (on a rectangle, sine transforms: nothing is
 factored), whose solves refuse a non-finite N(u), so the sweep stops
 there.  Every other linear solve here is a `Grid.factor` of the same

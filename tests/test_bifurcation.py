@@ -14,8 +14,10 @@ from selab.bifurcation import (
     lambda_sweep,
     nonexistence_diagnostic,
 )
+from selab.constructions import build_supersolution
 from selab.errors import ModelError, RegimeError
 from selab.grid import Field, build_grid
+from selab.mass import mass_integral
 from selab.model import (
     Potential,
     ReactionTerm,
@@ -342,7 +344,12 @@ def test_refinement_doubles_every_axis(theorem3_spec, kind, extents, shape, fine
 def test_thread_budget():
     assert 1 <= _thread_budget() <= 4
     assert _thread_budget(7) == 7
-    assert _thread_budget(0) == 1
+
+
+def test_sweep_refuses_fewer_than_one_thread(theorem3_spec):
+    # the refusal comes before any solve, so the pool is never sized
+    with pytest.raises(ModelError, match="at least one thread"):
+        lambda_sweep(theorem3_spec, [1.0], warm_start=False, threads=0)
 
 
 # ----------------------------------------------------------- mass diagnostic
@@ -382,8 +389,17 @@ def test_diagnostic_divergent_rate(theorem2_spec):
     assert all(f > 1.02 for f in rep.factors[-3:])
     assert len(rep.mass) == len(rep.eps) == 20
     assert rep.c2 > 0.0
-    assert set(rep.sources) <= {"descent", "envelope"}
-    assert len(rep.collapsed) == len(rep.eps)
+
+
+def test_diagnostic_measures_the_supersolution(theorem3_spec):
+    # every mass is the super-solution envelope's, bit for bit, also at
+    # lambda = 20 on n = 127, where a positive fixed point below the
+    # envelope exists at every eps of the ladder
+    spec = coarsen(theorem3_spec, 127).with_lambda(20.0)
+    rep = nonexistence_diagnostic(spec)
+    envelope = build_supersolution(spec).field
+    assert rep.mass == [mass_integral(spec.singular, envelope, eps)
+                        for eps in rep.eps]
 
 
 def test_diagnostic_bounded_above_threshold(theorem3_spec):

@@ -198,8 +198,9 @@ def test_convection_sub_refuses_a_field_it_cannot_settle(theorem1_spec):
 
 
 def test_convection_sub_is_a_certified_sub(theorem1_spec):
-    # certificate = p - psi(v) must be <= 0 where it matters; for the
-    # canonical instance it vanishes only in sign
+    # the certificate, the residual of the sub-solution inequality, must
+    # be <= 0 where it matters; for the canonical instance it vanishes only
+    # in sign
     spec = with_n(theorem1_spec, 127)
     sub = build_subsolution_convection(spec)
     assert np.all(sub.certificate.values <= 1e-10)
@@ -216,9 +217,24 @@ def test_convection_sub_certificate_is_taken_at_the_spec_eps(theorem1_spec):
     v = sub.field.values
     np.testing.assert_array_equal(v, plain.field.values)
     np.testing.assert_array_equal(sub.certificate.values,
-                                  compute_p(stage)[0].values - stage.psi(v))
+                                  residual(stage, sub.field).values)
     assert np.all(sub.certificate.values > plain.certificate.values)
     assert np.all(sub.certificate.values <= 0.0)
+
+
+def test_convection_sub_is_certified_by_the_inequality_itself(theorem1_spec):
+    # at a = 1/4, |grad v|^a is not Lipschitz at the centre node and the
+    # settled field misses its equation by 6.5e-6; p - psi(v) would hide
+    # that, the residual of the sub-solution inequality does not
+    spec = replace(with_n(theorem1_spec, 255), conv_a=0.25, eps=1e-3)
+    sub = build_subsolution_convection(spec)
+    v = sub.field.values
+    np.testing.assert_array_equal(sub.certificate.values,
+                                  residual(spec, sub.field).values)
+    hidden = sub.certificate.values - (compute_p(spec)[0].values - spec.psi(v))
+    assert np.max(np.abs(hidden)) > 1e-6
+    assert np.all(sub.certificate.values <= 0.0)
+    assert sub.metadata["certificate_violations"] == 0
 
 
 # ---- eigenfunction sub-solution ----

@@ -185,9 +185,9 @@ def test_fixed_point_stops_at_a_non_finite_nonlinearity(poisson):
 @pytest.mark.parametrize("relax,floor", [(0.5, 1e-3), (0.5, None), (1.0, 0.0),
                                          (1.0, None)])
 def test_fixed_point_sweeps_are_unmixed(theorem3_spec, relax, floor):
-    # the Picard rescue (relax 1/2, floored), the mass diagnostic's
-    # descent (floored at 0) and the convection sub-solution (plain) take
-    # unmixed sweeps, bit for bit
+    # the Picard rescue (relax 1/2, floored) and the convection
+    # sub-solution (plain) take unmixed sweeps, bit for bit, and so does
+    # every other relax and floor the sweep takes
     spec = replace(theorem3_spec, grid=build_grid("interval", (1.0,), 63),
                    lam=80.0, eps=0.1)
     lu = spec.grid.lu()
